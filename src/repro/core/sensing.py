@@ -2,11 +2,11 @@
 
 The controller's view of the plant, built the way the prototype built it:
 each cabinet's voltage and current transducers are scanned by PLC analog
-modules into input registers; the coordination node reads the registers
-over the Modbus layer and maintains per-battery estimates — coulomb-counted
-state of charge (re-anchored from open-circuit voltage when the cabinet has
-rested) and the aggregated discharge statistic AhT[i] that drives the
-spatial manager's screening (Figure 9).
+modules into input registers; the coordination node reads the registers in
+place and maintains per-battery estimates — coulomb-counted state of charge
+(re-anchored from open-circuit voltage when the cabinet has rested) and the
+aggregated discharge statistic AhT[i] that drives the spatial manager's
+screening (Figure 9).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.battery.bank import BatteryBank
 from repro.battery.unit import BatteryUnit
-from repro.power.modbus import ModbusMaster, decode_fixed
+from repro.power.modbus import decode_fixed
 from repro.power.plc import AnalogInputModule, ProgrammableLogicController
 from repro.power.sensors import CurrentTransducer, VoltageTransducer
 from repro.sim.rng import RandomStreams
@@ -44,7 +44,7 @@ class BatterySense:
 
 
 class BatteryTelemetry:
-    """Sensing chain: transducers -> PLC registers -> Modbus -> estimates."""
+    """Sensing chain: transducers -> PLC registers -> estimates."""
 
     def __init__(
         self,
@@ -78,7 +78,6 @@ class BatteryTelemetry:
             self._sensors.extend((v_sensor, i_sensor))
             self.plc.add_module(module)
 
-        self.master = ModbusMaster(self.plc.slave)
         self.senses = {
             unit.name: BatterySense(
                 name=unit.name,
@@ -114,8 +113,7 @@ class BatteryTelemetry:
         """Read all registers and update estimates for one control period."""
         if dt_seconds <= 0:
             raise ValueError("dt_seconds must be positive")
-        count = len(self.bank) * _REGS_PER_BATTERY
-        registers = self.master.read_input(0, count)
+        registers = self.plc.slave.input
         base = 0
         for unit, sense in self._rows:
             sense.voltage = decode_fixed(registers[base], _V_SCALE)

@@ -165,16 +165,10 @@ class InSituSystem:
         return self._total_steps - self._steps_done
 
     def advance(self, ticks: int) -> int:
-        """Step up to ``ticks`` ticks of the open run; returns the count
-        executed.  A shortfall means a stop condition ended the run — the
-        remaining budget is cancelled so ``remaining_steps`` drops to 0."""
-        budget = min(int(ticks), self.remaining_steps)
-        if budget <= 0:
-            return 0
-        executed = self.engine.advance(budget)
+        """Step up to ``ticks`` ticks of the open run, never past its end;
+        returns the count executed."""
+        executed = self.engine.advance(min(int(ticks), self.remaining_steps))
         self._steps_done += executed
-        if executed < budget:  # early stop: nothing left to run
-            self._steps_done = self._total_steps
         return executed
 
     def finalize(self) -> RunSummary:

@@ -11,9 +11,9 @@ The ledger holds **no per-tick state of its own**.  The physics components
 (:class:`~repro.power.bus.PowerBus`, :class:`~repro.battery.unit.BatteryUnit`,
 :class:`~repro.solar.field.SolarField`) and the
 :class:`~repro.telemetry.metrics.MetricsCollector` maintain cheap cumulative
-accumulators as part of their normal step, in *both* the chunked fast
-kernel and the traced kernel; the ledger merely snapshots their values at
-attach time and reads the deltas on demand.  Nothing feeds back into the
+accumulators as part of their normal step, on traced and untraced ticks
+alike; the ledger merely snapshots their values at attach time and reads
+the deltas on demand.  Nothing feeds back into the
 simulation, so same-seed traces are bit-identical with the ledger on or
 off (enforced against the pinned golden digests).
 

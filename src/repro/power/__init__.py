@@ -2,18 +2,18 @@
 
 Models the prototype's electrical plumbing: IDEC relay pairs and the
 reconfigurable switch network, CR Magnetics voltage/current transducers
-sampled by Siemens PLC analog modules, a Modbus-TCP-style register codec
-linking the PLC to the coordination node, DC/DC conversion losses, and the
-power bus that resolves solar / battery / server flows every tick.
+sampled by Siemens PLC analog modules into a Modbus-style register map,
+DC/DC conversion losses, and the power bus that resolves solar / battery /
+server flows every tick.
 
 Controllers never touch the true plant state directly: they read sensed,
-quantised values through the PLC register map, exactly as the prototype's
-coordination node did over Modbus.
+quantised values from the PLC's input registers, read in place, as the
+prototype's coordination node read them over Modbus.
 """
 
 from repro.power.bus import BusReport, PowerBus
 from repro.power.converters import DCDCConverter, PowerDistributionUnit
-from repro.power.modbus import ModbusError, ModbusMaster, ModbusSlave, crc16
+from repro.power.modbus import ModbusError, ModbusSlave
 from repro.power.plc import AnalogInputModule, ProgrammableLogicController
 from repro.power.relays import Relay, RelayPair, SwitchNetwork
 from repro.power.secondary import DieselGenerator, HybridSource
@@ -28,7 +28,6 @@ __all__ = [
     "DieselGenerator",
     "HybridSource",
     "ModbusError",
-    "ModbusMaster",
     "ModbusSlave",
     "PowerBus",
     "PowerDistributionUnit",
@@ -40,5 +39,4 @@ __all__ = [
     "Topology",
     "TopologyError",
     "VoltageTransducer",
-    "crc16",
 ]

@@ -1,53 +1,19 @@
-"""Modbus-style register map and frame codec.
+"""Modbus-style register map.
 
 The prototype's control panel spoke Modbus TCP between the PLC and the
-coordination server.  We implement the register abstraction functionally:
-a :class:`ModbusSlave` holds 16-bit holding/input registers, and a
-:class:`ModbusMaster` exchanges encoded frames with it.  Frames carry a
-CRC16 so the codec round-trip is genuinely exercised; scaled fixed-point
-encoding helpers mirror how analog readings are packed into registers.
+coordination server.  What the controllers act on is the register map
+itself: a :class:`ModbusSlave` holds bounds-checked 16-bit holding and
+input registers, the PLC scan writes quantised readings into the input
+bank, and the coordination node reads that bank in place.  The
+fixed-point helpers mirror how analog readings are packed into signed
+16-bit registers.
 """
 
 from __future__ import annotations
 
-import struct
-
 
 class ModbusError(RuntimeError):
-    """Protocol violation: bad CRC, bad function code, or bad address."""
-
-
-def _build_crc16_table() -> tuple[int, ...]:
-    table = []
-    for value in range(256):
-        crc = value
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0xA001
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
-
-
-#: Precomputed byte table for the 0xA001 polynomial — identical output to
-#: the bitwise loop, one lookup per byte instead of eight shifts.
-_CRC16_TABLE = _build_crc16_table()
-
-
-def crc16(data: bytes) -> int:
-    """Modbus RTU CRC-16 (polynomial 0xA001)."""
-    crc = 0xFFFF
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc
-
-
-READ_HOLDING = 0x03
-READ_INPUT = 0x04
-WRITE_SINGLE = 0x06
-WRITE_MULTIPLE = 0x10
+    """Register violation: out-of-range value or address."""
 
 
 def encode_fixed(value: float, scale: float = 100.0) -> int:
@@ -66,21 +32,13 @@ def decode_fixed(register: int, scale: float = 100.0) -> float:
 
 
 class ModbusSlave:
-    """A register bank addressed by a unit id (the PLC side)."""
+    """The PLC's register bank: holding and input registers."""
 
-    def __init__(self, unit_id: int = 1, size: int = 256) -> None:
-        if not 0 <= unit_id <= 247:
-            raise ValueError("unit_id must be in [0, 247]")
+    def __init__(self, size: int = 256) -> None:
         if size <= 0:
             raise ValueError("size must be positive")
-        self.unit_id = unit_id
         self.holding = [0] * size
         self.input = [0] * size
-        #: Validated read requests, keyed by the exact frame bytes.  Polling
-        #: masters repeat identical frames every control period; equal bytes
-        #: parse (and CRC-check) to the same result, so validate each
-        #: distinct frame once.
-        self._read_requests: dict[bytes, tuple[int, int, int]] = {}
 
     def set_input(self, address: int, value: int) -> None:
         self._check(address, self.input)
@@ -97,119 +55,3 @@ class ModbusSlave:
     def _check(self, address: int, bank: list[int]) -> None:
         if not 0 <= address < len(bank):
             raise ModbusError(f"register address out of range: {address}")
-
-    # ------------------------------------------------------------------
-    # Frame handling
-    # ------------------------------------------------------------------
-    def handle(self, frame: bytes) -> bytes:
-        """Process a request frame and return the response frame."""
-        parsed = self._read_requests.get(frame)
-        if parsed is not None:
-            unit, function, address, count = self.unit_id, *parsed
-            bank = self.holding if function == READ_HOLDING else self.input
-            values = bank[address:address + count]
-            response = struct.pack(
-                f">BBB{count}H", unit, function, 2 * count, *values
-            )
-            return response + struct.pack("<H", crc16(response))
-
-        if len(frame) < 4:
-            raise ModbusError("frame too short")
-        body, crc_bytes = frame[:-2], frame[-2:]
-        if struct.unpack("<H", crc_bytes)[0] != crc16(body):
-            raise ModbusError("bad CRC")
-        unit, function = body[0], body[1]
-        if unit != self.unit_id:
-            raise ModbusError(f"wrong unit id {unit}, expected {self.unit_id}")
-
-        if function in (READ_HOLDING, READ_INPUT):
-            address, count = struct.unpack(">HH", body[2:6])
-            bank = self.holding if function == READ_HOLDING else self.input
-            if address + count > len(bank) or count == 0:
-                raise ModbusError("read beyond register bank")
-            if len(self._read_requests) < 64:
-                self._read_requests[bytes(frame)] = (function, address, count)
-            values = bank[address:address + count]
-            response = struct.pack(
-                f">BBB{count}H", unit, function, 2 * count, *values
-            )
-        elif function == WRITE_SINGLE:
-            address, value = struct.unpack(">HH", body[2:6])
-            self.set_holding(address, value)
-            response = body  # echo per spec
-        elif function == WRITE_MULTIPLE:
-            address, count = struct.unpack(">HH", body[2:6])
-            byte_count = body[6]
-            if byte_count != 2 * count:
-                raise ModbusError("byte count mismatch")
-            for i in range(count):
-                value = struct.unpack(">H", body[7 + 2 * i: 9 + 2 * i])[0]
-                self.set_holding(address + i, value)
-            response = struct.pack("BB", unit, function) + struct.pack(">HH", address, count)
-        else:
-            raise ModbusError(f"unsupported function 0x{function:02x}")
-
-        return response + struct.pack("<H", crc16(response))
-
-
-class ModbusMaster:
-    """The coordination-node side: builds requests, parses responses."""
-
-    def __init__(self, slave: ModbusSlave) -> None:
-        self.slave = slave
-        #: Read-request frames are a pure function of (function, address,
-        #: count); polling loops issue the same reads every control period,
-        #: so encode (and CRC) each distinct request once.
-        self._request_frames: dict[tuple[int, int, int], bytes] = {}
-        self._word_formats: dict[int, str] = {}
-
-    def _transact(self, body: bytes) -> bytes:
-        frame = body + struct.pack("<H", crc16(body))
-        return self._transact_frame(frame)
-
-    def _transact_frame(self, frame: bytes) -> bytes:
-        response = self.slave.handle(frame)
-        resp_body, crc_bytes = response[:-2], response[-2:]
-        if struct.unpack("<H", crc_bytes)[0] != crc16(resp_body):
-            raise ModbusError("bad CRC in response")
-        return resp_body
-
-    def _read_frame(self, function: int, address: int, count: int) -> bytes:
-        key = (function, address, count)
-        frame = self._request_frames.get(key)
-        if frame is None:
-            body = struct.pack(">BBHH", self.slave.unit_id, function, address, count)
-            frame = body + struct.pack("<H", crc16(body))
-            self._request_frames[key] = frame
-        return frame
-
-    def _read(self, function: int, address: int, count: int) -> list[int]:
-        resp = self._transact_frame(self._read_frame(function, address, count))
-        words = resp[2] // 2
-        fmt = self._word_formats.get(words)
-        if fmt is None:
-            fmt = self._word_formats[words] = f">{words}H"
-        return list(struct.unpack_from(fmt, resp, 3))
-
-    def read_holding(self, address: int, count: int = 1) -> list[int]:
-        return self._read(READ_HOLDING, address, count)
-
-    def read_input(self, address: int, count: int = 1) -> list[int]:
-        return self._read(READ_INPUT, address, count)
-
-    def write_holding(self, address: int, value: int) -> None:
-        body = struct.pack("BB", self.slave.unit_id, WRITE_SINGLE) + struct.pack(
-            ">HH", address, value & 0xFFFF
-        )
-        self._transact(body)
-
-    def write_many(self, address: int, values: list[int]) -> None:
-        if not values:
-            raise ValueError("values must be non-empty")
-        body = (
-            struct.pack("BB", self.slave.unit_id, WRITE_MULTIPLE)
-            + struct.pack(">HH", address, len(values))
-            + struct.pack("B", 2 * len(values))
-            + b"".join(struct.pack(">H", v & 0xFFFF) for v in values)
-        )
-        self._transact(body)

@@ -3,14 +3,14 @@
 The PLC scans its analog input modules on a fixed cycle, stores readings
 in input registers (fixed-point encoded), and executes a control program
 that may drive the relay network and update holding registers.  The
-coordination node reads those registers over the Modbus layer.
+coordination node reads those registers in place.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.power.modbus import ModbusError, ModbusSlave, encode_fixed
+from repro.power.modbus import ModbusSlave, encode_fixed
 from repro.power.sensors import Transducer
 from repro.sim.clock import Clock
 from repro.sim.component import Component
@@ -38,12 +38,6 @@ class AnalogInputModule:
             raise ValueError(f"channel {channel} already bound")
         self._channels.append((channel, transducer, scale))
 
-    def scan(self, slave: ModbusSlave) -> None:
-        """Sample every bound channel into the slave's input registers."""
-        for channel, transducer, scale in self._channels:
-            value = transducer.read()
-            slave.set_input(self.base_address + channel, encode_fixed(value, scale))
-
 
 class ProgrammableLogicController(Component):
     """Scan-cycle PLC with analog modules and an optional control program.
@@ -57,17 +51,12 @@ class ProgrammableLogicController(Component):
         cadence, not every simulation tick.
     """
 
-    def __init__(
-        self,
-        name: str = "plc",
-        scan_period_s: float = 0.5,
-        unit_id: int = 1,
-    ) -> None:
+    def __init__(self, name: str = "plc", scan_period_s: float = 0.5) -> None:
         super().__init__(name)
         if scan_period_s <= 0:
             raise ValueError("scan_period_s must be positive")
         self.scan_period_s = scan_period_s
-        self.slave = ModbusSlave(unit_id=unit_id)
+        self.slave = ModbusSlave()
         self.modules: list[AnalogInputModule] = []
         self.program: ControlProgram | None = None
         self._since_scan = float("inf")  # force a scan on the first step
@@ -115,12 +104,6 @@ class ProgrammableLogicController(Component):
             self._scan_plan_size = size
         registers = self.slave.input
         for address, read, scale in self._scan_plan:
-            value = read()
-            raw = round(value * scale)
-            if not -32768 <= raw <= 32767:
-                raise ModbusError(
-                    f"value {value} does not fit a 16-bit register at scale {scale}"
-                )
-            registers[address] = raw & 0xFFFF
+            registers[address] = encode_fixed(read(), scale)
         if self.program is not None:
             self.program(clock, self)

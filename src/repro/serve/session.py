@@ -136,9 +136,8 @@ class Session:
         """Run one cooperative slice; returns the ticks executed.
 
         Only RUNNING sessions step.  When the run's tick budget is
-        exhausted (or a stop condition ended it early) the session
-        finalizes: summary + verdict events are emitted and the state
-        moves to DONE.
+        exhausted the session finalizes: summary + verdict events are
+        emitted and the state moves to DONE.
         """
         if self.state != SessionState.RUNNING:
             return 0

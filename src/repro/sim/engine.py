@@ -2,20 +2,20 @@
 
 The engine owns the clock and a registry of components.  Each tick it steps
 every component in registration order, then fires any per-tick observers
-(used by the trace recorder).  Runs are bounded by a duration and may end
-early via a stop condition (e.g. "battery bank exhausted and no solar").
+(used by the trace recorder).  Every run executes exactly the ticks that
+cover its duration.
 
-The tick loop is a *chunked kernel*: component ``step`` methods, observers
-and stop conditions are pre-bound into flat lists once per run, the clock is
-advanced inline, and the loop is specialised for the common case of no stop
-conditions.  A day-long full-system run executes ~17k ticks, so shaving the
-per-tick dispatch overhead is a first-order win for every experiment.
+There is one tick loop: component ``step`` methods and observers are
+pre-bound into a flat list once per call and the clock is advanced inline.
+A day-long full-system run executes ~17k ticks, so the per-tick dispatch
+overhead matters for every experiment.
 
 When a span tracer is attached (``engine.tracer``, see
-:mod:`repro.obs.spans`) the run switches to an instrumented kernel that
-attributes wall time to each component on sampled ticks.  The tracer only
-*observes* — with it attached or not, same-seed runs take the identical
-sequence of component steps and produce bit-identical traces.
+:mod:`repro.obs.spans`) each tick first asks it ``begin_tick``; a sampled
+tick runs every component and observer inside its span, any other tick
+takes the untraced path.  The tracer only *observes* — with it attached or
+not, same-seed runs take the identical sequence of component steps and
+produce bit-identical traces.
 """
 
 from __future__ import annotations
@@ -39,31 +39,16 @@ class Engine:
         Step size in seconds.
     start_hour:
         Wall-clock hour of day at ``t == 0``.
-    stop_check_stride:
-        Evaluate stop conditions once every this many ticks.  The default
-        of 1 preserves exact early-stop semantics; raise it for runs where
-        a few ticks of overshoot are acceptable in exchange for speed.
     """
 
-    def __init__(
-        self,
-        dt: float = 1.0,
-        start_hour: float = 7.0,
-        stop_check_stride: int = 1,
-    ) -> None:
-        if stop_check_stride < 1:
-            raise ValueError(
-                f"stop_check_stride must be >= 1, got {stop_check_stride}"
-            )
+    def __init__(self, dt: float = 1.0, start_hour: float = 7.0) -> None:
         self.clock = Clock(dt=dt, start_hour=start_hour)
-        self.stop_check_stride = int(stop_check_stride)
         #: Optional span tracer (duck-typed, see repro.obs.spans).  None
-        #: keeps the untraced fast path.
+        #: samples no tick.
         self.tracer = None
         self._components: list[Component] = []
         self._by_name: dict[str, Component] = {}
         self._observers: list[tuple[str, Callable[[Clock], None]]] = []
-        self._stop_conditions: list[Callable[[Clock], bool]] = []
         self._started = False
         self._finished = False
 
@@ -95,17 +80,13 @@ class Engine:
                 name: str | None = None) -> None:
         """Register a per-tick observer fired after all components step.
 
-        ``name`` labels the observer's span in the traced kernel (so the
+        ``name`` labels the observer's span on traced ticks (so the
         profile attributes recorder/checker/alert cost individually);
         unnamed observers are labelled after their class.
         """
         if name is None:
             name = type(callback).__name__.lower()
         self._observers.append((f"obs.{name}", callback))
-
-    def stop_when(self, condition: Callable[[Clock], bool]) -> None:
-        """Register a predicate that ends the run early when it returns True."""
-        self._stop_conditions.append(condition)
 
     @property
     def components(self) -> tuple[Component, ...]:
@@ -120,9 +101,7 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
     def run(self, duration: float) -> Clock:
-        """Run for ``duration`` simulated seconds (or until a stop condition).
-
-        Returns the clock so callers can inspect how far the run got.
+        """Run for ``duration`` simulated seconds; returns the clock.
 
         ``run`` may be called again to extend a run (e.g. multi-day
         operation); ``start`` and ``finish`` hooks each fire exactly once,
@@ -156,17 +135,16 @@ class Engine:
         return max(1, round(duration / clock.dt))
 
     def advance(self, ticks: int) -> int:
-        """Step up to ``ticks`` ticks; returns the count actually executed.
-
-        A shortfall (return value < ``ticks``) means a stop condition
-        ended the run early — callers should stop advancing and call
-        :meth:`end`.  Requires a prior :meth:`begin` (or :meth:`run`).
+        """Step ``ticks`` ticks; returns the count executed (0 if ``ticks``
+        is not positive).  Requires a prior :meth:`begin` (or :meth:`run`).
         """
         if ticks <= 0:
             return 0
         if not self._started:
             raise SimulationError("advance() before begin()")
-        return self._run_kernel(int(ticks))
+        ticks = int(ticks)
+        self._run_kernel(ticks)
+        return ticks
 
     def end(self) -> None:
         """Close the run: fire ``finish`` hooks (exactly once)."""
@@ -175,101 +153,25 @@ class Engine:
             for component in self._components:
                 component.finish(self.clock)
 
-    def _run_kernel(self, steps: int) -> int:
-        """The chunked tick loop: pre-bound dispatch, inline clock advance.
-
-        Returns the number of ticks executed (< ``steps`` only when a
-        stop condition ended the run early).
-        """
-        if self.tracer is not None:
-            return self._run_kernel_traced(steps)
-        clock = self.clock
-        dt = clock.dt
-        step_fns = [component.step for component in self._components]
-        observers = [callback for _, callback in self._observers]
-        conditions = list(self._stop_conditions)
-        stride = self.stop_check_stride
-        index = clock.step_index
-
-        if not conditions:
-            # Fast path: fixed tick count, nothing can end the run early.
-            for _ in range(steps):
-                for step_fn in step_fns:
-                    step_fn(clock)
-                for observer in observers:
-                    observer(clock)
-                index += 1
-                clock.step_index = index
-                clock.t = index * dt
-            return steps
-
-        # Run stride-sized chunks of ticks, then evaluate stop conditions
-        # once per chunk (after every tick with the default stride of 1).
-        remaining = steps
-        while remaining > 0:
-            ticks = min(stride, remaining)
-            for _ in range(ticks):
-                for step_fn in step_fns:
-                    step_fn(clock)
-                for observer in observers:
-                    observer(clock)
-                index += 1
-                clock.step_index = index
-                clock.t = index * dt
-            remaining -= ticks
-            stop = False
-            for condition in conditions:
-                if condition(clock):
-                    stop = True
-                    break
-            if stop:
-                break
-        return steps - remaining
-
-    def _run_kernel_traced(self, steps: int) -> int:
-        """Instrumented tick loop: per-component spans on sampled ticks.
-
-        Mirrors ``_run_kernel`` exactly — same step order, same chunked
-        stop-condition cadence — but routes each tick through the tracer.
-        On unsampled ticks the only extra work is one ``begin_tick`` call.
-        """
+    def _run_kernel(self, steps: int) -> None:
+        """The tick loop: pre-bound dispatch, inline clock advance, and
+        per-component spans on the ticks an attached tracer samples."""
         clock = self.clock
         dt = clock.dt
         tracer = self.tracer
-        pairs = [(component.name, component.step) for component in self._components]
-        observer_pairs = list(self._observers)
-        observers = [callback for _, callback in observer_pairs]
-        conditions = list(self._stop_conditions)
-        stride = self.stop_check_stride
+        calls = [(component.name, component.step) for component in self._components]
+        calls += self._observers
+        fns = [fn for _, fn in calls]
         index = clock.step_index
-
-        remaining = steps
-        while remaining > 0:
-            ticks = min(stride, remaining) if conditions else remaining
-            for _ in range(ticks):
-                if tracer.begin_tick(index, clock.t):
-                    for name, step_fn in pairs:
-                        with tracer.span(name):
-                            step_fn(clock)
-                    for name, observer in observer_pairs:
-                        with tracer.span(name):
-                            observer(clock)
-                    tracer.end_tick()
-                else:
-                    for _, step_fn in pairs:
-                        step_fn(clock)
-                    for observer in observers:
-                        observer(clock)
-                index += 1
-                clock.step_index = index
-                clock.t = index * dt
-            remaining -= ticks
-            if conditions:
-                stop = False
-                for condition in conditions:
-                    if condition(clock):
-                        stop = True
-                        break
-                if stop:
-                    break
-        return steps - remaining
+        for _ in range(steps):
+            if tracer is not None and tracer.begin_tick(index, clock.t):
+                for name, fn in calls:
+                    with tracer.span(name):
+                        fn(clock)
+                tracer.end_tick()
+            else:
+                for fn in fns:
+                    fn(clock)
+            index += 1
+            clock.step_index = index
+            clock.t = index * dt

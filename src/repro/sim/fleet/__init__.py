@@ -8,7 +8,7 @@ charger/bus balance, server power and SoC/wear/LVD state — with per-site
 RNG streams seeded identically to the scalar path and divergent control
 branches handled via boolean masks.
 
-The scalar chunked kernel stays the bit-exact reference: the
+The scalar engine stays the bit-exact reference: the
 :class:`FleetValidator` gates the vectorized path against golden-matrix
 run summaries within the invariant tolerance, and the ``fleet`` backend
 in :func:`repro.experiments.runner.run_cells` falls back to pool/serial

@@ -1,6 +1,6 @@
 """Gate the vectorized fleet kernel against golden-matrix summaries.
 
-The scalar chunked kernel is the bit-exact reference for the physics; the
+The scalar engine is the bit-exact reference for the physics; the
 fleet kernel re-derives every expression in SoA form and is allowed only
 ulp-level drift.  :class:`FleetValidator` replays the 12 golden-matrix
 cells plus the policy scenario cells through

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power.modbus import ModbusMaster, decode_fixed
+from repro.power.modbus import decode_fixed
 from repro.power.plc import AnalogInputModule, ProgrammableLogicController
 from repro.power.sensors import CurrentTransducer, Transducer, VoltageTransducer
 from repro.sim.clock import Clock
@@ -55,8 +55,7 @@ class TestAnalogModule:
         module.bind(0, Transducer(lambda: 12.5, lo=0.0, hi=50.0))
         clock = Clock(dt=1.0)
         plc.step(clock)
-        master = ModbusMaster(plc.slave)
-        assert decode_fixed(master.read_input(0)[0]) == pytest.approx(12.5, abs=0.02)
+        assert decode_fixed(plc.slave.input[0]) == pytest.approx(12.5, abs=0.02)
 
     def test_duplicate_channel_rejected(self):
         module = AnalogInputModule(base_address=0)

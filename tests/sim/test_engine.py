@@ -1,4 +1,4 @@
-"""Engine stepping, ordering, observers and stop conditions."""
+"""Engine stepping, ordering, observers and multi-run lifecycle."""
 
 import pytest
 
@@ -110,14 +110,6 @@ class TestObserversAndStops:
         engine.run(3.0)
         assert ticks == [0.0, 1.0, 2.0]
 
-    def test_stop_condition_ends_early(self):
-        log = []
-        engine = Engine(dt=1.0)
-        engine.add(Recorder("a", log))
-        engine.stop_when(lambda clock: clock.t >= 3.0)
-        engine.run(100.0)
-        assert len(log) == 3
-
     def test_observer_runs_after_components(self):
         order = []
 
@@ -160,34 +152,3 @@ class TestMultiRun:
         engine.run(2.0)
         engine.run(2.0)
         assert [t for _, t in log] == [0.0, 1.0, 2.0, 3.0]
-
-
-class TestStopCheckStride:
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(stop_check_stride=0)
-
-    def test_default_stride_preserves_exact_early_stop(self):
-        log = []
-        engine = Engine(dt=1.0)
-        engine.add(Recorder("a", log))
-        engine.stop_when(lambda clock: clock.t >= 3.0)
-        engine.run(100.0)
-        assert len(log) == 3
-
-    def test_wide_stride_checks_once_per_chunk(self):
-        """A stride of 4 runs whole chunks between stop evaluations."""
-        log = []
-        engine = Engine(dt=1.0, stop_check_stride=4)
-        engine.add(Recorder("a", log))
-        engine.stop_when(lambda clock: clock.t >= 1.0)
-        engine.run(100.0)
-        assert len(log) == 4
-
-    def test_stride_does_not_overshoot_duration(self):
-        log = []
-        engine = Engine(dt=1.0, stop_check_stride=64)
-        engine.add(Recorder("a", log))
-        engine.stop_when(lambda clock: False)
-        engine.run(10.0)
-        assert len(log) == 10
