@@ -23,6 +23,11 @@ from pathlib import Path
 
 ENV_MAX_SLOWDOWN = "REPRO_BENCH_MAX_SLOWDOWN"
 DEFAULT_MAX_SLOWDOWN = 0.25
+#: Record fields shown side by side (when both records carry them); only
+#: ``ticks_per_second`` is gated.  ``best_round_seconds`` is the fleet
+#: record's best warm timed round.
+REPORTED_KEYS = ("ticks_per_second", "cold_seconds", "best_round_seconds",
+                 "cache_replay_seconds")
 
 
 def _default_max_slowdown() -> float:
@@ -52,7 +57,7 @@ def compare(baseline: dict, fresh: dict, max_slowdown: float) -> tuple[bool, str
         f"{'metric':24s} {'baseline':>12s} {'fresh':>12s} {'delta':>8s}",
         "-" * 60,
     ]
-    for key in ("ticks_per_second", "cold_seconds", "cache_replay_seconds"):
+    for key in REPORTED_KEYS:
         if key not in baseline or key not in fresh:
             continue
         base_value = float(baseline[key])
@@ -86,7 +91,7 @@ def render_markdown(
         "| metric | baseline | fresh | delta |",
         "| --- | ---: | ---: | ---: |",
     ]
-    for key in ("ticks_per_second", "cold_seconds", "cache_replay_seconds"):
+    for key in REPORTED_KEYS:
         if key not in baseline or key not in fresh:
             continue
         base_value = float(baseline[key])

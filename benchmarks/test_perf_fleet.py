@@ -94,7 +94,7 @@ def test_fleet_speedup_at_batch_1024():
         "ticks_per_second": round(fleet_tps, 1),
         "scalar_ticks_per_second": round(scalar_tps, 1),
         "speedup": round(speedup, 2),
-        "cold_seconds": round(fleet_best, 4),
+        "best_round_seconds": round(fleet_best, 4),
     }, indent=2) + "\n")
 
     assert speedup >= SPEEDUP_FLOOR, (

@@ -23,7 +23,6 @@ from repro.telemetry.io import (
     export_recorder_csv,
     save_summary_json,
 )
-from repro.telemetry.plots import channel_panel
 from repro.telemetry.report import render_comparison, render_summary
 from repro.workloads import SeismicAnalysis
 
@@ -58,14 +57,6 @@ def main() -> None:
                  "summary.json", "solar_day.csv"):
         size = (out / name).stat().st_size
         print(f"  {name:16s} {size:8,d} bytes")
-
-    print("\nDay at a glance:")
-    print(channel_panel(
-        insure_system.recorder,
-        ["solar_w", "demand_w", "stored_wh", "mean_voltage"],
-        labels={"solar_w": "solar (W)", "demand_w": "demand (W)",
-                "stored_wh": "buffer (Wh)", "mean_voltage": "voltage (V)"},
-    ))
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 The paper's second in-situ application: 24 cameras at 1280x720/5 fps
 stream 0.21 GB of footage per minute to a Hadoop-style pattern
 recognition pipeline.  This example runs a cloudy day under InSURE and
-renders an hour-by-hour ASCII dashboard of solar input, VM scaling,
-buffer state and stream backlog — the VM-count actuation of the temporal
-power manager at work.
+reports the day's stream statistics and how closely the VM count tracked
+the solar input — the VM-count actuation of the temporal power manager
+at work.
 
 Run:  python examples/video_surveillance.py
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.core.system import build_system
 from repro.solar.traces import make_day_trace
-from repro.telemetry.plots import sparkline
 from repro.workloads import VideoSurveillance
 
 
@@ -24,21 +23,10 @@ def main() -> None:
     system = build_system(trace, workload, controller="insure",
                           initial_soc=0.55, seed=11)
 
-    # Track stream backlog alongside the built-in channels.
-    system.recorder.channel("backlog_gb", lambda: workload.backlog_gb)
-
     summary = system.run()
     recorder = system.recorder
 
-    print("Video surveillance on a cloudy day — InSURE dashboard")
-    print("=" * 64)
-    print(f"{'solar input (W)':18s} {sparkline(recorder['solar_w'])}")
-    print(f"{'server demand (W)':18s} {sparkline(recorder['demand_w'])}")
-    print(f"{'running VMs':18s} {sparkline(recorder['running_vms'], lo=0, hi=8)}")
-    print(f"{'buffer stored (Wh)':18s} {sparkline(recorder['stored_wh'])}")
-    print(f"{'stream backlog(GB)':18s} {sparkline(recorder['backlog_gb'])}")
-    print(f"{'':18s} {'7AM':<15s}{'noon':^18s}{'8PM':>15s}")
-
+    print("Video surveillance on a cloudy day — InSURE")
     print("\nDay summary")
     print("-" * 30)
     print(f"footage arrived        {0.21 * 60 * 13:6.1f} GB")

@@ -50,18 +50,14 @@ class KiBaM:
         capacity_ah: float,
         params: KiBaMParams,
         soc: float = 1.0,
-        integrator: str = "euler",
     ) -> None:
         if capacity_ah <= 0:
             raise ValueError("capacity_ah must be positive")
         if not 0.0 <= soc <= 1.0:
             raise ValueError(f"initial soc must be in [0,1], got {soc}")
-        if integrator not in ("euler", "exact"):
-            raise ValueError(f"integrator must be 'euler' or 'exact', got {integrator!r}")
         params.validate()
         self.capacity_ah = float(capacity_ah)
         self.params = params
-        self.integrator = integrator
         self.y1 = soc * params.c * capacity_ah
         self.y2 = soc * (1.0 - params.c) * capacity_ah
 
@@ -96,7 +92,7 @@ class KiBaM:
     # Integration
     # ------------------------------------------------------------------
     def apply_current(self, amps: float, dt_seconds: float) -> float:
-        """Integrate one step at signed current ``amps``.
+        """Integrate one forward-Euler step at signed current ``amps``.
 
         Positive ``amps`` discharges, negative charges (charge enters the
         available well first, then diffuses into the bound well, so a burst
@@ -107,8 +103,6 @@ class KiBaM:
         """
         if dt_seconds <= 0:
             raise ValueError("dt_seconds must be positive")
-        if self.integrator == "exact":
-            return self.apply_current_exact(amps, dt_seconds)
         dt_h = dt_seconds / _SECONDS_PER_HOUR
         p = self.params
         capacity = self.capacity_ah
@@ -138,11 +132,12 @@ class KiBaM:
             D(t)  = D_inf + (D0 - D_inf) e^{-k t},  D_inf = i / (k c C)
             y1(t) = c y(t) - c (1-c) C D(t)
 
-        Unlike forward Euler this is accurate for *any* step size, so
-        battery state can advance over large internal substeps with no
-        accuracy loss.  Well clamping at empty/full uses the same rules as
-        the Euler step, so the ampere-hours reported as moved stay exactly
-        consistent with the change in total stored charge.
+        Unlike forward Euler this is accurate for *any* step size.  The
+        simulation steps with :meth:`apply_current`; this closed form is
+        the reference the tests hold the Euler step against.  Well
+        clamping at empty/full uses the same rules as the Euler step, so
+        the ampere-hours reported as moved stay exactly consistent with
+        the change in total stored charge.
         """
         if dt_seconds <= 0:
             raise ValueError("dt_seconds must be positive")

@@ -24,19 +24,10 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.core.system import build_system
-from repro.solar.traces import make_day_trace
+from repro.core.system import build_day_system
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
 from repro.workloads import SeismicAnalysis, VideoSurveillance
-
-
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise SystemExit(f"unknown workload {kind!r} (expected video|seismic)")
 
 
 def _print_summary(summary: RunSummary) -> None:
@@ -54,10 +45,9 @@ def _print_summary(summary: RunSummary) -> None:
 
 
 def _cmd_day(args: argparse.Namespace) -> int:
-    trace = make_day_trace(args.solar, target_mean_w=args.mean_w, seed=args.seed)
-    system = build_system(trace, _make_workload(args.workload),
-                          controller=args.controller, seed=args.seed,
-                          initial_soc=args.initial_soc)
+    system = build_day_system(args.controller, args.workload, args.solar,
+                              mean_w=args.mean_w, seed=args.seed,
+                              initial_soc=args.initial_soc)
     summary = system.run()
     print(f"{args.controller} / {args.workload} / {args.solar} "
           f"({args.mean_w:.0f} W avg, seed {args.seed})")
@@ -84,11 +74,9 @@ def _cmd_day(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     summaries = {}
     for controller in ("insure", "baseline"):
-        trace = make_day_trace(args.solar, target_mean_w=args.mean_w,
-                               seed=args.seed)
-        system = build_system(trace, _make_workload(args.workload),
-                              controller=controller, seed=args.seed,
-                              initial_soc=args.initial_soc)
+        system = build_day_system(controller, args.workload, args.solar,
+                                  mean_w=args.mean_w, seed=args.seed,
+                                  initial_soc=args.initial_soc)
         summaries[controller] = system.run()
     for controller, summary in summaries.items():
         print(f"\n[{controller}]")
@@ -171,50 +159,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _available_cell_ids() -> list[str]:
-    """Every pinned cell id: matrix cells as controller:workload:weather
-    plus the policy scenario cells as scenario-<name>."""
-    from repro.experiments.scenarios import scenario_names
-    from repro.validate import golden
-
-    ids = [
-        f"{c['controller']}:{c['workload']}:{c['weather']}"
-        for c in golden.matrix_cells()
-    ]
-    ids.extend(golden.scenario_cell_name(name) for name in scenario_names())
-    return ids
-
-
-def _unknown_cell(spec: str) -> SystemExit:
-    listing = "\n  ".join(_available_cell_ids())
-    return SystemExit(f"unknown cell {spec!r}; available cells:\n  {listing}")
-
-
 def _parse_cells(specs):
-    from repro.experiments.scenarios import scenario_names
-    from repro.validate import golden
-
     if not specs:
         return None
-    cells = []
-    for spec in specs:
-        if spec.startswith("scenario-"):
-            name = spec[len("scenario-"):]
-            if name not in scenario_names():
-                raise _unknown_cell(spec)
-            cells.append({"scenario": name})
-            continue
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise _unknown_cell(spec)
-        controller, workload, weather = parts
-        if (controller not in golden.CONTROLLERS
-                or workload not in golden.WORKLOADS
-                or weather not in golden.WEATHERS):
-            raise _unknown_cell(spec)
-        cells.append({"controller": controller, "workload": workload,
-                      "weather": weather})
-    return cells
+    from repro.validate.golden import parse_cell_id
+
+    try:
+        return [parse_cell_id(spec) for spec in specs]
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -8,6 +8,9 @@ causal order:
 
     source → controller → rack → plant coupler (bus physics) → metrics
 
+:func:`build_day_system` is the one-line form every case-study day uses:
+a named weather's solar day scaled to a mean power, plus a named workload.
+
 The :class:`PlantCoupler` is the physical glue: each tick it resolves the
 power bus and, when the online cabinets cannot cover the demand, emulates
 the power loss (emergency shed + workload crash rollback) before feeding
@@ -40,10 +43,12 @@ from repro.sim.engine import Engine
 from repro.sim.events import EventLog
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
+from repro.solar import traces as solar_traces
 from repro.solar.field import TracePlayer
 from repro.solar.traces import DayTrace
 from repro.telemetry.metrics import MetricsCollector, RunSummary
 from repro.validate.invariants import InvariantChecker
+from repro.workloads import make_workload
 from repro.workloads.base import Workload
 
 #: Shortfall below which the rack rides through (PSU hold-up, DC bus
@@ -361,3 +366,29 @@ def build_system(
             else Observability()
         system.obs = obs.attach(system)
     return system
+
+
+def build_day_system(
+    controller: Literal["insure", "baseline"],
+    workload: str,
+    weather: str,
+    *,
+    mean_w: float,
+    seed: int,
+    initial_soc: float,
+    dt: float = 5.0,
+    **options: Any,
+) -> InSituSystem:
+    """Assemble one case-study day: the ``weather`` solar day scaled to
+    ``mean_w`` W on average, feeding the named ``workload``.
+
+    ``seed`` seeds both the trace and the system; ``options`` pass
+    through to :func:`build_system` (``observability``, ``policies``,
+    ``invariants``, ...).  The trace synthesiser and :func:`build_system`
+    are looked up through their modules at call time, so a wrapper
+    patched onto either module attribute also sees these builds.
+    """
+    trace = solar_traces.make_day_trace(weather, dt_seconds=dt, seed=seed,
+                                        target_mean_w=mean_w)
+    return build_system(trace, make_workload(workload), controller=controller,
+                        seed=seed, initial_soc=initial_soc, dt=dt, **options)

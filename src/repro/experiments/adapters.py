@@ -8,11 +8,12 @@ expects.  Each supported cell function registers a spec builder here,
 keyed by its dotted name so this module never imports the experiment
 modules at import time (they import the runner, which imports us lazily).
 
-Fleet results are memoised in the same on-disk run cache as scalar cells
-but under ``fleet.``-prefixed keys: the vectorized kernel is only
-tolerance-equal to the scalar reference (see
-:mod:`repro.sim.fleet.validator`), so its summaries must never replay as
-scalar ones, and vice versa.
+Fleet results are memoised in the same on-disk run cache as scalar cells,
+keyed like them on the cell function's bound arguments (see
+:func:`repro.sim.cache.cached_cell`) but under ``fleet.<namespace>``:
+the vectorized kernel is only tolerance-equal to the scalar reference
+(see :mod:`repro.sim.fleet.validator`), so its summaries must never
+replay as scalar ones, and vice versa.
 """
 
 from __future__ import annotations
@@ -25,45 +26,32 @@ from repro.sim.fleet.kernel import SiteSpec, simulate_fleet
 from repro.telemetry.metrics import RunSummary
 
 
-def _spec_fullsystem(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
+def _spec_fullsystem(controller: str, workload_kind: str, profile: str,
+                     solar_mean_w: float, seed: int, initial_soc: float,
+                     dt: float) -> SiteSpec:
     """repro.experiments.fullsystem.run_single."""
     from repro.solar.traces import make_day_trace
 
-    controller = cell["controller"]
-    workload = cell["workload_kind"]
-    profile = cell["profile"]
-    solar_mean_w = cell["solar_mean_w"]
-    seed = cell.get("seed", 1)
-    initial_soc = cell.get("initial_soc", 0.55)
-    dt = cell.get("dt", 5.0)
     trace = make_day_trace(profile, dt_seconds=dt, seed=seed,
                            target_mean_w=solar_mean_w)
-    spec = SiteSpec(
+    return SiteSpec(
         controller=controller,
-        workload=workload,
+        workload=workload_kind,
         seed=seed,
         initial_soc=initial_soc,
         trace_power_w=tuple(trace.power_w),
         trace_dt_s=dt,
         dt_s=dt,
     )
-    key_params = dict(controller=controller, workload=workload,
-                      profile=profile, solar_mean_w=solar_mean_w, seed=seed,
-                      initial_soc=initial_soc, dt=dt)
-    return spec, key_params
 
 
-def _spec_table6(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
+def _spec_table6(day: str, controller: str, seed: int, initial_soc: float,
+                 dt: float) -> SiteSpec:
     """repro.experiments.table6.run_table6_cell."""
     from repro.solar.traces import table6_trace
 
-    day = cell["day"]
-    controller = cell["controller"]
-    seed = cell.get("seed", 1)
-    initial_soc = cell.get("initial_soc", 0.55)
-    dt = cell.get("dt", 5.0)
     trace = table6_trace(day, dt_seconds=dt, seed=seed)
-    spec = SiteSpec(
+    return SiteSpec(
         controller=controller,
         workload="seismic",
         seed=seed,
@@ -72,21 +60,15 @@ def _spec_table6(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
         trace_dt_s=dt,
         dt_s=dt,
     )
-    key_params = dict(day=day, controller=controller, seed=seed,
-                      initial_soc=initial_soc, dt=dt)
-    return spec, key_params
 
 
-def _spec_provisioning(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
+def _spec_provisioning(battery_count: int, solar_scale: float, seed: int,
+                       mean_w: float) -> SiteSpec:
     """repro.experiments.provisioning.run_provisioning_cell."""
     from repro.experiments.provisioning import _day_and_night_trace
 
-    battery_count = cell["battery_count"]
-    solar_scale = cell["solar_scale"]
-    seed = cell["seed"]
-    mean_w = cell.get("mean_w", 900.0)
     trace = _day_and_night_trace(seed, mean_w * solar_scale)
-    spec = SiteSpec(
+    return SiteSpec(
         controller="insure",
         workload="video",
         seed=seed,
@@ -96,30 +78,23 @@ def _spec_provisioning(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
         battery_count=battery_count,
         dt_s=trace.dt_seconds,
     )
-    key_params = dict(battery_count=battery_count, solar_scale=solar_scale,
-                      seed=seed, mean_w=mean_w)
-    return spec, key_params
 
 
-def _spec_scenario(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
+def _spec_scenario(scenario: str, seed: int | None, initial_soc: float,
+                   dt: float, target_mean_w: float) -> SiteSpec:
     """repro.experiments.scenarios.run_scenario_cell."""
     from repro.experiments.scenarios import get_scenario, scenario_seed
     from repro.solar.traces import make_day_trace
 
-    scenario = cell["scenario"]
     try:
         spec = get_scenario(scenario)
     except ValueError as exc:
         raise FleetUnsupported(str(exc)) from None
-    seed = cell.get("seed")
     if seed is None:
         seed = scenario_seed(scenario)
-    initial_soc = cell.get("initial_soc", 0.55)
-    dt = cell.get("dt", 5.0)
-    target_mean_w = cell.get("target_mean_w", 800.0)
     trace = make_day_trace(spec.weather, dt_seconds=dt, seed=seed,
                            target_mean_w=target_mean_w)
-    site = SiteSpec(
+    return SiteSpec(
         controller=spec.controller,
         workload=spec.workload,
         seed=seed,
@@ -129,22 +104,15 @@ def _spec_scenario(cell: Mapping[str, Any]) -> tuple[SiteSpec, dict]:
         dt_s=dt,
         scenario=scenario,
     )
-    key_params = dict(scenario=scenario, seed=seed, initial_soc=initial_soc,
-                      dt=dt, target_mean_w=target_mean_w)
-    return site, key_params
 
 
-#: Dotted cell-function name -> (cache namespace, spec builder).
-_ADAPTERS: dict[str, tuple[str, Callable[[Mapping[str, Any]],
-                                         tuple[SiteSpec, dict]]]] = {
-    "repro.experiments.fullsystem.run_single":
-        ("fleet.fullsystem.run_single", _spec_fullsystem),
-    "repro.experiments.table6.run_table6_cell":
-        ("fleet.table6.cell", _spec_table6),
-    "repro.experiments.provisioning.run_provisioning_cell":
-        ("fleet.provisioning.cell", _spec_provisioning),
-    "repro.experiments.scenarios.run_scenario_cell":
-        ("fleet.scenarios.cell", _spec_scenario),
+#: Dotted cell-function name -> SiteSpec builder taking the cell's bound
+#: arguments (see :func:`repro.sim.cache.cached_cell`).
+_ADAPTERS: dict[str, Callable[..., SiteSpec]] = {
+    "repro.experiments.fullsystem.run_single": _spec_fullsystem,
+    "repro.experiments.table6.run_table6_cell": _spec_table6,
+    "repro.experiments.provisioning.run_provisioning_cell": _spec_provisioning,
+    "repro.experiments.scenarios.run_scenario_cell": _spec_scenario,
 }
 
 
@@ -171,7 +139,8 @@ def run_cells_fleet(
     name = _fn_name(fn)
     if name not in _ADAPTERS:
         raise FleetUnsupported(f"no fleet adapter for cell function {name}")
-    namespace, builder = _ADAPTERS[name]
+    builder = _ADAPTERS[name]
+    namespace = "fleet." + fn.namespace
 
     from repro.sim.cache import (
         cache_key,
@@ -187,19 +156,19 @@ def run_cells_fleet(
     cache = default_cache()
     for index, cell in enumerate(cells):
         try:
-            spec, key_params = builder(cell)
-        except KeyError as exc:
+            params, use_cache = fn.bind(**cell)
+        except TypeError as exc:
             raise FleetUnsupported(
-                f"cell #{index} missing parameter {exc} for {name}"
+                f"cell #{index} does not fit {name}: {exc}"
             ) from exc
-        use_cache = bool(cell.get("use_cache", True)) and cache.enabled
-        key = cache_key(namespace, **key_params) if use_cache else None
+        key = (cache_key(namespace, **params)
+               if use_cache and cache.enabled else None)
         if key is not None:
             cached = cache.get(key)
             if cached is not None:
                 results[index] = summary_from_payload(cached)
                 continue
-        specs.append(spec)
+        specs.append(builder(**params))
         keys.append(key)
         pending.append(index)
 

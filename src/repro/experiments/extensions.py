@@ -19,15 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.profiles import CORE_I7, XEON_DL380
-from repro.core.system import build_system
+from repro.core.system import build_day_system, build_system
 from repro.experiments.runner import run_cells
 from repro.power.secondary import DieselGenerator, HybridSource
-from repro.sim.cache import (
-    cache_key,
-    default_cache,
-    summary_from_payload,
-    summary_to_payload,
-)
+from repro.sim.cache import cached_cell
 from repro.solar.field import TracePlayer
 from repro.solar.traces import DayTrace, make_day_trace
 from repro.telemetry.metrics import RunSummary
@@ -56,40 +51,18 @@ class HeteroResult:
         return i7_eff / max(xeon_eff, 1e-9)
 
 
+@cached_cell("extensions.hetero")
 def run_hetero_cell(
     server_kind: str,
     seed: int = 5,
     mean_w: float = 500.0,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One cloudy-day run on a given server generation (picklable)."""
-    profile = _SERVER_PROFILES[server_kind]
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "extensions.hetero",
-            server_kind=server_kind,
-            seed=seed,
-            mean_w=mean_w,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
-    trace = make_day_trace("cloudy", seed=seed, target_mean_w=mean_w)
-    system = build_system(
-        trace,
-        VideoSurveillance(),
-        controller="insure",
-        server_profile=profile,
-        seed=seed,
-        initial_soc=0.55,
+    system = build_day_system(
+        "insure", "video", "cloudy", mean_w=mean_w, seed=seed,
+        initial_soc=0.55, server_profile=_SERVER_PROFILES[server_kind],
     )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()
 
 
 def run_heterogeneous_day(
@@ -164,34 +137,18 @@ class StoragePressureResult:
         return 1.0 - self.insure.dropped_gb / self.baseline.dropped_gb
 
 
+@cached_cell("extensions.storage_pressure")
 def run_storage_cell(
     controller: str,
     seed: int = 8,
     disk_gb: float = 10.0,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One storage-pressure run for a given controller (picklable)."""
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "extensions.storage_pressure",
-            controller=controller,
-            seed=seed,
-            disk_gb=disk_gb,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
     trace = make_day_trace("sunny", seed=seed, target_energy_kwh=9.5)
     workload = VideoSurveillance(rate_gb_per_min=0.105)
     system = build_system(trace, workload, controller=controller,
                           seed=seed, initial_soc=0.35, storage_gb=disk_gb)
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()
 
 
 def run_storage_pressure_day(

@@ -16,18 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.system import build_system
+from repro.core.system import build_day_system
 from repro.experiments.runner import run_cells
-from repro.sim.cache import (
-    cache_key,
-    default_cache,
-    summary_from_payload,
-    summary_to_payload,
-)
-from repro.solar.traces import make_day_trace
+from repro.sim.cache import cached_cell
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
 
 #: Figures 20-21 solar operating points.
 HIGH_MEAN_W = 1000.0
@@ -48,14 +41,7 @@ class ComparisonResult:
         return all_improvements(self.insure, self.baseline)
 
 
-def _make_workload(kind: str):
-    if kind == "seismic":
-        return SeismicAnalysis()
-    if kind == "video":
-        return VideoSurveillance()
-    raise ValueError(f"unknown workload kind {kind!r}")
-
-
+@cached_cell("fullsystem.run_single")
 def run_single(
     controller: str,
     workload_kind: str,
@@ -64,44 +50,17 @@ def run_single(
     seed: int = 1,
     initial_soc: float = 0.55,
     dt: float = 5.0,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One deterministic full-system run, memoised in the run cache.
 
     This is the unit of work the parallel runner distributes: module-level
     (picklable), fully parameterised, and returning only the summary.
     """
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "fullsystem.run_single",
-            controller=controller,
-            workload=workload_kind,
-            profile=profile,
-            solar_mean_w=solar_mean_w,
-            seed=seed,
-            initial_soc=initial_soc,
-            dt=dt,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
-    trace = make_day_trace(profile, dt_seconds=dt, seed=seed,
-                           target_mean_w=solar_mean_w)
-    system = build_system(
-        trace,
-        _make_workload(workload_kind),
-        controller=controller,
-        seed=seed,
-        initial_soc=initial_soc,
-        dt=dt,
+    system = build_day_system(
+        controller, workload_kind, profile, mean_w=solar_mean_w, seed=seed,
+        initial_soc=initial_soc, dt=dt,
     )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()
 
 
 def _profile_for(solar_mean_w: float) -> str:

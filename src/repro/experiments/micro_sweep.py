@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.system import build_system
 from repro.experiments.runner import run_cells
-from repro.sim.cache import (
-    cache_key,
-    default_cache,
-    summary_from_payload,
-    summary_to_payload,
-)
+from repro.sim.cache import cached_cell
 from repro.solar.traces import HIGH_TRACE_MEAN_W, LOW_TRACE_MEAN_W, make_day_trace
 from repro.telemetry.analyzer import improvement
 from repro.telemetry.metrics import RunSummary
@@ -32,6 +27,7 @@ def _solar_point(solar_level: str) -> tuple[float, str]:
     raise ValueError(f"solar_level must be 'high' or 'low', got {solar_level!r}")
 
 
+@cached_cell("micro_sweep.cell")
 def run_micro_cell(
     benchmark: str,
     solar_level: str,
@@ -39,26 +35,9 @@ def run_micro_cell(
     seed: int = 1,
     initial_soc: float = 0.55,
     dt: float = 5.0,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One (benchmark, solar, controller) run, memoised (picklable)."""
     mean_w, profile = _solar_point(solar_level)
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "micro_sweep.cell",
-            benchmark=benchmark,
-            solar_level=solar_level,
-            controller=controller,
-            seed=seed,
-            initial_soc=initial_soc,
-            dt=dt,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
     trace = make_day_trace(profile, dt_seconds=dt, seed=seed,
                            target_mean_w=mean_w)
     system = build_system(
@@ -69,10 +48,7 @@ def run_micro_cell(
         initial_soc=initial_soc,
         dt=dt,
     )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()
 
 
 @dataclass

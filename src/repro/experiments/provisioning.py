@@ -15,12 +15,7 @@ import numpy as np
 
 from repro.core.system import build_system
 from repro.experiments.runner import run_cells
-from repro.sim.cache import (
-    cache_key,
-    default_cache,
-    summary_from_payload,
-    summary_to_payload,
-)
+from repro.sim.cache import cached_cell
 from repro.solar.traces import DayTrace, make_day_trace
 from repro.telemetry.metrics import RunSummary
 from repro.workloads import VideoSurveillance
@@ -58,37 +53,20 @@ def _day_and_night_trace(seed: int, mean_w: float, dt: float = 5.0) -> DayTrace:
                     power_w=np.concatenate([day.power_w, night]))
 
 
+@cached_cell("provisioning.cell")
 def run_provisioning_cell(
     battery_count: int,
     solar_scale: float,
     seed: int,
     mean_w: float = 900.0,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One (buffer size, seed) day-and-night run, memoised (picklable)."""
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "provisioning.cell",
-            battery_count=battery_count,
-            solar_scale=solar_scale,
-            seed=seed,
-            mean_w=mean_w,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
     trace = _day_and_night_trace(seed, mean_w * solar_scale)
     system = build_system(
         trace, VideoSurveillance(), controller="insure",
         battery_count=battery_count, seed=seed, initial_soc=0.55,
     )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()
 
 
 def run_provisioning_sweep(

@@ -27,16 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.system import build_day_system
 from repro.experiments.runner import derive_seed
 from repro.policy.policy import Policy
 from repro.policy.registry import make_control, make_governor, make_signal
+from repro.sim.cache import cached_cell
 from repro.telemetry.metrics import RunSummary
 
-#: Scenario cells share the golden matrix's run configuration.
-BASE_SEED = 1
-TARGET_MEAN_W = 800.0
-INITIAL_SOC = 0.55
-DT_SECONDS = 5.0
+# Scenario cells share the golden matrix's run configuration.
+from repro.validate.golden import (
+    BASE_SEED,
+    DT_SECONDS,
+    INITIAL_SOC,
+    TARGET_MEAN_W,
+)
 
 
 @dataclass(frozen=True)
@@ -167,60 +171,27 @@ def build_policies(name: str, seed: int) -> list[Policy]:
     return [build_policy(pdef, seed) for pdef in get_scenario(name).policies]
 
 
+@cached_cell("scenarios.run_scenario_cell")
 def run_scenario_cell(
     scenario: str,
     seed: int | None = None,
     initial_soc: float = INITIAL_SOC,
     dt: float = DT_SECONDS,
     target_mean_w: float = TARGET_MEAN_W,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One deterministic scenario run, memoised in the run cache.
 
     Module-level and picklable, so the runner can fan scenario sweeps out
     across processes; the fleet backend routes it through its own adapter
-    (``fleet.scenarios.cell`` cache namespace).
+    (``fleet.scenarios.run_scenario_cell`` cache namespace).  ``seed``
+    defaults to the scenario's pinned seed.
     """
-    from repro.core.system import build_system
-    from repro.sim.cache import (
-        cache_key,
-        default_cache,
-        summary_from_payload,
-        summary_to_payload,
-    )
-    from repro.solar.traces import make_day_trace
-    from repro.validate.golden import _make_workload
-
     spec = get_scenario(scenario)
     if seed is None:
         seed = scenario_seed(scenario)
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "scenarios.run_scenario_cell",
-            scenario=scenario,
-            seed=seed,
-            initial_soc=initial_soc,
-            dt=dt,
-            target_mean_w=target_mean_w,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
-    trace = make_day_trace(spec.weather, dt_seconds=dt, seed=seed,
-                           target_mean_w=target_mean_w)
-    system = build_system(
-        trace,
-        _make_workload(spec.workload),
-        controller=spec.controller,
-        seed=seed,
-        initial_soc=initial_soc,
-        dt=dt,
+    system = build_day_system(
+        spec.controller, spec.workload, spec.weather, mean_w=target_mean_w,
+        seed=seed, initial_soc=initial_soc, dt=dt,
         policies=build_policies(scenario, seed),
     )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.system import build_system
 from repro.experiments.runner import run_cells
-from repro.sim.cache import (
-    cache_key,
-    default_cache,
-    summary_from_payload,
-    summary_to_payload,
-)
+from repro.sim.cache import cached_cell
 from repro.solar.traces import DAY_ENERGY_KWH, table6_trace
 from repro.telemetry.analyzer import table6_row
 from repro.telemetry.metrics import RunSummary
@@ -39,30 +34,15 @@ class Table6Cell:
         return table6_row(self.summary)
 
 
+@cached_cell("table6.cell")
 def run_table6_cell(
     day: str,
     controller: str,
     seed: int = 1,
     initial_soc: float = 0.55,
     dt: float = 5.0,
-    use_cache: bool = True,
 ) -> RunSummary:
     """One day-long Table 6 run, memoised in the run cache (picklable)."""
-    cache = default_cache() if use_cache else None
-    key = None
-    if cache is not None and cache.enabled:
-        key = cache_key(
-            "table6.cell",
-            day=day,
-            controller=controller,
-            seed=seed,
-            initial_soc=initial_soc,
-            dt=dt,
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return summary_from_payload(cached)
-
     trace = table6_trace(day, dt_seconds=dt, seed=seed)
     system = build_system(
         trace,
@@ -72,10 +52,7 @@ def run_table6_cell(
         initial_soc=initial_soc,
         dt=dt,
     )
-    summary = system.run()
-    if cache is not None and key is not None:
-        cache.put(key, summary_to_payload(summary))
-    return summary
+    return system.run()
 
 
 def run_table6(

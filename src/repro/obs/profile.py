@@ -20,20 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.core.system import build_system
+from repro.core.system import build_day_system
 from repro.obs.hub import Observability
 from repro.obs.spans import DEFAULT_STRIDE
-from repro.solar.traces import make_day_trace
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
-
-
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise ValueError(f"unknown workload kind {kind!r}")
 
 
 @dataclass
@@ -72,16 +62,10 @@ def profile_run(
     cprofile_path=None,
 ) -> ProfileResult:
     """Run one instrumented full-system cell and collect its profile."""
-    trace = make_day_trace(weather, dt_seconds=dt, seed=seed, target_mean_w=mean_w)
     obs = Observability(trace_stride=stride)
-    system = build_system(
-        trace,
-        _make_workload(workload),
-        controller=controller,
-        seed=seed,
-        initial_soc=initial_soc,
-        dt=dt,
-        observability=obs,
+    system = build_day_system(
+        controller, workload, weather, mean_w=mean_w, seed=seed,
+        initial_soc=initial_soc, dt=dt, observability=obs,
     )
     profiler = None
     if cprofile_path is not None:

@@ -38,16 +38,16 @@ from typing import Any
 
 from repro.validate.golden import (
     BASE_SEED,
+    CONTROLLERS,
     DT_SECONDS,
     DURATION_S,
     INITIAL_SOC,
     TARGET_MEAN_W,
-    available_cell_ids,
+    WEATHERS,
+    WORKLOADS,
+    parse_cell_id,
+    resolve_cell,
 )
-
-CONTROLLERS = ("insure", "baseline")
-WORKLOADS = ("video", "seismic")
-WEATHERS = ("sunny", "cloudy", "rainy")
 
 #: Default ticks per cooperative slice — ~10 ms of engine work, so a
 #: few hundred live sessions still turn the event loop over quickly.
@@ -116,13 +116,6 @@ class SessionManifest:
         return max(1, round(self.duration_s / self.dt))
 
 
-def _unknown_cell(cell_id: str) -> ManifestError:
-    listing = "\n  ".join(available_cell_ids())
-    return ManifestError(
-        f"unknown cell {cell_id!r}; available cells:\n  {listing}"
-    )
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ManifestError(message)
@@ -184,36 +177,20 @@ def _parse_cell_form(payload: Mapping[str, Any]) -> SessionManifest:
         f"cell manifests pin the plant configuration; remove {sorted(extras)} "
         f"(only {sorted(_CELL_OVERRIDES)} may be overridden)",
     )
-    if cell_id.startswith("scenario-"):
-        from repro.experiments.scenarios import (
-            SCENARIOS,
-            get_scenario,
-            scenario_seed,
-        )
+    try:
+        axes = parse_cell_id(cell_id)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
+    cell = resolve_cell(**axes)
+    policies: tuple[PolicySpec, ...] = ()
+    if cell.scenario is not None:
+        from repro.experiments.scenarios import get_scenario
 
-        name = cell_id[len("scenario-"):]
-        if name not in SCENARIOS:
-            raise _unknown_cell(cell_id)
-        spec = get_scenario(name)
-        controller, workload, weather = spec.controller, spec.workload, spec.weather
-        seed = scenario_seed(name)
         policies = tuple(
             PolicySpec(name=p.name, signal=p.signal, governor=p.governor,
                        control=p.control, interval_s=p.interval_s)
-            for p in spec.policies
+            for p in get_scenario(cell.scenario).policies
         )
-    else:
-        parts = cell_id.split(":")
-        if len(parts) != 3:
-            raise _unknown_cell(cell_id)
-        controller, workload, weather = parts
-        if (controller not in CONTROLLERS or workload not in WORKLOADS
-                or weather not in WEATHERS):
-            raise _unknown_cell(cell_id)
-        from repro.experiments.runner import derive_seed
-
-        seed = derive_seed(BASE_SEED, controller, workload, weather)
-        policies = ()
 
     duration_s = _number(payload, "duration_s", DURATION_S)
     _require(duration_s > 0, f"duration_s must be positive, got {duration_s}")
@@ -222,8 +199,9 @@ def _parse_cell_form(payload: Mapping[str, Any]) -> SessionManifest:
     trace_stride = _integer(payload, "trace_stride", DEFAULT_TRACE_STRIDE)
     _require(trace_stride >= 1, f"trace_stride must be >= 1, got {trace_stride}")
     return SessionManifest(
-        controller=controller, workload=workload, weather=weather,
-        mean_w=TARGET_MEAN_W, seed=seed, initial_soc=INITIAL_SOC,
+        controller=cell.controller, workload=cell.workload,
+        weather=cell.weather, mean_w=TARGET_MEAN_W, seed=cell.seed,
+        initial_soc=INITIAL_SOC,
         dt=DT_SECONDS, duration_s=duration_s, tick_slice=tick_slice,
         trace_stride=trace_stride, policies=policies, cell=cell_id,
     )
@@ -339,31 +317,17 @@ def build_session_system(manifest: SessionManifest):
     streaming payload sources — which is proven read-only, so cell-backed
     sessions still reproduce their pinned summaries.
     """
-    from repro.core.system import build_system
+    from repro.core.system import build_day_system
     from repro.obs.hub import Observability
-    from repro.solar.traces import make_day_trace
-    from repro.validate.golden import _make_workload
 
-    trace = make_day_trace(manifest.weather, dt_seconds=manifest.dt,
-                           seed=manifest.seed, target_mean_w=manifest.mean_w)
     obs = Observability(trace_stride=manifest.trace_stride)
-    system = build_system(
-        trace, _make_workload(manifest.workload),
-        controller=manifest.controller, seed=manifest.seed,
+    system = build_day_system(
+        manifest.controller, manifest.workload, manifest.weather,
+        mean_w=manifest.mean_w, seed=manifest.seed,
         initial_soc=manifest.initial_soc, dt=manifest.dt,
         observability=obs, policies=build_policies(manifest),
     )
     return system, obs
-
-
-def golden_record_name(cell_id: str) -> str:
-    """Map a manifest cell id onto its golden record file stem."""
-    if cell_id.startswith("scenario-"):
-        return cell_id
-    controller, workload, weather = cell_id.split(":")
-    from repro.validate.golden import cell_name
-
-    return cell_name(controller, workload, weather)
 
 
 def golden_verdict(manifest: SessionManifest, summary: Mapping[str, Any]):
@@ -378,7 +342,7 @@ def golden_verdict(manifest: SessionManifest, summary: Mapping[str, Any]):
     from repro.sim.fleet.validator import compare_summaries
     from repro.validate.golden import load_record
 
-    name = golden_record_name(manifest.cell)
+    name = resolve_cell(**parse_cell_id(manifest.cell)).name
     try:
         record = load_record(name)
     except FileNotFoundError:

@@ -15,6 +15,15 @@ of every ``repro`` source file, computed once per process.  Entries are
 stored as JSON files named by the key, written atomically (temp file +
 rename) so concurrent worker processes can share one cache directory.
 
+Experiment cells
+----------------
+:func:`cached_cell` memoises a cell function — one deterministic day
+run returning a :class:`~repro.telemetry.metrics.RunSummary` — under
+``namespace`` plus every bound argument with its defaults applied, so
+passing a default explicitly and omitting it share one entry.  The
+decorated function takes one more keyword, ``use_cache`` (default
+True); ``use_cache=False`` recomputes and stores nothing.
+
 Configuration
 -------------
 The cache directory comes from ``REPRO_CACHE_DIR``:
@@ -27,7 +36,9 @@ The cache directory comes from ``REPRO_CACHE_DIR``:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import os
 import tempfile
@@ -195,3 +206,45 @@ def summary_from_payload(payload: dict[str, Any]) -> Any:
     from repro.telemetry.metrics import RunSummary
 
     return RunSummary(**payload)
+
+
+# ----------------------------------------------------------------------
+# Memoised experiment cells
+# ----------------------------------------------------------------------
+def cached_cell(namespace: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Memoise a RunSummary-returning cell function in the run cache.
+
+    The key is ``namespace`` plus every bound argument, defaults applied.
+    The returned function accepts ``use_cache`` on top of the wrapped
+    signature and exposes ``namespace`` and ``bind(*args, **kwargs)``,
+    which returns ``(bound arguments, use_cache)``; the fleet backend
+    keys its own results from the same two (see
+    :mod:`repro.experiments.adapters`).
+    """
+
+    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        signature = inspect.signature(fn)
+
+        def bind(*args: Any, use_cache: bool = True,
+                 **kwargs: Any) -> tuple[dict[str, Any], bool]:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return dict(bound.arguments), use_cache
+
+        @functools.wraps(fn)
+        def cell(*args: Any, **kwargs: Any) -> Any:
+            params, use_cache = bind(*args, **kwargs)
+            cache = default_cache() if use_cache else None
+            if cache is None or not cache.enabled:
+                return fn(**params)
+            payload, _ = cache.fetch_or_compute(
+                cache_key(namespace, **params),
+                lambda: summary_to_payload(fn(**params)),
+            )
+            return summary_from_payload(payload)
+
+        cell.namespace = namespace  # type: ignore[attr-defined]
+        cell.bind = bind  # type: ignore[attr-defined]
+        return cell
+
+    return decorate

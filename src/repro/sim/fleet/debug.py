@@ -25,23 +25,18 @@ _SSTATE_NAMES = ("OFF", "BOOTING", "ON", "SAVING")
 
 def build_scalar_system(controller: str, workload: str, weather: str):
     """Build the scalar reference system exactly as the golden cell does."""
-    from repro.core.system import build_system
-    from repro.experiments.runner import derive_seed
-    from repro.solar.traces import make_day_trace
+    from repro.core.system import build_day_system
     from repro.validate.golden import (
-        BASE_SEED,
         DT_SECONDS,
         INITIAL_SOC,
         TARGET_MEAN_W,
-        _make_workload,
+        resolve_cell,
     )
 
-    seed = derive_seed(BASE_SEED, controller, workload, weather)
-    trace = make_day_trace(weather, dt_seconds=DT_SECONDS, seed=seed,
-                           target_mean_w=TARGET_MEAN_W)
-    return build_system(
-        trace, _make_workload(workload), controller=controller, seed=seed,
-        initial_soc=INITIAL_SOC, dt=DT_SECONDS,
+    cell = resolve_cell(controller, workload, weather)
+    return build_day_system(
+        cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
+        seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
     )
 
 

@@ -20,16 +20,15 @@ from typing import Any
 
 from repro.sim.fleet.kernel import SiteSpec, simulate_fleet
 from repro.validate.golden import (
-    BASE_SEED,
     DEFAULT_GOLDEN_DIR,
     DT_SECONDS,
     DURATION_S,
     INITIAL_SOC,
-    SUMMARY_SIG_DIGITS,
     TARGET_MEAN_W,
-    cell_name,
     load_record,
     matrix_cells,
+    resolve_cell,
+    summary_fingerprint,
 )
 
 #: Tolerance model shared with the invariant checker: a summary variable
@@ -62,21 +61,8 @@ class CellVerdict:
         return f"{self.cell}: MISMATCH ({parts})"
 
 
-def fingerprint_dict(summary: Mapping[str, Any]) -> dict[str, Any]:
-    """Apply the golden fingerprint rounding to a plain summary dict.
-
-    Mirrors :func:`repro.validate.golden.summary_fingerprint`, which takes
-    a RunSummary dataclass; fleet summaries are already plain dicts.
-    """
-    out: dict[str, Any] = {}
-    for var, value in sorted(summary.items()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out[var] = value
-        elif isinstance(value, int):
-            out[var] = value
-        else:
-            out[var] = float(f"{value:.{SUMMARY_SIG_DIGITS}g}")
-    return out
+#: The golden fingerprint rounding, under the name fleet callers know it by.
+fingerprint_dict = summary_fingerprint
 
 
 def _values_match(got: Any, want: Any, *, exact: bool) -> bool:
@@ -98,8 +84,8 @@ def compare_summaries(
     golden_summary: Mapping[str, Any],
 ) -> CellVerdict:
     """Compare a fleet summary against a golden one at fingerprint precision."""
-    got_fp = fingerprint_dict(fleet_summary)
-    want_fp = fingerprint_dict(golden_summary)
+    got_fp = summary_fingerprint(fleet_summary)
+    want_fp = summary_fingerprint(golden_summary)
     mismatches: dict[str, tuple[Any, Any]] = {}
     for var in sorted(set(got_fp) | set(want_fp)):
         if var not in got_fp or var not in want_fp:
@@ -121,26 +107,21 @@ def spec_for_cell(
 ) -> SiteSpec:
     """Build the SiteSpec matching one golden cell's configuration.
 
-    With ``scenario`` set, the seed derives from the scenario name (the
-    plant axes must already be the scenario's — use
-    :func:`scenario_cell_tuple`) and the kernel applies its policies.
+    With ``scenario`` set, the plant axes and seed come from the scenario
+    (as :func:`repro.validate.golden.resolve_cell` resolves them) and the
+    kernel applies its policies.
     """
-    from repro.experiments.runner import derive_seed
     from repro.solar.traces import make_day_trace
 
-    if scenario is not None:
-        from repro.experiments.scenarios import scenario_seed
-
-        seed = scenario_seed(scenario)
-    else:
-        seed = derive_seed(BASE_SEED, controller, workload, weather)
+    cell = resolve_cell(controller, workload, weather, scenario)
     trace = make_day_trace(
-        weather, dt_seconds=DT_SECONDS, seed=seed, target_mean_w=TARGET_MEAN_W
+        cell.weather, dt_seconds=DT_SECONDS, seed=cell.seed,
+        target_mean_w=TARGET_MEAN_W,
     )
     return SiteSpec(
-        controller=controller,
-        workload=workload,
-        seed=seed,
+        controller=cell.controller,
+        workload=cell.workload,
+        seed=cell.seed,
         initial_soc=INITIAL_SOC,
         trace_power_w=tuple(trace.power_w),
         trace_dt_s=DT_SECONDS,
@@ -151,10 +132,8 @@ def spec_for_cell(
 
 def scenario_cell_tuple(scenario: str) -> tuple[str, str, str, str]:
     """The 4-tuple cell for a policy scenario (plant axes + scenario name)."""
-    from repro.experiments.scenarios import get_scenario
-
-    spec = get_scenario(scenario)
-    return (spec.controller, spec.workload, spec.weather, scenario)
+    cell = resolve_cell(scenario=scenario)
+    return (cell.controller, cell.workload, cell.weather, scenario)
 
 
 class FleetValidator:
@@ -196,8 +175,6 @@ class FleetValidator:
         cells run in a single ``simulate_fleet`` batch so the validator
         also exercises the mixed-group scatter path.
         """
-        from repro.validate.golden import scenario_cell_name
-
         todo = [
             (cell if len(cell) == 4 else (*cell, None)) for cell in
             (list(cells) if cells is not None else self.all_cells())
@@ -208,7 +185,7 @@ class FleetValidator:
         summaries = simulate_fleet(specs)
         verdicts: list[CellVerdict] = []
         for (c, w, x, sc), summary in zip(todo, summaries, strict=True):
-            name = scenario_cell_name(sc) if sc else cell_name(c, w, x)
+            name = resolve_cell(c, w, x, sc).name
             record = load_record(name, self.golden_dir)
             verdicts.append(
                 compare_summaries(name, summary, record["summary"])

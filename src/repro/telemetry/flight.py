@@ -27,21 +27,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.core.system import build_system
+from repro.core.system import build_day_system
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, SIGNED_EDGES
-from repro.solar.traces import make_day_trace
 from repro.telemetry.metrics import RunSummary
 from repro.telemetry.report import render_comparison, render_summary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
-
-
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise ValueError(f"unknown workload kind {kind!r}")
 
 
 @dataclass
@@ -84,13 +74,10 @@ class FlightReport:
 def _fly(controller: str, workload: str, weather: str, mean_w: float,
          seed: int, initial_soc: float, dt: float,
          duration_s: float | None, stride: int, policies=None):
-    trace = make_day_trace(weather, dt_seconds=dt, seed=seed,
-                           target_mean_w=mean_w)
     obs = Observability(trace_stride=stride)
-    system = build_system(trace, _make_workload(workload),
-                          controller=controller, seed=seed,
-                          initial_soc=initial_soc, dt=dt, observability=obs,
-                          policies=policies)
+    system = build_day_system(controller, workload, weather, mean_w=mean_w,
+                              seed=seed, initial_soc=initial_soc, dt=dt,
+                              observability=obs, policies=policies)
     t0 = time.perf_counter()
     summary = system.run(duration_s)
     wall_s = time.perf_counter() - t0
@@ -121,18 +108,12 @@ def run_flight(
     """
     policies = None
     if scenario is not None:
-        from repro.experiments.scenarios import (
-            build_policies,
-            get_scenario,
-            scenario_seed,
-        )
+        from repro.validate.golden import resolve_cell
 
-        spec = get_scenario(scenario)
-        controller = spec.controller
-        workload = spec.workload
-        weather = spec.weather
-        seed = scenario_seed(scenario)
-        policies = build_policies(scenario, seed)
+        cell = resolve_cell(scenario=scenario)
+        controller, workload, weather = cell.controller, cell.workload, cell.weather
+        seed = cell.seed
+        policies = cell.policies()
     summary, obs, ticks, wall_s = _fly(controller, workload, weather, mean_w,
                                        seed, initial_soc, dt, duration_s,
                                        stride, policies=policies)

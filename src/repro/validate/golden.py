@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.core.system import build_system
+from repro.core.system import build_day_system
 from repro.experiments.runner import derive_seed, run_cells
-from repro.solar.traces import make_day_trace
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import SeismicAnalysis, VideoSurveillance
+from repro.workloads import make_workload
 
 #: The pinned experiment matrix.
 CONTROLLERS = ("insure", "baseline")
@@ -95,29 +95,42 @@ def all_cells() -> list[dict[str, str]]:
 
 def available_cell_ids() -> list[str]:
     """Every pinned cell id, in the CLI/manifest grammar: matrix cells as
-    ``controller:workload:weather``, scenario cells as ``scenario-<name>``."""
-    from repro.experiments.scenarios import scenario_names
-
-    ids = [
-        f"{cell['controller']}:{cell['workload']}:{cell['weather']}"
-        for cell in matrix_cells()
+    ``controller:workload:weather``, scenario cells as ``scenario-<name>``;
+    in :func:`all_cells` order."""
+    return [
+        scenario_cell_name(cell["scenario"]) if "scenario" in cell
+        else f"{cell['controller']}:{cell['workload']}:{cell['weather']}"
+        for cell in all_cells()
     ]
-    ids.extend(scenario_cell_name(name) for name in scenario_names())
-    return ids
 
 
-def _make_workload(kind: str):
-    if kind == "video":
-        return VideoSurveillance()
-    if kind == "seismic":
-        return SeismicAnalysis()
-    raise ValueError(f"unknown workload kind {kind!r}")
+def parse_cell_id(cell_id: str) -> dict[str, str]:
+    """The :func:`compute_cell` keyword arguments of one pinned cell id.
+
+    Raises ``ValueError`` listing every available id when ``cell_id``
+    names no pinned cell.
+    """
+    ids = available_cell_ids()
+    if cell_id not in ids:
+        listing = "\n  ".join(ids)
+        raise ValueError(
+            f"unknown cell {cell_id!r}; available cells:\n  {listing}")
+    return all_cells()[ids.index(cell_id)]
 
 
-def summary_fingerprint(summary: RunSummary) -> dict[str, Any]:
-    """RunSummary scalars at coarse tolerance (stable across platforms)."""
+#: Former private name of :func:`repro.workloads.make_workload`.
+_make_workload = make_workload
+
+
+def summary_fingerprint(summary: RunSummary | Mapping[str, Any]) -> dict[str, Any]:
+    """RunSummary scalars at coarse tolerance (stable across platforms).
+
+    Takes a RunSummary or its plain-dict form (fleet and served
+    summaries arrive as dicts).
+    """
+    values = summary if isinstance(summary, Mapping) else vars(summary)
     out: dict[str, Any] = {}
-    for field, value in sorted(vars(summary).items()):
+    for field, value in sorted(values.items()):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             out[field] = value
         elif isinstance(value, int):
@@ -136,33 +149,50 @@ def trace_digests(recorder) -> dict[str, str]:
     }
 
 
-def _resolve_cell(
-    controller: str | None,
-    workload: str | None,
-    weather: str | None,
-    scenario: str | None,
-):
-    """Resolve a matrix or scenario cell into (name, plant axes, seed,
-    policies, extra-config).  Scenario cells pull their plant axes from the
-    :data:`~repro.experiments.scenarios.SCENARIOS` spec, derive their seed
-    from the scenario name, and attach its policy overlays; matrix cells
-    are unchanged (no policies, no extra config keys — the 12 pre-existing
-    records stay byte-identical)."""
+@dataclass(frozen=True)
+class PinnedCell:
+    """A matrix or scenario cell resolved to its plant axes and seed."""
+
+    name: str
+    controller: str
+    workload: str
+    weather: str
+    seed: int
+    scenario: str | None = None
+
+    def policies(self) -> list | None:
+        """The scenario's policy overlays for this seed (None for matrix
+        cells); fresh objects on every call."""
+        if self.scenario is None:
+            return None
+        from repro.experiments.scenarios import build_policies
+
+        return build_policies(self.scenario, self.seed)
+
+
+def resolve_cell(
+    controller: str | None = None,
+    workload: str | None = None,
+    weather: str | None = None,
+    scenario: str | None = None,
+) -> PinnedCell:
+    """Resolve :func:`compute_cell` keyword arguments to a pinned cell.
+
+    Matrix cells derive their seed from the three axes.  Scenario cells
+    take their axes from the
+    :data:`~repro.experiments.scenarios.SCENARIOS` spec and derive their
+    seed from the scenario name.
+    """
     if scenario is None:
-        seed = derive_seed(BASE_SEED, controller, workload, weather)
-        return (cell_name(controller, workload, weather),
-                controller, workload, weather, seed, None, {})
-    from repro.experiments.scenarios import (
-        build_policies,
-        get_scenario,
-        scenario_seed,
-    )
+        return PinnedCell(cell_name(controller, workload, weather),
+                          controller, workload, weather,
+                          derive_seed(BASE_SEED, controller, workload, weather))
+    from repro.experiments.scenarios import get_scenario, scenario_seed
 
     spec = get_scenario(scenario)
-    seed = scenario_seed(scenario)
-    return (scenario_cell_name(scenario), spec.controller, spec.workload,
-            spec.weather, seed, build_policies(scenario, seed),
-            {"scenario": scenario})
+    return PinnedCell(scenario_cell_name(scenario), spec.controller,
+                      spec.workload, spec.weather, scenario_seed(scenario),
+                      scenario)
 
 
 def compute_cell(
@@ -187,30 +217,29 @@ def compute_cell(
     :mod:`repro.experiments.scenarios`), whose record is pinned under
     ``scenario-<name>.json``.
     """
-    (name, controller, workload, weather, seed, policies,
-     extra_config) = _resolve_cell(controller, workload, weather, scenario)
-    trace = make_day_trace(weather, dt_seconds=DT_SECONDS, seed=seed,
-                           target_mean_w=TARGET_MEAN_W)
-    system = build_system(
-        trace, _make_workload(workload), controller=controller, seed=seed,
-        initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-        invariants=check_invariants, invariant_stride=stride,
-        policies=policies,
+    cell = resolve_cell(controller, workload, weather, scenario)
+    system = build_day_system(
+        cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
+        seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
+        policies=cell.policies(), invariants=check_invariants,
+        invariant_stride=stride,
     )
     summary = system.run(duration_s)
+    config: dict[str, Any] = {
+        "controller": cell.controller,
+        "workload": cell.workload,
+        "weather": cell.weather,
+        "seed": cell.seed,
+        "target_mean_w": TARGET_MEAN_W,
+        "initial_soc": INITIAL_SOC,
+        "dt": DT_SECONDS,
+        "duration_s": duration_s,
+    }
+    if cell.scenario is not None:
+        config["scenario"] = cell.scenario
     record: dict[str, Any] = {
-        "cell": name,
-        "config": {
-            "controller": controller,
-            "workload": workload,
-            "weather": weather,
-            "seed": seed,
-            "target_mean_w": TARGET_MEAN_W,
-            "initial_soc": INITIAL_SOC,
-            "dt": DT_SECONDS,
-            "duration_s": duration_s,
-            **extra_config,
-        },
+        "cell": cell.name,
+        "config": config,
         "signals": trace_digests(system.recorder),
         "summary": summary_fingerprint(summary),
     }
@@ -245,19 +274,16 @@ def compute_ledger_cell(
 
     from repro.obs.hub import Observability
 
-    (name, controller, workload, weather, seed, policies,
-     _extra) = _resolve_cell(controller, workload, weather, scenario)
-    trace = make_day_trace(weather, dt_seconds=DT_SECONDS, seed=seed,
-                           target_mean_w=TARGET_MEAN_W)
+    cell = resolve_cell(controller, workload, weather, scenario)
     obs = Observability()
-    system = build_system(
-        trace, _make_workload(workload), controller=controller, seed=seed,
-        initial_soc=INITIAL_SOC, dt=DT_SECONDS, observability=obs,
-        policies=policies,
+    system = build_day_system(
+        cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
+        seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
+        policies=cell.policies(), observability=obs,
     )
     summary = system.run(duration_s)
     return {
-        "cell": name,
+        "cell": cell.name,
         "signals": trace_digests(system.recorder),
         "summary_energy": {
             "solar_energy_kwh": summary.solar_energy_kwh,

@@ -13,6 +13,9 @@ Three families, matching the paper's evaluation:
   wordcount, vips, x264, sort, terasort) as iterated kernels with
   per-benchmark power and throughput envelopes.
 
+:func:`make_workload` builds a case-study workload by name, the way cells,
+manifests and the CLI refer to them.
+
 All workloads consume *compute-seconds* produced by the rack (VM-count x
 DVFS duty x relative speed x wall time), so every power-management action
 shows up in their throughput and latency metrics.
@@ -32,4 +35,14 @@ __all__ = [
     "SeismicAnalysis",
     "VideoSurveillance",
     "Workload",
+    "make_workload",
 ]
+
+
+def make_workload(kind: str) -> Workload:
+    """A fresh case-study workload: ``"video"`` or ``"seismic"``."""
+    if kind == "video":
+        return VideoSurveillance()
+    if kind == "seismic":
+        return SeismicAnalysis()
+    raise ValueError(f"unknown workload kind {kind!r}")

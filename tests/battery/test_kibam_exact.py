@@ -1,9 +1,11 @@
-"""Exact (closed-form) KiBaM integrator properties.
+"""Exact (closed-form) KiBaM step properties.
 
-The exponential integrator must agree with forward Euler in the limit of
-vanishing step size, be invariant to how a constant-current interval is
-subdivided (that is what "exact" means), and respect the same conservation
-and clamping rules at the well boundaries.
+``KiBaM.apply_current_exact`` is the reference the simulation's Euler
+step (``apply_current``) is held against: the two must agree in the limit
+of vanishing step size.  The closed form itself must be invariant to how
+a constant-current interval is subdivided (that is what "exact" means),
+and respect the same conservation and clamping rules at the well
+boundaries.
 """
 
 import pytest
@@ -16,24 +18,8 @@ from repro.battery.params import KiBaMParams
 CAPACITY = 35.0
 
 
-def fresh(soc, integrator, c=0.62, k=4.0):
-    return KiBaM(CAPACITY, KiBaMParams(c=c, k_per_hour=k), soc=soc,
-                 integrator=integrator)
-
-
-class TestConstruction:
-    def test_integrator_selects_exact(self):
-        euler = fresh(0.5, "euler")
-        exact = fresh(0.5, "exact")
-        euler.apply_current(8.0, 600.0)
-        exact.apply_current(8.0, 600.0)
-        # A 10-minute step at C/4 is long enough for Euler truncation
-        # error to be visible.
-        assert euler.y1 != exact.y1
-
-    def test_rejects_unknown_integrator(self):
-        with pytest.raises(ValueError):
-            fresh(0.5, "rk4")
+def fresh(soc, c=0.62, k=4.0):
+    return KiBaM(CAPACITY, KiBaMParams(c=c, k_per_hour=k), soc=soc)
 
 
 class TestEulerLimit:
@@ -45,12 +31,12 @@ class TestEulerLimit:
     @settings(max_examples=60, deadline=None)
     def test_euler_converges_to_exact_as_dt_vanishes(self, soc, amps, horizon):
         """Refining the Euler step drives it onto the closed form."""
-        exact = fresh(soc, "exact")
-        exact.apply_current(amps, horizon)
+        exact = fresh(soc)
+        exact.apply_current_exact(amps, horizon)
 
         errors = []
         for substeps in (4, 64, 1024):
-            euler = fresh(soc, "euler")
+            euler = fresh(soc)
             for _ in range(substeps):
                 euler.apply_current(amps, horizon / substeps)
             errors.append(abs(euler.y1 - exact.y1) + abs(euler.y2 - exact.y2))
@@ -71,10 +57,10 @@ class TestEulerLimit:
     @settings(max_examples=60, deadline=None)
     def test_single_small_step_agrees(self, soc, amps):
         """For dt -> 0 the two integrators coincide step by step."""
-        euler = fresh(soc, "euler")
-        exact = fresh(soc, "exact")
+        euler = fresh(soc)
+        exact = fresh(soc)
         euler.apply_current(amps, 0.05)
-        exact.apply_current(amps, 0.05)
+        exact.apply_current_exact(amps, 0.05)
         assert euler.y1 == pytest.approx(exact.y1, abs=1e-8)
         assert euler.y2 == pytest.approx(exact.y2, abs=1e-8)
 
@@ -89,13 +75,13 @@ class TestStepSizeInvariance:
     def test_subdividing_a_step_changes_nothing(self, soc, amps, splits):
         """One exact step == many exact sub-steps (no clamping regime)."""
         horizon = 300.0
-        whole = fresh(soc, "exact")
-        moved_whole = whole.apply_current(amps, horizon)
+        whole = fresh(soc)
+        moved_whole = whole.apply_current_exact(amps, horizon)
 
-        pieces = fresh(soc, "exact")
+        pieces = fresh(soc)
         moved_pieces = 0.0
         for _ in range(splits):
-            moved_pieces += pieces.apply_current(amps, horizon / splits)
+            moved_pieces += pieces.apply_current_exact(amps, horizon / splits)
 
         assert pieces.y1 == pytest.approx(whole.y1, abs=1e-9)
         assert pieces.y2 == pytest.approx(whole.y2, abs=1e-9)
@@ -110,8 +96,8 @@ class TestConservationAndClamps:
     )
     @settings(max_examples=200, deadline=None)
     def test_wells_stay_physical(self, soc, amps, dt):
-        model = fresh(soc, "exact")
-        model.apply_current(amps, dt)
+        model = fresh(soc)
+        model.apply_current_exact(amps, dt)
         assert 0.0 <= model.y1 <= 0.62 * CAPACITY + 1e-9
         assert 0.0 <= model.y2 <= 0.38 * CAPACITY + 1e-9
         assert 0.0 <= model.soc <= 1.0 + 1e-9
@@ -129,9 +115,9 @@ class TestConservationAndClamps:
         reported Ah; only the (rare) bound-well clamp at the rails can
         break the identity, so skip those cases.
         """
-        model = fresh(soc, "exact")
+        model = fresh(soc)
         before = model.charge_ah
-        moved = model.apply_current(amps, dt)
+        moved = model.apply_current_exact(amps, dt)
         y2_cap = 0.38 * CAPACITY
         if 1e-9 < model.y2 < y2_cap - 1e-9:
             assert before - model.charge_ah == pytest.approx(moved, abs=1e-9)
@@ -140,9 +126,9 @@ class TestConservationAndClamps:
     @settings(max_examples=100, deadline=None)
     def test_rest_conserves_total_charge(self, soc, dt):
         """Zero current only redistributes charge between the wells."""
-        model = fresh(soc, "exact")
+        model = fresh(soc)
         before = model.charge_ah
-        moved = model.apply_current(0.0, dt)
+        moved = model.apply_current_exact(0.0, dt)
         assert moved == pytest.approx(0.0, abs=1e-9)
         assert model.charge_ah == pytest.approx(before, abs=1e-9)
 
@@ -154,8 +140,8 @@ class TestConservationAndClamps:
         At 200 A for >= 10 min the request (33+ Ah) dwarfs the charge a
         20 %-full 35 Ah cabinet holds, so the clamp must engage.
         """
-        model = fresh(soc, "exact")
+        model = fresh(soc)
         requested_ah = 200.0 * dt / 3600.0
-        moved = model.apply_current(200.0, dt)
+        moved = model.apply_current_exact(200.0, dt)
         assert model.y1 == 0.0
         assert moved < requested_ah

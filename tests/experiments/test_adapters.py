@@ -55,6 +55,45 @@ class TestAdapterRegistry:
             adapters.run_cells_fleet(_double, [dict(x=1)])
 
 
+class TestFleetCacheSeparation:
+    """Scalar and fleet results of one cell live in separate cache entries:
+    the fleet kernel is only tolerance-equal to the scalar reference."""
+
+    #: One run_single cell; the coarse step keeps the scalar day cheap.
+    CELL = dict(controller="insure", workload_kind="video", profile="sunny",
+                solar_mean_w=800.0, seed=5, dt=60.0)
+
+    def test_neither_backend_replays_the_other(self, monkeypatch, tmp_path):
+        import dataclasses
+
+        from repro.experiments.fullsystem import run_single
+        from repro.sim.cache import RunCache, summary_to_payload
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        scalar = run_single(**self.CELL)
+        assert RunCache(tmp_path).entry_count() == 1
+
+        fleet_summary = dataclasses.replace(scalar, processed_gb=-1.0)
+        batches = []
+
+        def fake_simulate_fleet(specs):
+            batches.append(len(specs))
+            return [summary_to_payload(fleet_summary) for _ in specs]
+
+        monkeypatch.setattr(adapters, "simulate_fleet", fake_simulate_fleet)
+
+        assert run_cells(run_single, [self.CELL], backend="fleet") == [
+            fleet_summary]
+        assert batches == [1]
+        assert RunCache(tmp_path).entry_count() == 2
+
+        assert run_single(**self.CELL) == scalar
+        assert run_cells(run_single, [self.CELL], backend="fleet") == [
+            fleet_summary]
+        assert batches == [1]
+        assert RunCache(tmp_path).entry_count() == 2
+
+
 class TestBackendSelection:
     def test_backend_names_are_pinned(self):
         assert BACKENDS == ("auto", "fleet", "pool", "serial")

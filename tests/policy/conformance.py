@@ -26,11 +26,9 @@ their decision kind to :data:`CONTROL_EVENT_KINDS`.
 
 from __future__ import annotations
 
-from repro.core.system import build_system
+from repro.core.system import build_day_system
 from repro.obs.decisions import DecisionLog
 from repro.policy.registry import make_control
-from repro.solar.traces import make_day_trace
-from repro.validate.golden import _make_workload
 
 #: Decision kind each built-in control emits when it actuates state.
 CONTROL_EVENT_KINDS = {
@@ -60,11 +58,8 @@ def build_plant(controller: str = "insure"):
     up (duty 1.0, VM target at the workload's preferred count) to give
     every control headroom to act.
     """
-    trace = make_day_trace("sunny", dt_seconds=5.0, seed=7,
-                           target_mean_w=800.0)
-    system = build_system(trace, _make_workload("seismic"),
-                          controller=controller, seed=7, initial_soc=0.6,
-                          dt=5.0)
+    system = build_day_system(controller, "seismic", "sunny", mean_w=800.0,
+                              seed=7, initial_soc=0.6, dt=5.0)
     manager = system.controller
     manager.decisions = DecisionLog()
     if hasattr(manager, "duty"):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.serve.manager import CapacityError, SessionManager
 from repro.serve.manifest import parse_manifest
@@ -224,6 +226,90 @@ class TestFailureIsolation:
         assert "error" in kinds and kinds[-1] == "end"
         drive(manager, healthy)
         assert healthy.state == SessionState.DONE
+
+
+class SessionLifecycle(RuleBasedStateMachine):
+    """Every (state, verb) pair of one session, checked as a state machine.
+
+    ``start`` is allowed only from created, ``pause`` only from running,
+    ``resume`` only from paused, and an injection in any live state.
+    Every other pair raises :class:`SessionError` (the daemon answers it
+    with 409 for the lifecycle verbs and 400 for injections) and leaves
+    the state and tick count as they were.
+    """
+
+    MANIFEST = parse_manifest({"cell": "insure:video:sunny",
+                               "duration_s": 600, "tick_slice": 40})
+    INJECTION = {"kind": "control", "control": "duty_cap", "limit": 0.8}
+    #: Verb -> (states it is allowed from, state it leads to or None).
+    ALLOWED = {
+        "start": ((SessionState.CREATED,), SessionState.RUNNING),
+        "pause": ((SessionState.RUNNING,), SessionState.PAUSED),
+        "resume": ((SessionState.PAUSED,), SessionState.RUNNING),
+        "inject": (SessionState.LIVE, None),
+    }
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.session = Session("machine", self.MANIFEST)
+
+    def _apply(self, verb: str, action) -> None:
+        session = self.session
+        before = (session.state, session.ticks_done)
+        allowed_from, after = self.ALLOWED[verb]
+        if before[0] in allowed_from:
+            action()
+            assert session.state == (after or before[0])
+        else:
+            with pytest.raises(SessionError):
+                action()
+            assert (session.state, session.ticks_done) == before
+
+    @rule()
+    def start(self) -> None:
+        self._apply("start", self.session.start)
+
+    @rule()
+    def pause(self) -> None:
+        self._apply("pause", self.session.pause)
+
+    @rule()
+    def resume(self) -> None:
+        self._apply("resume", self.session.resume)
+
+    @rule()
+    def inject(self) -> None:
+        injections = self.session.injections
+        self._apply("inject", lambda: self.session.inject(self.INJECTION))
+        expected = injections + (self.session.state in SessionState.LIVE)
+        assert self.session.injections == expected
+
+    @rule()
+    def step_slice(self) -> None:
+        session = self.session
+        state, done = session.state, session.ticks_done
+        executed = session.step_slice()
+        if state == SessionState.RUNNING:
+            assert executed == min(self.MANIFEST.tick_slice,
+                                   session.total_ticks - done)
+        else:
+            assert executed == 0 and session.state == state
+        assert session.ticks_done == done + executed
+
+    @invariant()
+    def ticks_within_budget(self) -> None:
+        assert 0 <= self.session.ticks_done <= self.session.total_ticks
+
+    @invariant()
+    def summary_exactly_when_done(self) -> None:
+        done = self.session.state == SessionState.DONE
+        assert (self.session.summary_payload is not None) == done
+
+
+TestSessionLifecycle = SessionLifecycle.TestCase
+TestSessionLifecycle.settings = settings(max_examples=50,
+                                         stateful_step_count=20,
+                                         deadline=None)
 
 
 @pytest.mark.golden

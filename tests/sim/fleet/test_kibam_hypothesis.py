@@ -46,7 +46,7 @@ def _batch(n: int) -> _FleetBatch:
 
 def _scalar(y1: float, y2: float) -> KiBaM:
     kibam = KiBaM(CAPACITY_AH, KiBaMParams(c=C, k_per_hour=K_PER_HOUR),
-                  soc=1.0, integrator="euler")
+                  soc=1.0)
     kibam.y1 = y1
     kibam.y2 = y2
     return kibam

@@ -1,13 +1,19 @@
-"""Content-addressed run cache: keying, round-trips, disable switch."""
+"""Content-addressed run cache: keying, round-trips, disable switch,
+and the ``cached_cell`` decorator every experiment cell shares."""
 
 import dataclasses
+import warnings
 
 import pytest
 
+import repro.experiments.runner as runner_mod
+from repro.experiments.runner import run_cells
+from repro.obs.registry import global_registry, reset_global_registry
 from repro.sim.cache import (
     ENV_VAR,
     RunCache,
     cache_key,
+    cached_cell,
     code_fingerprint,
     default_cache,
     summary_from_payload,
@@ -118,3 +124,83 @@ class TestSummarySerialisation:
         restored = summary_from_payload(cache.get("s"))
         assert restored == summary
         assert restored.uptime_fraction == summary.uptime_fraction
+
+
+#: Arguments of every in-process call of :func:`counted_cell`.
+CALLS: list[tuple[int, float]] = []
+
+
+@cached_cell("tests.counted_cell")
+def counted_cell(x: int, scale: float = 2.0) -> RunSummary:
+    """Module-level (picklable) cell that counts its calls."""
+    CALLS.append((x, scale))
+    return make_summary(processed_gb=x * scale)
+
+
+@pytest.fixture
+def cell_cache(monkeypatch, tmp_path):
+    """A fresh cache directory for counted_cell, with the call log reset."""
+    monkeypatch.setenv(ENV_VAR, str(tmp_path))
+    CALLS.clear()
+    return RunCache(tmp_path)
+
+
+class TestCachedCell:
+    def test_repeat_call_replays(self, cell_cache):
+        first = counted_cell(3)
+        again = counted_cell(3)
+        assert again == first == make_summary(processed_gb=6.0)
+        assert CALLS == [(3, 2.0)]
+        assert cell_cache.entry_count() == 1
+
+    def test_explicit_default_shares_the_entry(self, cell_cache):
+        omitted = counted_cell(3)
+        assert counted_cell(3, scale=2.0) == omitted
+        assert counted_cell(3, 2.0) == omitted
+        assert counted_cell(x=3, scale=2.0) == omitted
+        assert CALLS == [(3, 2.0)]
+        assert cell_cache.entry_count() == 1
+
+    def test_other_arguments_get_their_own_entry(self, cell_cache):
+        counted_cell(3)
+        counted_cell(3, scale=3.0)
+        assert CALLS == [(3, 2.0), (3, 3.0)]
+        assert cell_cache.entry_count() == 2
+
+    def test_use_cache_false_recomputes_and_stores_nothing(self, cell_cache):
+        counted_cell(3, use_cache=False)
+        counted_cell(3, use_cache=False)
+        assert CALLS == [(3, 2.0), (3, 2.0)]
+        assert cell_cache.entry_count() == 0
+
+    def test_disabled_cache_recomputes_and_stores_nothing(self, cell_cache,
+                                                          monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "off")
+        counted_cell(3)
+        counted_cell(3)
+        assert CALLS == [(3, 2.0), (3, 2.0)]
+        assert cell_cache.entry_count() == 0
+
+    def test_bind_applies_defaults_and_splits_use_cache(self):
+        assert counted_cell.bind(3) == ({"x": 3, "scale": 2.0}, True)
+        assert counted_cell.bind(x=3, scale=1.0, use_cache=False) == (
+            {"x": 3, "scale": 1.0}, False)
+        assert counted_cell.namespace == "tests.counted_cell"
+
+    def test_pool_matches_serial(self, cell_cache, monkeypatch):
+        monkeypatch.setattr(runner_mod, "_POOL_WARNING_EMITTED", False)
+        reset_global_registry()
+        cells = [dict(x=x) for x in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pooled = run_cells(counted_cell, cells, max_workers=2,
+                               backend="pool")
+        assert global_registry().get("runner.pool_fallbacks_total") is None
+        # The workers computed and stored every cell.
+        assert CALLS == []
+        assert cell_cache.entry_count() == 4
+        serial = run_cells(counted_cell,
+                           [dict(cell, use_cache=False) for cell in cells],
+                           backend="serial")
+        assert pooled == serial
+        assert len(CALLS) == 4

@@ -1,4 +1,4 @@
-"""Terminal plotting and trace/summary persistence."""
+"""Trace and summary persistence (``repro.telemetry.io``)."""
 
 import numpy as np
 import pytest
@@ -13,52 +13,7 @@ from repro.telemetry.io import (
     load_summary_json,
     save_summary_json,
 )
-from repro.telemetry.plots import bar_chart, channel_panel, histogram, sparkline
 from repro.workloads import VideoSurveillance
-
-
-class TestSparkline:
-    def test_fixed_width(self):
-        assert len(sparkline([1, 2, 3], width=20)) == 20
-
-    def test_empty_is_blank(self):
-        assert sparkline([], width=10) == " " * 10
-
-    def test_monotone_ramp(self):
-        line = sparkline(list(range(100)), width=10)
-        assert line[0] == " " and line[-1] == "@"
-
-    def test_explicit_range_clamps(self):
-        line = sparkline([0.0, 5.0, 10.0], width=3, lo=0.0, hi=5.0)
-        assert line[-1] == "@"  # 10 clamps to the top block
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sparkline([1.0], width=0)
-        with pytest.raises(ValueError):
-            sparkline([1.0], lo=5.0, hi=1.0)
-
-
-class TestBarChartHistogram:
-    def test_bar_chart_scales_to_peak(self):
-        chart = bar_chart({"a": 10.0, "b": 5.0}, width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bar_chart_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bar_chart({"a": -1.0})
-
-    def test_bar_chart_empty(self):
-        assert bar_chart({}) == ""
-
-    def test_histogram_bins(self):
-        text = histogram(np.random.default_rng(0).normal(size=500), bins=5)
-        assert len(text.splitlines()) == 5
-
-    def test_histogram_empty(self):
-        assert histogram([]) == "(no data)"
 
 
 @pytest.fixture(scope="module")
@@ -69,16 +24,6 @@ def run():
     )
     summary = system.run(2 * 3600.0)
     return system, summary
-
-
-class TestChannelPanel:
-    def test_renders_all_channels(self, run):
-        system, _ = run
-        panel = channel_panel(system.recorder, ["solar_w", "demand_w"],
-                              labels={"solar_w": "solar"})
-        lines = panel.splitlines()
-        assert len(lines) == 2
-        assert lines[0].strip().startswith("solar")
 
 
 class TestPersistence:
