@@ -1,8 +1,9 @@
 """Lockstep scalar-vs-fleet comparator (bring-up and triage tooling).
 
-Steps one golden-cell configuration through the scalar engine and a
-1-site :class:`~repro.sim.fleet.kernel._FleetBatch` tick by tick,
-diffing the visible state after every tick.  When the kernels diverge
+Steps one site through the scalar engine and a 1-site
+:class:`~repro.sim.fleet.kernel._FleetBatch` tick by tick, diffing the
+visible state after every tick: a golden cell (:func:`run_lockstep`) or
+any pair built from the same inputs (:func:`step_lockstep`).  When the kernels diverge
 this pinpoints the first tick and the first variable that moved, which
 is far cheaper than bisecting a 17 280-tick day run from its summary.
 
@@ -120,13 +121,28 @@ def run_lockstep(
     verbose: bool = True,
 ) -> tuple[int, dict[str, tuple[Any, Any]]] | None:
     """Step both kernels; return (tick, diffs) at first divergence or None."""
+    system = build_scalar_system(controller, workload, weather)
+    batch = _FleetBatch([spec_for_cell(controller, workload, weather)])
+    return step_lockstep(system, batch, max_ticks=max_ticks, atol=atol,
+                         verbose=verbose)
+
+
+def step_lockstep(
+    system,
+    batch: _FleetBatch,
+    max_ticks: int = 17280,
+    atol: float = 0.0,
+    verbose: bool = True,
+) -> tuple[int, dict[str, tuple[Any, Any]]] | None:
+    """Step a scalar system and a 1-site batch built for the same site.
+
+    Both must be fresh: this starts the batch's controller, and the
+    scalar engine starts its own on the first tick.  Returns (tick, diffs)
+    at the first divergence, or None.
+    """
     from repro.sim.fleet import controllers
 
-    system = build_scalar_system(controller, workload, weather)
-    spec = spec_for_cell(controller, workload, weather)
-    batch = _FleetBatch([spec])
     controllers.start(batch)
-
     dt = batch.dt
     for k in range(min(max_ticks, batch.steps)):
         system.engine.run(dt)

@@ -16,9 +16,17 @@ differ; the :class:`~repro.sim.fleet.validator.FleetValidator` gates the
 result against scalar golden summaries within the invariant tolerance.
 
 Divergent control flow (mode changes, VM reconciliation, charger
-water-filling) is handled with boolean masks; loops run over the *small*
-axes (B batteries, S servers, 4 water-filling rounds) so the per-site
-axis N always stays vectorized.
+water-filling) is handled with boolean masks, so the per-site axis N
+always stays vectorized.  The battery bank keeps one invariant: every
+cell takes exactly one KiBaM step per tick (discharge, charge or the idle
+leak), plus a trickle step when it floats.  The bus therefore gathers the
+tick's per-cell currents into one (N, B) array and integrates the bank
+once.  That is bit-identical to the scalar bus stepping cells one by one
+because the masks are disjoint, the step has no cross-cell term and every
+read of a cell precedes its write.  Two loops keep bank order, each
+because it carries a running per-site total and IEEE addition is not
+associative: the float pass draining curtailed headroom and the
+water-filling budget.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ except ImportError:  # pragma: no cover - numpy ships in the base install
     np = None
 
 from repro.sim.rng import RandomStreams
+from repro.workloads import SeismicAnalysis, VideoSurveillance
 
 __all__ = ["FleetUnsupported", "SiteSpec", "simulate_fleet"]
 
@@ -57,7 +66,9 @@ _OFF, _BOOTING, _ON, _SAVING = 0, 1, 2, 3
 _NOISE_BLOCK = 256
 
 _SUPPORTED_CONTROLLERS = ("insure", "baseline")
-_SUPPORTED_WORKLOADS = ("video", "seismic")
+_WORKLOADS = {"video": VideoSurveillance, "seismic": SeismicAnalysis}
+#: VM slots per server (xeon-dl380, the only profile the kernel ports).
+_VM_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class SiteSpec:
 def _check_supported(spec: SiteSpec) -> None:
     if spec.controller not in _SUPPORTED_CONTROLLERS:
         raise FleetUnsupported(f"controller {spec.controller!r} not batchable")
-    if spec.workload not in _SUPPORTED_WORKLOADS:
+    if spec.workload not in _WORKLOADS:
         raise FleetUnsupported(f"workload {spec.workload!r} not batchable")
     if spec.trace_dt_s != spec.dt_s:
         raise FleetUnsupported("trace_dt_s must equal dt_s for the fleet kernel")
@@ -106,6 +117,17 @@ def _check_supported(spec: SiteSpec) -> None:
         raise FleetUnsupported("dt below the PLC scan period is not batchable")
     if spec.battery_count < 1 or spec.server_count < 1:
         raise FleetUnsupported("degenerate bank or rack")
+    # KiBaM's own check: the scalar build rejects these (NaN included).
+    if not 0.0 <= spec.initial_soc <= 1.0:
+        raise ValueError(f"initial soc must be in [0,1], got {spec.initial_soc}")
+    # The scalar allocator raises at the first scale-up past the rack's
+    # VM capacity; the kernel's controllers have no such ceiling.
+    preferred = _WORKLOADS[spec.workload].preferred_vms
+    if spec.server_count * _VM_SLOTS < preferred:
+        raise FleetUnsupported(
+            f"{spec.server_count} servers hold fewer than the "
+            f"{preferred} VMs {spec.workload!r} scales to"
+        )
     if spec.scenario is not None:
         _check_scenario_supported(spec.scenario)
 
@@ -143,7 +165,8 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
 
     Sites are grouped into homogeneous lockstep batches; results come back
     in input order.  Raises :class:`FleetUnsupported` if any site cannot
-    be batched and ImportError when numpy is unavailable.
+    be batched, ValueError for an initial SoC outside [0, 1] (as the
+    scalar build does) and ImportError when numpy is unavailable.
     """
     from repro.sim.fleet import require_numpy
 
@@ -252,7 +275,7 @@ class _FleetBatch:
         self.srv_peak = 450.0
         self.srv_boot_s = 660.0
         self.srv_save_s = 240.0
-        self.srv_slots = 2
+        self.srv_slots = _VM_SLOTS
         self.cpu_share = 0.2
         # per_vm_w (repro.core.controller_base.Controller.__init__)
         u = self.cpu_share * self.srv_slots
@@ -293,6 +316,7 @@ class _FleetBatch:
         self.est = np.repeat(soc0[:, None], b, axis=1)
         self.sense_dis = np.zeros((n, b), dtype=np.float64)
         self.rest_s = np.zeros((n, b), dtype=np.float64)
+        self._refresh_voltage()
 
     def _init_noise(self) -> None:
         # One generator per (site, battery, channel), seeded exactly like
@@ -371,9 +395,6 @@ class _FleetBatch:
     def _init_workload(self) -> None:
         # Arrivals are site-independent: drive the real scalar workload's
         # _generate over the whole horizon once and record the schedule.
-        from repro.workloads.seismic import SeismicAnalysis
-        from repro.workloads.video import VideoSurveillance
-
         if self.workload_kind == "video":
             wl = VideoSurveillance()
             self.ckpt_interval = wl.checkpoint_interval_s
@@ -535,18 +556,28 @@ class _FleetBatch:
         shaped = head**0.75
         return self.emf_empty + (self.emf_full - self.emf_empty) * shaped
 
-    def _terminal_voltage(self, y1: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        v = self._emf(y1) - amps * self.r_internal
+    def _terminal_voltage(self, emf: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        v = emf - amps * self.r_internal
         return np.where(amps < 0.0, np.minimum(v, self.v_charge_max), v)
 
-    def _kibam_apply(self, mask: np.ndarray, amps) -> np.ndarray:
-        """KiBaM Euler step on masked cells; returns Ah moved (signed).
+    def _refresh_voltage(self) -> None:
+        """EMF and terminal voltage of every cell at the tick boundary.
+
+        Only the bus pass writes ``y1`` and ``last_i``, so what the metrics
+        step refreshes at the end of tick k is exactly what the sensing
+        chain, the discharge split and the charger read during tick k+1.
+        """
+        self._tick_emf = self._emf(self.y1)
+        self._tick_tv = self._terminal_voltage(self._tick_emf, self.last_i)
+
+    def _kibam_step(self, amps):
+        """KiBaM Euler step of every cell; returns the new (y1, y2) and
+        the Ah moved (signed), leaving the state untouched.
 
         ``amps`` may be an (n, b) array or a python float (broadcast);
         either way each cell sees the exact scalar expression tree.
         """
-        y1 = self.y1
-        y2 = self.y2
+        y1, y2 = self.y1, self.y2
         diffusion = (
             self.k_eff
             * (
@@ -565,49 +596,14 @@ class _FleetBatch:
         y1n = np.where(under, 0.0, y1n)
         y1n = np.where(over, self.y1_cap, y1n)
         y2n = np.minimum(np.maximum(y2n, 0.0), self.y2_cap)
-        self.y1 = np.where(mask, y1n, y1)
-        self.y2 = np.where(mask, y2n, y2)
+        return y1n, y2n, moved
+
+    def _kibam_apply(self, mask: np.ndarray, amps) -> np.ndarray:
+        """KiBaM Euler step on masked cells; returns Ah moved (signed)."""
+        y1n, y2n, moved = self._kibam_step(amps)
+        self.y1 = np.where(mask, y1n, self.y1)
+        self.y2 = np.where(mask, y2n, self.y2)
         return moved
-
-    def _kibam_apply_col(self, col: int, mask: np.ndarray, amps) -> np.ndarray:
-        """KiBaM Euler step on one bank column ((n,) ops, in-place write)."""
-        y1 = self.y1[:, col]
-        y2 = self.y2[:, col]
-        diffusion = (
-            self.k_eff
-            * (
-                y2 / ((1.0 - self.kib_c) * self.kib_cap)
-                - y1 / (self.kib_c * self.kib_cap)
-            )
-            * self.dt_h
-        )
-        requested = amps * self.dt_h
-        y1n = y1 - requested + diffusion
-        y2n = y2 - diffusion
-        under = y1n < 0.0
-        over = ~under & (y1n > self.y1_cap)
-        moved = np.where(under, requested + y1n, requested)
-        moved = np.where(over, requested + (y1n - self.y1_cap), moved)
-        y1n = np.where(under, 0.0, y1n)
-        y1n = np.where(over, self.y1_cap, y1n)
-        y2n = np.minimum(np.maximum(y2n, 0.0), self.y2_cap)
-        self.y1[:, col] = np.where(mask, y1n, y1)
-        self.y2[:, col] = np.where(mask, y2n, y2)
-        return moved
-
-    def _idle(self, mask: np.ndarray) -> None:
-        """BatteryUnit.idle: recovery diffusion plus self-discharge leak."""
-        if not mask.any():
-            return
-        self._kibam_apply(mask, self.leak_amps)
-        self.last_i = np.where(mask, 0.0, self.last_i)
-
-    def _idle_col(self, col: int, mask: np.ndarray) -> None:
-        """BatteryUnit.idle on one bank column (masked sites)."""
-        if not mask.any():
-            return
-        self._kibam_apply_col(col, mask, self.leak_amps)
-        self.last_i[:, col] = np.where(mask, 0.0, self.last_i[:, col])
 
     def _max_discharge_current(self) -> np.ndarray:
         """BatteryUnit.max_discharge_current for every cell."""
@@ -619,7 +615,7 @@ class _FleetBatch:
             (y1 + self.k_eff * (bound_head - available_head) * self.dt_h)
             / self.dt_h,
         )
-        headroom = self._emf(y1) - self.v_cutoff
+        headroom = self._tick_emf - self.v_cutoff
         cutoff = np.maximum(0.0, headroom / self.r_internal)
         return np.maximum(0.0, np.minimum(kinetic, cutoff))
 
@@ -632,9 +628,10 @@ class _FleetBatch:
         return np.where(soc_c <= self.acc_taper_start, self.acc_bulk, tapered)
 
     def _acceptance_effective(
-        self, applied: np.ndarray, soc: np.ndarray
+        self, applied: np.ndarray, soc: np.ndarray, max_current: np.ndarray
     ) -> np.ndarray:
-        accepted = np.minimum(applied, self._acceptance_max_current(soc))
+        """ChargeAcceptance.effective_current, given max_current(soc)."""
+        accepted = np.minimum(applied, max_current)
         accepted = np.maximum(0.0, accepted - self.acc_parasitic)
         gass = soc > self.acc_gassing_soc
         frac = np.minimum(
@@ -644,68 +641,24 @@ class _FleetBatch:
         accepted = np.where(gass, derated, accepted)
         return np.where(applied <= 0.0, 0.0, accepted)
 
-    def _apply_discharge(
-        self, mask: np.ndarray, amps: np.ndarray, mdc: np.ndarray
-    ) -> np.ndarray:
-        """BatteryUnit.apply_discharge over the whole bank; returns amps.
-
-        Each cell is elementwise-independent in the scalar loop, so one
-        bankwide KiBaM/wear pass reproduces the per-unit iteration.
-        """
-        allowed = np.minimum(amps, mdc)
-        active = mask & (allowed > 0.0)
-        idle = mask & ~active
-        delivered = np.zeros((self.n, self.b), dtype=np.float64)
-        if active.any():
-            soc_before = (self.y1 + self.y2) / self.kib_cap
-            moved = self._kibam_apply(active, allowed)
-            got = moved * 3600.0 / self.dt
-            # WearModel.record(amps > 0)
-            ah = np.abs(got) * self.dt / 3600.0
-            c_rate = got / self.kib_cap
-            stress = np.ones((self.n, self.b), dtype=np.float64)
-            stress = np.where(
-                c_rate > self.wear_stress_rate,
-                stress + self.wear_rate_slope * (c_rate - self.wear_stress_rate),
-                stress,
-            )
-            stress = np.where(
-                soc_before < self.wear_deep,
-                stress + self.wear_deep_slope * (self.wear_deep - soc_before),
-                stress,
-            )
-            self.wear_dis = np.where(active, self.wear_dis + ah, self.wear_dis)
-            self.wear_wt = np.where(
-                active, self.wear_wt + ah * stress, self.wear_wt
-            )
-            self.last_i = np.where(active, got, self.last_i)
-            delivered = np.where(active, got, delivered)
-        if idle.any():
-            self._idle(idle)
-        return delivered
-
-    def _apply_charge_col(
-        self, mask: np.ndarray, col: int, applied: np.ndarray
+    def _record_discharge_wear(
+        self, cells: np.ndarray, amps: np.ndarray, soc_before: np.ndarray
     ) -> None:
-        """BatteryUnit.apply_charge for one bank column (masked sites)."""
-        soc = (self.y1[:, col] + self.y2[:, col]) / self.kib_cap
-        effective = self._acceptance_effective(applied, soc)
-        landing = mask & (effective > 0.0)
-        refused = mask & ~landing
-        if landing.any():
-            moved = self._kibam_apply_col(col, landing, -effective)
-            stored = -moved * 3600.0 / self.dt
-            # Wear records only charge_ah here, which the summary ignores.
-            self.last_i[:, col] = np.where(
-                landing, -stored, self.last_i[:, col]
-            )
-        if refused.any():
-            self._idle_col(col, refused)
-            self.last_i[:, col] = np.where(
-                refused,
-                -np.minimum(applied, self.acc_parasitic),
-                self.last_i[:, col],
-            )
+        """WearModel.record for the discharging cells."""
+        ah = np.abs(amps) * self.dt / 3600.0
+        c_rate = amps / self.kib_cap
+        stress = np.where(
+            c_rate > self.wear_stress_rate,
+            1.0 + self.wear_rate_slope * (c_rate - self.wear_stress_rate),
+            1.0,
+        )
+        stress = np.where(
+            soc_before < self.wear_deep,
+            stress + self.wear_deep_slope * (self.wear_deep - soc_before),
+            stress,
+        )
+        self.wear_dis = np.where(cells, self.wear_dis + ah, self.wear_dis)
+        self.wear_wt = np.where(cells, self.wear_wt + ah * stress, self.wear_wt)
 
     # ------------------------------------------------------------------
     # Rack / servers (ports of repro.cluster.*)
@@ -829,12 +782,8 @@ class _FleetBatch:
         if k % self.noise_block == 0:
             self._refill_noise()
         slot = k % self.noise_block
-        tv = self._terminal_voltage(self.y1, self.last_i)
-        # Battery state is untouched until the bus pass, so this tick-start
-        # voltage is also what the bus and charger would recompute.
-        self._tick_tv = tv
         # Voltage transducer: noise, clip [0, 50], 12-bit quantisation.
-        value = tv + 0.03 * self._blk_v[slot]
+        value = self._tick_tv + 0.03 * self._blk_v[slot]
         value = np.where(value < 0.0, 0.0, value)
         value = np.where(value > 50.0, 50.0, value)
         code = np.rint((value - 0.0) / 50.0 * 4095)
@@ -892,8 +841,11 @@ class _FleetBatch:
     def _bus_resolve(self, solar: np.ndarray, demand: np.ndarray) -> np.ndarray:
         """One tick of power flow; returns unserved_w per site.
 
-        Fills the metrics scratch arrays with the BusReport fields the
-        collector consumes.
+        The discharge split and the charger read only tick-start battery
+        state, so they just choose each cell's current; the bank then
+        takes its one KiBaM step and the float pass trickles the untouched
+        standby cells.  Fills the metrics scratch arrays with the
+        BusReport fields the collector consumes.
         """
         n, b = self.n, self.b
         demand_bus = self._converter_input(demand)
@@ -901,68 +853,61 @@ class _FleetBatch:
         deficit = demand_bus - solar_to_load
         surplus = solar - solar_to_load
 
-        touched = np.zeros((n, b), dtype=bool)
+        # Cells no path claims idle (BatteryUnit.idle): leak, last_i 0.
+        amps = np.full((n, b), self.leak_amps)
+        last_i = np.zeros((n, b), dtype=np.float64)
         on_load = self.bus == _BUS_LOAD
-        battery_to_load = np.zeros(n, dtype=np.float64)
+        on_charge = self.bus == _BUS_CHARGE
+
+        # Discharge path (PowerBus._discharge across the load bus).
+        volts = self._tick_tv
+        discharging = np.zeros((n, b), dtype=bool)
         dis_sites = (deficit > 0.0) & on_load.any(axis=1)
+        members = on_load & dis_sites[:, None]
         if dis_sites.any():
-            members = on_load & dis_sites[:, None]
             mdc = self._max_discharge_current()
-            volts = self._tick_tv
             watts = mdc * volts
             total = np.where(members, watts, 0.0).sum(axis=1)
             feasible = dis_sites & (total > 0.0)
-            dead = dis_sites & ~feasible
-            if dead.any():
-                self._idle(on_load & dead[:, None])
-            if feasible.any():
-                target = np.minimum(deficit, total)
-                safe_total = np.where(feasible, total, 1.0)
-                m = members & feasible[:, None]
-                share_w = target[:, None] * (watts / safe_total[:, None])
-                skip = m & ((share_w <= 0.0) | (volts <= 0.0))
-                if skip.any():
-                    self._idle(skip)
-                take = m & ~skip
-                safe_v = np.where(volts > 0.0, volts, 1.0)
-                request = np.minimum(share_w / safe_v, mdc)
-                got = self._apply_discharge(take, request, mdc)
-                battery_to_load = np.where(take, got * volts, 0.0).sum(axis=1)
-            touched |= members
-        unserved = np.maximum(0.0, deficit - battery_to_load)
+            target = np.minimum(deficit, total)
+            safe_total = np.where(feasible, total, 1.0)
+            share_w = target[:, None] * (watts / safe_total[:, None])
+            skip = (share_w <= 0.0) | (volts <= 0.0)
+            safe_v = np.where(volts > 0.0, volts, 1.0)
+            # Capped at max_discharge_current already, so this is also the
+            # current BatteryUnit.apply_discharge allows.
+            allowed = np.minimum(share_w / safe_v, mdc)
+            discharging = members & feasible[:, None] & ~skip & (allowed > 0.0)
+            amps = np.where(discharging, allowed, amps)
 
         # Charge path (SolarCharger.step across the charge bus).
-        on_charge = self.bus == _BUS_CHARGE
-        charge_sites = on_charge.any(axis=1)
+        charging = np.zeros((n, b), dtype=bool)
         charge_power = np.zeros(n, dtype=np.float64)
+        charge_sites = on_charge.any(axis=1)
         if charge_sites.any():
-            charge_power = self._charger_step(on_charge, charge_sites, surplus)
-            touched |= on_charge & charge_sites[:, None]
+            charge_power, charging = self._charger_step(
+                on_charge, charge_sites, surplus, amps, last_i
+            )
         curtailed = np.maximum(0.0, surplus - charge_power)
 
-        # Float / idle pass over untouched units, bank order.  The column
-        # loop is load-bearing: curtailed headroom drains sequentially, so
-        # battery 2 only floats on what batteries 0-1 left over.
-        standby = self.mode == _STANDBY
-        for col in range(b):
-            pending = ~touched[:, col]
-            floatable = pending & standby[:, col] & (curtailed > 1.0)
-            if floatable.any():
-                # SolarCharger.float_step: idle first, then trickle charge.
-                self._idle_col(col, floatable)
-                self._kibam_apply_col(col, floatable, -self.float_amps * 0.5)
-                tv_col = self._terminal_voltage(
-                    self.y1[:, col], self.last_i[:, col]
-                )
-                used = self.float_amps * tv_col / self.chg_eff
-                take = np.minimum(used, curtailed)
-                curtailed = np.where(floatable, curtailed - take, curtailed)
-                charge_power = np.where(
-                    floatable, charge_power + take, charge_power
-                )
-            rest = pending & ~floatable
-            if rest.any():
-                self._idle_col(col, rest)
+        # The bank's one step: BatteryUnit.apply_discharge, apply_charge
+        # or idle, whichever the paths above chose for each cell.
+        any_discharge = discharging.any()
+        if any_discharge:
+            soc_before = (self.y1 + self.y2) / self.kib_cap
+        self.y1, self.y2, moved = self._kibam_step(amps)
+        got = moved * 3600.0 / self.dt
+        # A charging cell's last_i is -stored = -(-moved * 3600 / dt): the
+        # same bits as got, since IEEE negation and rounding are symmetric.
+        self.last_i = np.where(discharging | charging, got, last_i)
+        battery_to_load = np.zeros(n, dtype=np.float64)
+        if any_discharge:
+            self._record_discharge_wear(discharging, got, soc_before)
+            battery_to_load = np.where(discharging, got * volts, 0.0).sum(axis=1)
+        unserved = np.maximum(0.0, deficit - battery_to_load)
+        curtailed, charge_power = self._float_pass(
+            ~(members | on_charge), curtailed, charge_power
+        )
 
         self._metrics_demand = demand
         self._last_demand_bus = demand_bus
@@ -976,8 +921,16 @@ class _FleetBatch:
         on_charge: np.ndarray,
         charge_sites: np.ndarray,
         surplus: np.ndarray,
-    ) -> np.ndarray:
-        """SolarCharger.step: overhead gating + 4-round water-filling."""
+        amps: np.ndarray,
+        last_i: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """SolarCharger.step: overhead gating + 4-round water-filling.
+
+        Writes the current of every cell the charge lands on into
+        ``amps`` and the parasitic draw of every cell that refuses it
+        into ``last_i``; unpaid strings keep the idle default.  Returns
+        the PV-bus power drawn and the mask of charging cells.
+        """
         n, b = self.n, self.b
         remaining = np.where(
             charge_sites, (surplus * self.charge_cap) * self.chg_eff, 0.0
@@ -988,52 +941,85 @@ class _FleetBatch:
         )
         rank = np.cumsum(on_charge, axis=1) - on_charge
         connected = on_charge & (rank < payable[:, None]) & charge_sites[:, None]
-        dropped = on_charge & charge_sites[:, None] & ~connected
-        if dropped.any():
-            self._idle(dropped)
         any_conn = connected.any(axis=1)
         if not any_conn.any():
-            return np.zeros(n, dtype=np.float64)
+            return np.zeros(n, dtype=np.float64), np.zeros((n, b), dtype=bool)
         n_conn = connected.sum(axis=1)
         overhead = self.chg_overhead * n_conn
         remaining = np.where(any_conn, remaining - overhead, remaining)
         used = np.where(any_conn, overhead, 0.0)
 
-        # Charge-bus cells are disjoint from the load-bus cells the
-        # discharge pass touched, so the tick-start voltage still holds.
-        tv = self._tick_tv
-        voltage = np.maximum(tv, self.emf_empty)
+        # A round's grant depends only on its share and the cell's own
+        # headroom, so it is computed bank-wide; the budget subtraction
+        # keeps bank order, since IEEE subtraction is not associative.
+        voltage = np.maximum(self._tick_tv, self.emf_empty)
         soc = (self.y1 + self.y2) / self.kib_cap
-        ceiling = self._acceptance_max_current(soc) * voltage
+        max_current = self._acceptance_max_current(soc)
+        ceiling = max_current * voltage
         granted = np.zeros((n, b), dtype=np.float64)
-        active = connected.copy()
+        active = connected
         for _ in range(4):
             n_act = active.sum(axis=1)
             alive = any_conn & (remaining > 1e-9) & (n_act > 0)
             if not alive.any():
                 break
-            share = np.where(alive, remaining / np.maximum(n_act, 1), 0.0)
+            share = remaining / np.maximum(n_act, 1)
+            share = np.where(alive, share, 0.0)[:, None]
+            m = alive[:, None] & active
+            headroom = np.maximum(0.0, ceiling - granted)
+            grant = np.where(m, np.minimum(share, headroom), 0.0)
+            granted = granted + grant
             for col in range(b):
-                m = alive & active[:, col]
-                headroom = np.maximum(0.0, ceiling[:, col] - granted[:, col])
-                grant = np.where(m, np.minimum(share, headroom), 0.0)
-                granted[:, col] = granted[:, col] + grant
-                remaining = remaining - grant
-                stay = grant >= share - 1e-9
-                active[:, col] = np.where(m, stay, active[:, col])
+                remaining = remaining - grant[:, col]
+            active = np.where(m, grant >= share - 1e-9, active)
 
+        # BatteryUnit.apply_charge on every string with a grant.
+        applied = granted / voltage
+        landing = connected & (applied > 0.0)
+        effective = self._acceptance_effective(applied, soc, max_current)
+        charging = landing & (effective > 0.0)
+        np.copyto(amps, -effective, where=charging)
+        np.copyto(
+            last_i, -np.minimum(applied, self.acc_parasitic),
+            where=landing & ~charging,
+        )
+        landed_w = np.where(landing, granted, 0.0)
         for col in range(b):
-            conn = connected[:, col]
-            applied = granted[:, col] / voltage[:, col]
-            landing = conn & (applied > 0.0)
-            refused = conn & ~landing
-            if refused.any():
-                self._idle_col(col, refused)
-            if landing.any():
-                self._apply_charge_col(landing, col, applied)
-                used = used + np.where(landing, granted[:, col], 0.0)
+            used = used + landed_w[:, col]
+        return np.where(any_conn, used / self.chg_eff, 0.0), charging
 
-        return np.where(any_conn, used / self.chg_eff, 0.0)
+    def _float_pass(
+        self,
+        untouched: np.ndarray,
+        curtailed: np.ndarray,
+        charge_power: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """SolarCharger.float_step on untouched standby cells.
+
+        A floated cell has idled in the bank step and now takes a
+        half-float trickle step.  The trickle does not depend on the
+        curtailed headroom, so it is evaluated once for every candidate;
+        only the drain runs in bank order, because battery 2 floats on
+        what batteries 0-1 left over.  Returns (curtailed, charge_power).
+        """
+        candidates = (
+            untouched & (self.mode == _STANDBY) & (curtailed > 1.0)[:, None]
+        )
+        if not candidates.any():
+            return curtailed, charge_power
+        y1, y2, _ = self._kibam_step(-self.float_amps * 0.5)
+        tv = self._terminal_voltage(self._emf(y1), self.last_i)
+        used = self.float_amps * tv / self.chg_eff
+        floated = np.zeros_like(candidates)
+        for col in range(self.b):
+            floats = candidates[:, col] & (curtailed > 1.0)
+            take = np.minimum(used[:, col], curtailed)
+            curtailed = np.where(floats, curtailed - take, curtailed)
+            charge_power = np.where(floats, charge_power + take, charge_power)
+            floated[:, col] = floats
+        self.y1 = np.where(floated, y1, self.y1)
+        self.y2 = np.where(floated, y2, self.y2)
+        return curtailed, charge_power
 
     # ------------------------------------------------------------------
     # Plant coupling + workload (ports of system.PlantCoupler, workloads)
@@ -1158,7 +1144,8 @@ class _FleetBatch:
             self._rep_solar_to_load + self._rep_charge_power
         ) * dt_h
         self.curt_wh = self.curt_wh + self._rep_curtailed * dt_h
-        tv = self._terminal_voltage(self.y1, self.last_i)
+        self._refresh_voltage()
+        tv = self._tick_tv
         self.min_v = np.minimum(self.min_v, tv.min(axis=1))
         self._since_vsample += dt
         if self._since_vsample >= 60.0:
@@ -1223,7 +1210,7 @@ class _FleetBatch:
             self.processed / np.where(discharge_ah > 0.0, discharge_ah, 1.0),
             0.0,
         )
-        tv = self._terminal_voltage(self.y1, self.last_i)
+        tv = self._tick_tv
         end_v = np.zeros(n, dtype=np.float64)
         for col in range(self.b):
             end_v = end_v + tv[:, col]

@@ -59,6 +59,19 @@ class TestSiteSpec:
         with pytest.raises(FleetUnsupported, match="degenerate"):
             simulate_fleet([_spec(battery_count=0)])
 
+    @pytest.mark.parametrize("soc", [1.2, -0.1, float("nan")])
+    def test_initial_soc_outside_unit_interval_rejected(self, soc):
+        # The same error the scalar build raises (KiBaM's own check).
+        with pytest.raises(ValueError, match=r"initial soc must be in \[0,1\]"):
+            simulate_fleet([_spec(initial_soc=soc)])
+
+    def test_rack_too_small_for_the_workload_is_routed_to_scalar(self):
+        # Three 2-slot servers cannot host video's 8 VMs: the scalar
+        # allocator raises at the first scale-up, so the kernel declines
+        # the site and run_cells falls back to the scalar backends.
+        with pytest.raises(FleetUnsupported, match="3 servers"):
+            simulate_fleet([_spec(server_count=3)])
+
 
 class TestNumpyGate:
     def test_available_in_this_environment(self):

@@ -94,35 +94,6 @@ def test_batched_sites_are_elementwise_independent(states):
         assert float(batch.y2[i, 0]) == scalar.y2
 
 
-@given(y1=wells_y1, y2=wells_y2, amps=currents)
-@settings(max_examples=100, deadline=None)
-def test_column_helper_matches_full_bank_apply(y1, y2, amps):
-    # _kibam_apply_col is the (N,)-sliced fast path; it must write the
-    # same wells as the full-bank apply restricted to that column.
-    full = _batch(1)
-    full.y1[:] = y1
-    full.y2[:] = y2
-    mask = np.zeros((1, full.b), dtype=bool)
-    mask[0, 1] = True
-    amps_full = np.zeros((1, full.b))
-    amps_full[0, 1] = amps
-    moved_full = full._kibam_apply(mask, amps_full)
-
-    col = _batch(1)
-    col.y1[:] = y1
-    col.y2[:] = y2
-    moved_col = col._kibam_apply_col(
-        1, np.array([True]), np.array([amps])
-    )
-
-    assert float(moved_col[0]) == float(moved_full[0, 1])
-    assert float(col.y1[0, 1]) == float(full.y1[0, 1])
-    assert float(col.y2[0, 1]) == float(full.y2[0, 1])
-    # Unmasked columns stay untouched in both.
-    assert float(col.y1[0, 0]) == y1
-    assert float(col.y2[0, 2]) == y2
-
-
 @given(y1=wells_y1, y2=wells_y2)
 @settings(max_examples=100, deadline=None)
 def test_wells_stay_physical(y1, y2):
