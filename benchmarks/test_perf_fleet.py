@@ -6,7 +6,8 @@ batch on the same golden cell (insure/video/sunny), interleaved and
 best-of-N so shared-core wobble cancels out of the ratio, then writes
 ``BENCH_fleet.json`` at the repository root.  CI compare-gates the
 ``ticks_per_second`` field via ``benchmarks/compare_bench.py`` exactly
-like the engine smoke.
+like the engine smoke.  The floor is relative to the scalar engine, so a
+scalar speed-up lowers the ratio without any fleet regression.
 """
 
 import dataclasses

@@ -350,7 +350,7 @@ class InsureController(PowerManager):
         ]
         surplus = max(0.0, self.solar_ema_w - self.rack.demand_w)
         starving = (
-            self.workload.backlog_gb > 0.0
+            len(self.workload.queue) > 0
             and not self.usable_online_units(self.params.temporal.soc_floor)
         )
         decision = self.spatial.evaluate(

@@ -35,6 +35,7 @@ from repro.core.energy_manager import InsureController, InsureParams
 from repro.core.sensing import BatteryTelemetry
 from repro.obs.decisions import NULL_DECISIONS
 from repro.obs.hub import Observability
+from repro.obs.spans import NULL_TRACER
 from repro.power.bus import BusReport, PowerBus
 from repro.power.relays import SwitchNetwork
 from repro.sim.clock import Clock
@@ -78,8 +79,10 @@ class PlantCoupler(Component):
         self.events = events
         self.last_report: BusReport | None = None
         self.shed_events = 0
-        #: Decision-event sink (no-op unless observability is attached).
+        #: Decision-event sink and span tracer (no-ops unless
+        #: observability is attached).
         self.decisions = NULL_DECISIONS
+        self.tracer = NULL_TRACER
         #: Rack demand sampled this tick, still valid for downstream
         #: readers (None whenever a shed changed the rack afterwards).
         self.last_server_demand_w: float | None = None
@@ -106,7 +109,8 @@ class PlantCoupler(Component):
                                   demand_w=report.demand_w)
             compute = 0.0
             self.last_server_demand_w = None  # rack state changed under us
-        self.workload.step(clock.t, clock.dt, compute)
+        with self.tracer.span("plant.workload"):
+            self.workload.step(clock.t, clock.dt, compute)
 
 
 @dataclass

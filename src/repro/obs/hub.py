@@ -79,6 +79,7 @@ class Observability:
         system.controller.tracer = self.tracer
         system.controller.decisions = self.decisions
         system.plant.decisions = self.decisions
+        system.plant.tracer = self.tracer
         self.tracer.bind_registry(self.registry)
         self._register_system_gauges(system)
         if self.ledger is not None:

@@ -142,6 +142,15 @@ class Workload:
 
     Subclasses implement :meth:`_generate` (data arrivals) and define
     ``gb_per_compute_second`` (service rate) and ``preferred_vms``.
+
+    Invariant: only ``queue.head`` ever carries progress; every job
+    behind it has ``done_gb == checkpoint_gb == 0``.  :meth:`step`
+    advances only the head (retiring it before leftover budget reaches
+    the next job), :meth:`_drop_oldest` only trims the head, and a job
+    left with <= 1e-12 GB is retired or dropped at once.  Checkpoints and
+    crash rollbacks therefore touch only the head, so no per-tick path
+    scans the queue (the fleet kernel's ``head_idx`` / ``head_done`` /
+    ``head_ckpt`` arrays encode the same invariant).
     """
 
     #: Data processed per VM-compute-second at full speed.
@@ -185,10 +194,10 @@ class Workload:
             raise ValueError("dt must be positive")
         if compute_seconds < 0:
             raise ValueError("compute_seconds must be non-negative")
-        backlog_before = self.queue.backlog_gb
+        n_before = len(self.queue.pending)
         self._generate(t, dt)
         if self.storage is not None:
-            arrived = max(0.0, self.queue.backlog_gb - backlog_before)
+            arrived = sum(job.size_gb for job in self.queue.pending[n_before:])
             overflow = self.storage.ingest(arrived, t)
             if overflow > 0.0:
                 self._drop_oldest(overflow)
@@ -254,12 +263,12 @@ class Workload:
 
     def checkpoint_all(self) -> None:
         """Durably checkpoint all in-flight progress (graceful stop path)."""
-        for job in self.queue.pending:
-            job.checkpoint()
+        if self.queue.pending:
+            self.queue.pending[0].checkpoint()
 
     def on_crash(self) -> float:
-        """Uncontrolled power loss: roll back to the last checkpoints."""
-        lost = sum(job.rollback() for job in self.queue.pending)
+        """Uncontrolled power loss: roll back to the last checkpoint."""
+        lost = self.queue.pending[0].rollback() if self.queue.pending else 0.0
         self.stats.processed_gb = max(0.0, self.stats.processed_gb - lost)
         self.stats.lost_gb += lost
         self.stats.crash_count += 1

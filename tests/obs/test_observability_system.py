@@ -46,6 +46,7 @@ def test_attach_wires_all_three_instruments():
     assert system.engine.tracer is obs.tracer
     assert system.controller.decisions is obs.decisions
     assert system.plant.decisions is obs.decisions
+    assert system.plant.tracer is obs.tracer
 
     # the tracer saw the whole run and sampled 1-in-8 ticks
     ticks = system.engine.clock.step_index
@@ -53,7 +54,7 @@ def test_attach_wires_all_three_instruments():
     assert obs.tracer.sampled_ticks == ticks // 8 + (1 if ticks % 8 else 0)
     spans = {row["span"] for row in obs.tracer.report_rows()}
     assert {"insure", "plant", "rack", "solar", "metrics",
-            "controller.sense"} <= spans
+            "controller.sense", "plant.workload"} <= spans
 
     # controllers routed decisions through the log
     assert len(obs.decisions) > 0

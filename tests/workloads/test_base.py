@@ -1,9 +1,16 @@
 """Jobs, queues and the workload base class."""
 
+import dataclasses
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.storage import StorageArray
+from repro.core.energy_manager import InsureController
+from repro.core.system import build_day_system
+from repro.workloads import MicroWorkload, SeismicAnalysis, VideoSurveillance
 from repro.workloads.base import Job, JobQueue, Workload
 
 
@@ -170,3 +177,116 @@ class TestDeadlines:
         workload = SteadyWorkload()
         workload.step(0.0, 5.0, compute_seconds=10_000.0)
         assert workload.stats.deadline_miss_rate == 0.0
+
+
+def _all_jobs_checkpoint(self):
+    """Reference: the all-jobs loop ``checkpoint_all`` once ran."""
+    for job in self.queue.pending:
+        job.checkpoint()
+
+
+def _all_jobs_on_crash(self):
+    """Reference: the all-jobs rollback ``on_crash`` once ran."""
+    lost = sum(job.rollback() for job in self.queue.pending)
+    self.stats.processed_gb = max(0.0, self.stats.processed_gb - lost)
+    self.stats.lost_gb += lost
+    self.stats.crash_count += 1
+    return lost
+
+
+_WORKLOADS = {
+    "video": VideoSurveillance,
+    "seismic": SeismicAnalysis,
+    "micro": lambda: MicroWorkload("dedup"),
+}
+
+#: ("step", dt, VMs) spends dt x VMs compute-seconds; the others take no
+#: arguments.
+_OPS = st.one_of(
+    st.tuples(st.just("step"), st.sampled_from([5.0, 60.0, 600.0, 3600.0]),
+              st.one_of(st.just(0.0), st.floats(0.0, 16.0))),
+    st.just(("checkpoint",)),
+    st.just(("crash",)),
+)
+
+
+def _state(workload):
+    jobs = [
+        (j.job_id, j.size_gb, j.done_gb, j.checkpoint_gb, j.completion_t)
+        for j in workload.queue.pending + workload.queue.completed
+    ]
+    storage = workload.storage
+    disk = None if storage is None else (storage.used_gb, storage.dropped_gb)
+    return jobs, dataclasses.asdict(workload.stats), disk
+
+
+class TestHeadOnlyProgress:
+    """Only the queue head carries progress, so checkpoints and crash
+    rollbacks need not walk the queue."""
+
+    @given(
+        kind=st.sampled_from(sorted(_WORKLOADS)),
+        disk_gb=st.sampled_from([None, 0.5, 2.0, 150.0]),
+        ops=st.lists(_OPS, min_size=1, max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_head_only_matches_all_jobs_loop(self, kind, disk_gb, ops):
+        workload = _WORKLOADS[kind]()
+        reference = _WORKLOADS[kind]()
+        reference.checkpoint_all = types.MethodType(_all_jobs_checkpoint, reference)
+        reference.on_crash = types.MethodType(_all_jobs_on_crash, reference)
+        if disk_gb is not None:
+            workload.attach_storage(StorageArray(capacity_gb=disk_gb))
+            reference.attach_storage(StorageArray(capacity_gb=disk_gb))
+        t = 0.0
+        for op in ops:
+            if op[0] == "step":
+                _, dt, vms = op
+                assert workload.step(t, dt, dt * vms) == reference.step(t, dt, dt * vms)
+                t += dt
+            elif op[0] == "checkpoint":
+                workload.checkpoint_all()
+                reference.checkpoint_all()
+            else:
+                assert workload.on_crash() == reference.on_crash()
+            for job in workload.queue.pending[1:]:
+                assert job.done_gb == 0.0
+                assert job.checkpoint_gb == 0.0
+            assert _state(workload) == _state(reference)
+
+
+class TestNoBacklogScan:
+    """No per-tick path reads ``JobQueue.backlog_gb`` (a sum over the
+    whole queue); it stays only for gauges and tests."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_backlog(self, monkeypatch):
+        def forbidden(queue):
+            raise AssertionError("a per-tick path summed the job backlog")
+
+        monkeypatch.setattr(JobQueue, "backlog_gb", property(forbidden))
+
+    def test_video_with_thousands_queued(self):
+        workload = VideoSurveillance()
+        workload.step(0.0, 5000 * 60.0, 0.0)
+        assert len(workload.queue) == 5000
+        workload.step(300000.0, 5.0, 240.0)
+        workload.checkpoint_all()
+        workload.step(300005.0, 5.0, 120.0)
+        assert workload.on_crash() == pytest.approx(120.0 * workload.gb_per_compute_second)
+        assert len(workload.queue) == 5000
+
+    def test_insure_video_day_through_spm(self, monkeypatch):
+        spm_calls = []
+        spatial_period = InsureController._spatial_period
+
+        def counted(self, clock):
+            spm_calls.append(clock.t)
+            spatial_period(self, clock)
+
+        monkeypatch.setattr(InsureController, "_spatial_period", counted)
+        system = build_day_system("insure", "video", "sunny", mean_w=1000.0,
+                                  seed=1, initial_soc=0.55)
+        system.run(2 * 3600.0)
+        assert len(spm_calls) >= 20
+        assert len(system.workload.queue) > 0
