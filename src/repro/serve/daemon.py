@@ -181,7 +181,12 @@ class ServeDaemon:
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # Digits only: int() would also take a sign, underscores and
+        # non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HttpError(400, f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""

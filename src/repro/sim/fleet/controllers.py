@@ -107,12 +107,8 @@ def insure_step(batch, k: int) -> None:
         _insure_spatial(batch, t, k)
 
 
-def _online_mask(batch) -> np.ndarray:
-    return (batch.mode == _STANDBY) | (batch.mode == _DISCHARGING)
-
-
 def _usable_count(batch, floor: float) -> np.ndarray:
-    usable = _online_mask(batch) & (batch.est > floor)
+    usable = batch._bank_view().online & (batch.est > floor)
     return usable.sum(axis=1)
 
 
@@ -152,9 +148,9 @@ def _insure_temporal(batch, t: float) -> None:
 
     _ensure_online_reserve(batch)
 
-    online = _online_mask(batch)
+    online = batch._bank_view().online
     n_online = online.sum(axis=1)
-    demand = batch._demand_w()
+    demand = batch._rack_view().demand
     battery_needed = demand > batch.ema * 1.02
 
     # TemporalPolicy.evaluate over sensed aggregates.
@@ -182,17 +178,14 @@ def _insure_temporal(batch, t: float) -> None:
     _drain_protect(batch)
 
     # Mode bookkeeping (transitions 3/6/7) on the *current* online set.
-    fresh_online = _online_mask(batch)
+    bank = batch._bank_view()
+    batch._transition(bank.standby & battery_needed[:, None], _DISCHARGING)
     batch._transition(
-        fresh_online & (batch.mode == _STANDBY) & battery_needed[:, None],
-        _DISCHARGING,
-    )
-    batch._transition(
-        fresh_online & (batch.mode == _DISCHARGING) & ~battery_needed[:, None],
+        bank.online & (batch.mode == _DISCHARGING) & ~battery_needed[:, None],
         _STANDBY,
     )
     _maybe_restart(batch)
-    mismatch = batch._running_count() != batch.alloc_target
+    mismatch = batch._rack_view().running != batch.alloc_target
     if mismatch.any():
         batch._reconcile(mismatch, batch.alloc_target)
 
@@ -201,7 +194,7 @@ def _ensure_online_reserve(batch) -> None:
     """Keep min_online_units usable cabinets on the load bus."""
     floor = SOC_FLOOR + USABLE_MARGIN
     n_usable = _usable_count(batch, floor)
-    demand = batch._demand_w()
+    demand = batch._rack_view().demand
     want = np.maximum(
         MIN_ONLINE_UNITS,
         np.minimum(batch.b, (demand // 500.0).astype(np.int64) + 1),
@@ -244,7 +237,8 @@ def _match_load(batch, mask: np.ndarray, act_cap: np.ndarray,
             act_relax, np.minimum(10, batch.duty_deci + 1), new_deci
         )
         changed = mask & (new_deci != batch.duty_deci)
-        batch.duty_deci = np.where(changed, new_deci, batch.duty_deci)
+        if changed.any():
+            batch.duty_deci = np.where(changed, new_deci, batch.duty_deci)
         batch_up = (
             mask
             & act_relax
@@ -304,21 +298,17 @@ def _drain_protect(batch) -> None:
     pending = batch.protect.any(axis=1)
     if not pending.any():
         return
-    ready = pending & ~batch._active_servers()
+    ready = pending & ~batch._rack_view().active
     if not ready.any():
         return
-    cells = (
-        ready[:, None]
-        & batch.protect
-        & ((batch.mode == _STANDBY) | (batch.mode == _DISCHARGING))
-    )
+    cells = ready[:, None] & batch.protect & batch._bank_view().online
     batch._transition(cells, _OFFLINE)
     batch.protect &= ~ready[:, None]
 
 
 def _maybe_restart(batch) -> None:
     """Restart the cluster after a protective stop, once safe."""
-    idle = (batch.vm_target <= 0) & ~batch._active_servers()
+    idle = (batch.vm_target <= 0) & ~batch._rack_view().active
     ready = idle & (batch.since_crash >= CRASH_BACKOFF_S)
     ready &= _usable_count(batch, SOC_FLOOR + USABLE_MARGIN) >= MIN_ONLINE_UNITS
     if not ready.any():
@@ -335,10 +325,10 @@ def _insure_spatial(batch, t: float, k: int) -> None:
     """SPM: offline screening (Fig. 9) + charge batch sizing (Fig. 10)."""
     offline = batch.mode == _OFFLINE
     charging = batch.mode == _CHARGING
-    demand = batch._demand_w()
+    demand = batch._rack_view().demand
     surplus = np.maximum(0.0, batch.ema - demand)
     usable_any = (
-        _online_mask(batch) & (batch.est > SOC_FLOOR)
+        batch._bank_view().online & (batch.est > SOC_FLOOR)
     ).any(axis=1)
     starving = batch._backlog_at_control(k) & ~usable_any
 
@@ -403,7 +393,7 @@ def baseline_step(batch, k: int) -> None:
     online_sites = batch.buffer_online.copy()
     _baseline_online(batch, online_sites)
     _baseline_charging(batch, ~online_sites)
-    mismatch = batch._running_count() != batch.alloc_target
+    mismatch = batch._rack_view().running != batch.alloc_target
     if mismatch.any():
         batch._reconcile(mismatch, batch.alloc_target)
 
@@ -433,7 +423,7 @@ def _baseline_online(batch, mask: np.ndarray) -> None:
         batch.trip_pending |= first
     # The pull waits until the save completes; then the whole (unified)
     # bank goes offline then onto the charge bus — two relay ops per unit.
-    pull = trip & ~batch._active_servers()
+    pull = trip & ~batch._rack_view().active
     if pull.any():
         cells = pull[:, None] & np.ones((1, batch.b), dtype=bool)
         batch._transition(cells, _OFFLINE)
@@ -450,9 +440,9 @@ def _baseline_online(batch, mask: np.ndarray) -> None:
     target = np.maximum(0, np.minimum(batch.preferred_vms, vms))
     _baseline_retarget(batch, serve, target)
 
-    battery_needed = batch._demand_w() > batch.ema * 1.02
+    battery_needed = batch._rack_view().demand > batch.ema * 1.02
     batch._transition(
-        serve[:, None] & (batch.mode == _STANDBY) & battery_needed[:, None],
+        serve[:, None] & batch._bank_view().standby & battery_needed[:, None],
         _DISCHARGING,
     )
     batch._transition(

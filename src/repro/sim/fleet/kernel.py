@@ -27,12 +27,20 @@ read of a cell precedes its write.  Two loops keep bank order, each
 because it carries a running per-site total and IEEE addition is not
 associative: the float pass draining curtailed headroom and the
 water-filling budget.
+
+Two families of arrays derive from state that rarely changes, so each
+has one owner that rebuilds it lazily: :meth:`_FleetBatch._rack_view`
+from the server states, VM placement and duty, and
+:meth:`_FleetBatch._bank_view` from the battery modes and relays.
+Rebinding an input (a property setter) or writing one in place (only
+:meth:`_FleetBatch._reconcile` does) drops the cached record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import NamedTuple
 
 try:
     import numpy as np
@@ -64,6 +72,8 @@ _OFF, _BOOTING, _ON, _SAVING = 0, 1, 2, 3
 
 #: Transducer noise block length (repro.power.sensors.Transducer).
 _NOISE_BLOCK = 256
+#: Upper bound, in float64 samples, on the buffered noise of a batch.
+_NOISE_BUDGET = 1 << 20
 
 _SUPPORTED_CONTROLLERS = ("insure", "baseline")
 _WORKLOADS = {"video": VideoSurveillance, "seismic": SeismicAnalysis}
@@ -77,9 +87,9 @@ class SiteSpec:
 
     ``trace_power_w`` / ``trace_dt_s`` are the solar day trace exactly as
     the scalar :class:`~repro.solar.field.TracePlayer` would replay it.
-    Sites sharing (controller, workload, battery_count, server_count,
-    dt_s, steps) are stepped in lockstep; anything else raises
-    :class:`FleetUnsupported`.
+    :func:`simulate_fleet` steps the sites sharing (controller, workload,
+    battery_count, server_count, dt_s, steps, scenario) as one lockstep
+    batch; sites that differ in any of these go to separate batches.
     """
 
     controller: str
@@ -193,6 +203,55 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
     return out  # type: ignore[return-value]
 
 
+class _RackView(NamedTuple):
+    """Rack arrays derived from ``sstate``, ``placed`` and ``duty_deci``."""
+
+    demand: np.ndarray      # ServerRack.demand_w, (n,)
+    demand_bus: np.ndarray  # DCDCConverter.input_for(demand), (n,)
+    shed_w: np.ndarray      # PlantCoupler's shed threshold on demand_bus
+    compute: np.ndarray     # compute seconds a tick produces, (n,)
+    running: np.ndarray     # running VMs, (n,)
+    active: np.ndarray      # sites with a server not OFF, (n,)
+    effective: np.ndarray   # power of the servers running VMs, (n,)
+    timed: np.ndarray       # BOOTING or SAVING servers, (n, s)
+    any_timed: bool
+
+
+class _BankView(NamedTuple):
+    """Relay masks derived from ``mode`` and ``bus``."""
+
+    on_load: np.ndarray       # cells on the load bus, (n, b)
+    on_charge: np.ndarray     # cells on the charge bus, (n, b)
+    online: np.ndarray        # STANDBY or DISCHARGING cells, (n, b)
+    standby: np.ndarray       # STANDBY cells, (n, b)
+    load_sites: np.ndarray    # sites with a cell on the load bus, (n,)
+    charge_sites: np.ndarray  # sites with a cell on the charge bus, (n,)
+    any_charge: bool
+
+
+def _read_only(view):
+    """Freeze a view's arrays: a consumer writing into one would corrupt
+    every later reader of the cached record."""
+    for field in view:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return view
+
+
+def _view_input(name: str, view: str) -> property:
+    """State array ``name`` whose rebinding drops the cached ``view``."""
+    slot = "_" + name
+
+    def fget(self):
+        return self.__dict__[slot]
+
+    def fset(self, value):
+        self.__dict__[slot] = value
+        self.__dict__[view] = None
+
+    return property(fget, fset)
+
+
 class _FleetBatch:
     """Lockstep SoA simulation of homogeneous sites.
 
@@ -200,6 +259,12 @@ class _FleetBatch:
     methods below are one-to-one ports of the scalar components they name
     in their docstrings.
     """
+
+    sstate = _view_input("sstate", "_rack")
+    placed = _view_input("placed", "_rack")
+    duty_deci = _view_input("duty_deci", "_rack")
+    mode = _view_input("mode", "_bank")
+    bus = _view_input("bus", "_bank")
 
     def __init__(self, specs: Sequence[SiteSpec]) -> None:
         first = specs[0]
@@ -257,6 +322,12 @@ class _FleetBatch:
         self.wear_rate_slope = 2.0
         self.wear_deep = 0.45
         self.wear_deep_slope = 1.5
+        # Transducers (repro.power.sensors), one row per channel, voltage
+        # then current: input range and noise sigma.
+        self.sense_lo = np.array([0.0, -25.0])[:, None, None]
+        self.sense_hi = np.array([50.0, 25.0])[:, None, None]
+        self.sense_span = self.sense_hi - self.sense_lo
+        self.sense_sigma = np.array([0.03, 0.05])[:, None, None]
         # Self discharge leak (repro.battery.unit.idle)
         self.leak_ah = 0.001 * self.kib_cap * dt / 86400.0
         self.leak_amps = self.leak_ah * 3600.0 / dt
@@ -334,28 +405,26 @@ class _FleetBatch:
         # Refill amortization: small batches take several 256-sample blocks
         # per refill (PCG64 draws are stream-sequential, so one call for
         # k*256 samples yields the same bits as k consecutive 256-sample
-        # calls).  Bounded so large batches keep the buffer cache-sized.
-        mult = max(1, min(8, (1 << 20) // (_NOISE_BLOCK * max(1, self.n))))
+        # calls).  Both channels of all n*b cells count against the
+        # budget, so large batches keep one 256-sample block.
+        cells = 2 * self.n * self.b
+        mult = max(1, min(8, _NOISE_BUDGET // (_NOISE_BLOCK * cells)))
         self.noise_block = _NOISE_BLOCK * mult
-        self._blk_v = np.empty(
-            (self.noise_block, self.n, self.b), dtype=np.float64
+        # Stream-major: every stream refills one contiguous row in place,
+        # and a tick reads its (2, n, b) slot across the rows.
+        self._blk = np.empty(
+            (2, self.n, self.b, self.noise_block), dtype=np.float64
         )
-        self._blk_i = np.empty(
-            (self.noise_block, self.n, self.b), dtype=np.float64
-        )
+        # Per-channel (block, n, b) views of the same buffer.
+        self._blk_v, self._blk_i = self._blk.transpose(0, 3, 1, 2)
 
     def _refill_noise(self) -> None:
         # The scalar transducer refills a 256-sample block when exhausted;
         # one read per tick keeps blocks aligned to tick 0, 256, 512, ...
-        block = self.noise_block
         for i in range(self.n):
             for unit in range(self.b):
-                self._blk_v[:, i, unit] = self._gen_v[i][unit].standard_normal(
-                    block
-                )
-                self._blk_i[:, i, unit] = self._gen_i[i][unit].standard_normal(
-                    block
-                )
+                self._gen_v[i][unit].standard_normal(out=self._blk[0, i, unit])
+                self._gen_i[i][unit].standard_normal(out=self._blk[1, i, unit])
 
     def _init_servers(self) -> None:
         n, s = self.n, self.s
@@ -550,9 +619,7 @@ class _FleetBatch:
     # Battery physics (ports of repro.battery.*)
     # ------------------------------------------------------------------
     def _emf(self, y1: np.ndarray) -> np.ndarray:
-        head = y1 / (self.kib_c * self.kib_cap)
-        head = np.where(head < 0.0, 0.0, head)
-        head = np.where(head > 1.0, 1.0, head)
+        head = np.minimum(np.maximum(y1 / (self.kib_c * self.kib_cap), 0.0), 1.0)
         shaped = head**0.75
         return self.emf_empty + (self.emf_full - self.emf_empty) * shaped
 
@@ -589,14 +656,13 @@ class _FleetBatch:
         requested = amps * self.dt_h
         y1n = y1 - requested + diffusion
         y2n = y2 - diffusion
-        under = y1n < 0.0
-        over = ~under & (y1n > self.y1_cap)
-        moved = np.where(under, requested + y1n, requested)
-        moved = np.where(over, requested + (y1n - self.y1_cap), moved)
-        y1n = np.where(under, 0.0, y1n)
-        y1n = np.where(over, self.y1_cap, y1n)
+        # KiBaM._clamp_wells: what the clip cuts off is the discharge
+        # shortfall (requested + y1n) or the charge overflow (requested +
+        # (y1n - cap)); inside the range y1n - y1n adds an exact zero.
+        y1c = np.minimum(np.maximum(y1n, 0.0), self.y1_cap)
+        moved = requested + (y1n - y1c)
         y2n = np.minimum(np.maximum(y2n, 0.0), self.y2_cap)
-        return y1n, y2n, moved
+        return y1c, y2n, moved
 
     def _kibam_apply(self, mask: np.ndarray, amps) -> np.ndarray:
         """KiBaM Euler step on masked cells; returns Ah moved (signed)."""
@@ -663,54 +729,62 @@ class _FleetBatch:
     # ------------------------------------------------------------------
     # Rack / servers (ports of repro.cluster.*)
     # ------------------------------------------------------------------
-    def _server_power(self) -> np.ndarray:
-        """Server.power_w for every (site, server)."""
+    def _rack_view(self) -> _RackView:
+        """The rack arrays of the current server states, VMs and duty."""
+        if self._rack is None:
+            self._rack = self._build_rack_view()
+        return self._rack
+
+    def _build_rack_view(self) -> _RackView:
+        sstate, placed = self.sstate, self.placed
         duty = (self.duty_deci / 10.0)[:, None]
-        share = self.cpu_share * self.placed
-        util = np.minimum(1.0, share * duty)
+        on = sstate == _ON
+        booting = sstate == _BOOTING
+        saving = sstate == _SAVING
+        # Server.power_w for every (site, server).
+        util = np.minimum(1.0, self.cpu_share * placed * duty)
         p_on = self.srv_idle + (self.srv_peak - self.srv_idle) * util
-        power = np.zeros((self.n, self.s), dtype=np.float64)
-        power = np.where(self.sstate == _ON, p_on, power)
-        power = np.where(self.sstate == _BOOTING, self.srv_idle, power)
         p_saving = self.srv_idle + (self.srv_peak - self.srv_idle) * 0.15
-        power = np.where(self.sstate == _SAVING, p_saving, power)
-        return power
-
-    def _demand_w(self) -> np.ndarray:
-        """ServerRack.demand_w: per-server power plus PDU port overhead."""
-        power = self._server_power()
-        self._last_power = power
-        active = (power > 0.0).sum(axis=1)
-        return power.sum(axis=1) + self.pdu_overhead * active
-
-    def _running_count(self) -> np.ndarray:
-        return (self.placed * (self.sstate == _ON)).sum(axis=1)
-
-    def _active_servers(self) -> np.ndarray:
-        return (self.sstate != _OFF).any(axis=1)
+        power = np.zeros((self.n, self.s), dtype=np.float64)
+        power = np.where(on, p_on, power)
+        power = np.where(booting, self.srv_idle, power)
+        power = np.where(saving, p_saving, power)
+        # ServerRack.demand_w: per-server power plus PDU port overhead.
+        demand = (
+            power.sum(axis=1) + self.pdu_overhead * (power > 0.0).sum(axis=1)
+        )
+        demand_bus = self._converter_input(demand)
+        running = placed * on
+        timed = booting | saving
+        return _read_only(_RackView(
+            demand=demand,
+            demand_bus=demand_bus,
+            shed_w=np.maximum(self.shed_tol_w, self.shed_tol_frac * demand_bus),
+            compute=np.where(on, placed * duty * 1.0 * self.dt, 0.0).sum(axis=1),
+            running=running.sum(axis=1),
+            active=(sstate != _OFF).any(axis=1),
+            effective=np.where(running > 0, power, 0.0).sum(axis=1),
+            timed=timed,
+            any_timed=bool(timed.any()),
+        ))
 
     def _rack_step(self) -> None:
         """ServerRack.step: advance lifecycle timers, accumulate compute."""
-        booting = self.sstate == _BOOTING
-        saving = self.sstate == _SAVING
-        self.stimer = np.where(
-            booting | saving, self.stimer - self.dt, self.stimer
-        )
-        boot_done = booting & (self.stimer <= 0.0)
-        save_done = saving & (self.stimer <= 0.0)
-        # BOOTING -> ON starts every placed VM; SAVING -> OFF counts a cycle.
-        self.sstate = np.where(boot_done, _ON, self.sstate)
-        self.sstate = np.where(save_done, _OFF, self.sstate)
-        self.on_off += save_done.sum(axis=1)
+        rack = self._rack_view()
+        if rack.any_timed:
+            self.stimer = np.where(rack.timed, self.stimer - self.dt, self.stimer)
+            done = rack.timed & (self.stimer <= 0.0)
+            if done.any():
+                # BOOTING -> ON starts every placed VM; SAVING -> OFF
+                # counts a cycle.
+                saved = done & (self.sstate == _SAVING)
+                self.sstate = np.where(
+                    saved, _OFF, np.where(done, _ON, self.sstate)
+                )
+                self.on_off += saved.sum(axis=1)
+                rack = self._rack_view()
         # Compute seconds produced this tick (after stepping, like scalar).
-        duty = self.duty_deci / 10.0
-        on = self.sstate == _ON
-        contrib = self.placed * duty[:, None] * 1.0 * self.dt
-        self.last_compute = np.where(on, contrib, 0.0).sum(axis=1)
-
-    def _set_duty(self, mask: np.ndarray, deci: np.ndarray | int) -> None:
-        """ServerRack.set_duty: all servers share the site duty here."""
-        self.duty_deci = np.where(mask, deci, self.duty_deci)
+        self.last_compute = rack.compute
 
     # ------------------------------------------------------------------
     # VM allocator (port of repro.cluster.allocator.NodeAllocator)
@@ -727,30 +801,40 @@ class _FleetBatch:
         keep = rank < needed[:, None]
         drop = mask[:, None] & ~keep
         # Drop pass: strip VMs (one op each), then graceful power-off.
-        self.vm_ops += np.where(drop, self.placed, 0).sum(axis=1)
-        power_off = drop & ((self.sstate == _ON) | (self.sstate == _BOOTING))
-        self.placed = np.where(drop, 0, self.placed)
-        self.sstate = np.where(power_off, _SAVING, self.sstate)
-        self.stimer = np.where(power_off, self.srv_save_s, self.stimer)
+        stripped = np.where(drop, self.placed, 0)
+        power_off = drop & powered
+        if stripped.any() or power_off.any():
+            self.vm_ops += stripped.sum(axis=1)
+            self.placed = np.where(drop, 0, self.placed)
+            self.sstate = np.where(power_off, _SAVING, self.sstate)
+            self.stimer = np.where(power_off, self.srv_save_s, self.stimer)
         # Keep pass in keep-list order (powered first, then rack order).
         order = np.argsort(rank, axis=1, kind="stable")
         rows = np.arange(self.n)
         remaining = np.where(mask, target, 0).copy()
+        wrote = False
         for pos in range(self.s):
             col = order[:, pos]
             act = mask & (pos < needed)
             st = self.sstate[rows, col]
             boot = act & (st == _OFF)
-            self.sstate[rows[boot], col[boot]] = _BOOTING
-            self.stimer[rows[boot], col[boot]] = self.srv_boot_s
+            if boot.any():
+                self.sstate[rows[boot], col[boot]] = _BOOTING
+                self.stimer[rows[boot], col[boot]] = self.srv_boot_s
+                wrote = True
             fit = act & (st != _SAVING)
             want = np.minimum(self.srv_slots, remaining)
             old = self.placed[rows, col]
-            delta = np.abs(want - old)
-            self.vm_ops += np.where(fit, delta, 0)
-            new_placed = np.where(fit, want, old)
-            self.placed[rows, col] = new_placed
+            ops = np.where(fit, np.abs(want - old), 0)
+            if ops.any():
+                self.vm_ops += ops
+                self.placed[rows, col] = np.where(fit, want, old)
+                wrote = True
             remaining = np.where(fit, remaining - want, remaining)
+        if wrote:
+            # The keep pass wrote sstate or placed in place, past the
+            # setters.
+            self._rack = None
 
     def _set_target(self, mask: np.ndarray, target: np.ndarray) -> None:
         """NodeAllocator.set_target: one op + reconcile when it changes."""
@@ -764,6 +848,28 @@ class _FleetBatch:
     # ------------------------------------------------------------------
     # Relay transitions
     # ------------------------------------------------------------------
+    def _bank_view(self) -> _BankView:
+        """The relay masks of the current battery modes and buses."""
+        if self._bank is None:
+            self._bank = self._build_bank_view()
+        return self._bank
+
+    def _build_bank_view(self) -> _BankView:
+        mode, bus = self.mode, self.bus
+        on_load = bus == _BUS_LOAD
+        on_charge = bus == _BUS_CHARGE
+        standby = mode == _STANDBY
+        charge_sites = on_charge.any(axis=1)
+        return _read_only(_BankView(
+            on_load=on_load,
+            on_charge=on_charge,
+            online=standby | (mode == _DISCHARGING),
+            standby=standby,
+            load_sites=on_load.any(axis=1),
+            charge_sites=charge_sites,
+            any_charge=bool(charge_sites.any()),
+        ))
+
     def _transition(self, cells: np.ndarray, mode_code: int) -> None:
         """Controller.transition: mode change + relay attach bookkeeping."""
         bus_code = _BUS_FOR_MODE[mode_code]
@@ -779,36 +885,31 @@ class _FleetBatch:
     # Sensing chain (ports of repro.power.{sensors,plc,modbus} + sensing)
     # ------------------------------------------------------------------
     def _sense(self, k: int) -> None:
-        if k % self.noise_block == 0:
-            self._refill_noise()
         slot = k % self.noise_block
-        # Voltage transducer: noise, clip [0, 50], 12-bit quantisation.
-        value = self._tick_tv + 0.03 * self._blk_v[slot]
-        value = np.where(value < 0.0, 0.0, value)
-        value = np.where(value > 50.0, 50.0, value)
-        code = np.rint((value - 0.0) / 50.0 * 4095)
-        q_v = 0.0 + code * 50.0 / 4095
-        # Current transducer: clip [-25, 25].
-        value = self.last_i + 0.05 * self._blk_i[slot]
-        value = np.where(value < -25.0, -25.0, value)
-        value = np.where(value > 25.0, 25.0, value)
-        code = np.rint((value - -25.0) / 50.0 * 4095)
-        q_i = -25.0 + code * 50.0 / 4095
+        if slot == 0:
+            self._refill_noise()
+        # Transducer.read on both channels at once: noise, clip to the
+        # input range, 12-bit quantisation.  IEEE addition commutes, so
+        # adding the source to the noise term is source + noise bit for bit.
+        value = self.sense_sigma * self._blk[..., slot]
+        value[0] += self._tick_tv
+        value[1] += self.last_i
+        lo, span = self.sense_lo, self.sense_span
+        value = np.minimum(np.maximum(value, lo), self.sense_hi)
+        code = np.rint((value - lo) / span * 4095)
+        quantised = lo + code * span / 4095
         # PLC register encode (x100 fixed point) and Modbus decode.
-        self.sense_v = np.rint(q_v * 100.0) / 100.0
-        self.sense_i = np.rint(q_i * 100.0) / 100.0
+        self.sense_v, self.sense_i = np.rint(quantised * 100.0) / 100.0
         # BatteryTelemetry._update_estimates
         current = self.sense_i
         delta_ah = current * self.dt / 3600.0
         est = self.est - delta_ah / self.kib_cap
-        est = np.where(est < 0.0, 0.0, est)
-        est = np.where(est > 1.0, 1.0, est)
-        self.est = est
+        self.est = np.minimum(np.maximum(est, 0.0), 1.0)
         discharging = current > 0.25
         self.sense_dis = np.where(
             discharging, self.sense_dis + delta_ah, self.sense_dis
         )
-        resting = (current > -0.25) & (current < 0.25)
+        resting = np.abs(current) < 0.25
         self.rest_s = np.where(resting, self.rest_s + self.dt, 0.0)
         anchor = resting & (self.rest_s >= 300.0)
         if anchor.any():
@@ -838,7 +939,7 @@ class _FleetBatch:
         out = demand / np.where(demand > 0.0, eff, 1.0)
         return np.where(demand > 0.0, out, 0.0)
 
-    def _bus_resolve(self, solar: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    def _bus_resolve(self, solar: np.ndarray, rack: _RackView) -> np.ndarray:
         """One tick of power flow; returns unserved_w per site.
 
         The discharge split and the charger read only tick-start battery
@@ -848,7 +949,8 @@ class _FleetBatch:
         BusReport fields the collector consumes.
         """
         n, b = self.n, self.b
-        demand_bus = self._converter_input(demand)
+        bank = self._bank_view()
+        demand_bus = rack.demand_bus
         solar_to_load = np.minimum(solar, demand_bus)
         deficit = demand_bus - solar_to_load
         surplus = solar - solar_to_load
@@ -856,14 +958,12 @@ class _FleetBatch:
         # Cells no path claims idle (BatteryUnit.idle): leak, last_i 0.
         amps = np.full((n, b), self.leak_amps)
         last_i = np.zeros((n, b), dtype=np.float64)
-        on_load = self.bus == _BUS_LOAD
-        on_charge = self.bus == _BUS_CHARGE
 
         # Discharge path (PowerBus._discharge across the load bus).
         volts = self._tick_tv
         discharging = np.zeros((n, b), dtype=bool)
-        dis_sites = (deficit > 0.0) & on_load.any(axis=1)
-        members = on_load & dis_sites[:, None]
+        dis_sites = (deficit > 0.0) & bank.load_sites
+        members = bank.on_load & dis_sites[:, None]
         if dis_sites.any():
             mdc = self._max_discharge_current()
             watts = mdc * volts
@@ -883,10 +983,9 @@ class _FleetBatch:
         # Charge path (SolarCharger.step across the charge bus).
         charging = np.zeros((n, b), dtype=bool)
         charge_power = np.zeros(n, dtype=np.float64)
-        charge_sites = on_charge.any(axis=1)
-        if charge_sites.any():
+        if bank.any_charge:
             charge_power, charging = self._charger_step(
-                on_charge, charge_sites, surplus, amps, last_i
+                bank.on_charge, bank.charge_sites, surplus, amps, last_i
             )
         curtailed = np.maximum(0.0, surplus - charge_power)
 
@@ -906,11 +1005,11 @@ class _FleetBatch:
             battery_to_load = np.where(discharging, got * volts, 0.0).sum(axis=1)
         unserved = np.maximum(0.0, deficit - battery_to_load)
         curtailed, charge_power = self._float_pass(
-            ~(members | on_charge), curtailed, charge_power
+            ~(members | bank.on_charge) & bank.standby, curtailed,
+            charge_power,
         )
 
-        self._metrics_demand = demand
-        self._last_demand_bus = demand_bus
+        self._metrics_demand = rack.demand
         self._rep_solar_to_load = solar_to_load
         self._rep_charge_power = charge_power
         self._rep_curtailed = curtailed
@@ -935,6 +1034,9 @@ class _FleetBatch:
         remaining = np.where(
             charge_sites, (surplus * self.charge_cap) * self.chg_eff, 0.0
         )
+        # No budget pays one string's overhead: payable is 0 at every site.
+        if not (remaining >= self.chg_overhead).any():
+            return np.zeros(n, dtype=np.float64), np.zeros((n, b), dtype=bool)
         n_charging = on_charge.sum(axis=1)
         payable = np.minimum(
             n_charging, (remaining // self.chg_overhead).astype(np.int64)
@@ -942,8 +1044,6 @@ class _FleetBatch:
         rank = np.cumsum(on_charge, axis=1) - on_charge
         connected = on_charge & (rank < payable[:, None]) & charge_sites[:, None]
         any_conn = connected.any(axis=1)
-        if not any_conn.any():
-            return np.zeros(n, dtype=np.float64), np.zeros((n, b), dtype=bool)
         n_conn = connected.sum(axis=1)
         overhead = self.chg_overhead * n_conn
         remaining = np.where(any_conn, remaining - overhead, remaining)
@@ -990,11 +1090,11 @@ class _FleetBatch:
 
     def _float_pass(
         self,
-        untouched: np.ndarray,
+        idle_standby: np.ndarray,
         curtailed: np.ndarray,
         charge_power: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """SolarCharger.float_step on untouched standby cells.
+        """SolarCharger.float_step on the standby cells no path touched.
 
         A floated cell has idled in the bank step and now takes a
         half-float trickle step.  The trickle does not depend on the
@@ -1002,9 +1102,7 @@ class _FleetBatch:
         only the drain runs in bank order, because battery 2 floats on
         what batteries 0-1 left over.  Returns (curtailed, charge_power).
         """
-        candidates = (
-            untouched & (self.mode == _STANDBY) & (curtailed > 1.0)[:, None]
-        )
+        candidates = idle_standby & (curtailed > 1.0)[:, None]
         if not candidates.any():
             return curtailed, charge_power
         y1, y2, _ = self._kibam_step(-self.float_amps * 0.5)
@@ -1025,13 +1123,9 @@ class _FleetBatch:
     # Plant coupling + workload (ports of system.PlantCoupler, workloads)
     # ------------------------------------------------------------------
     def _plant_step(self, k: int, solar: np.ndarray) -> None:
-        demand = self._demand_w()
-        unserved = self._bus_resolve(solar, demand)
-        demand_bus = self._last_demand_bus
-        threshold = np.maximum(
-            self.shed_tol_w, self.shed_tol_frac * demand_bus
-        )
-        shed = unserved > threshold
+        rack = self._rack_view()
+        unserved = self._bus_resolve(solar, rack)
+        shed = unserved > rack.shed_w
         compute = self.last_compute
         if shed.any():
             self._emergency_shed(shed)
@@ -1070,6 +1164,7 @@ class _FleetBatch:
             np.maximum(0.0, self.job_size - head_done) <= 1e-12
         )
         self.head_done = np.where(work, head_done, self.head_done)
+        done = used_a
         if finished.any():
             arr = self.arr_t[np.minimum(self.head_idx, len(self.arr_t) - 1)]
             if self.workload_kind == "video":
@@ -1090,12 +1185,12 @@ class _FleetBatch:
             self.head_idx = np.where(finished, self.head_idx + 1, self.head_idx)
             self.head_done = np.where(finished, 0.0, self.head_done)
             self.head_ckpt = np.where(finished, 0.0, self.head_ckpt)
-        # Leftover budget spills into the next job (cannot finish it).
-        leftover = np.where(finished, budget - used_a, 0.0)
-        spill = finished & (leftover > 1e-12) & (self.head_idx < n_arr)
-        used_b = np.where(spill, np.minimum(leftover, self.job_size), 0.0)
-        self.head_done = np.where(spill, used_b, self.head_done)
-        done = used_a + used_b
+            # Leftover budget spills into the next job (cannot finish it).
+            leftover = np.where(finished, budget - used_a, 0.0)
+            spill = finished & (leftover > 1e-12) & (self.head_idx < n_arr)
+            used_b = np.where(spill, np.minimum(leftover, self.job_size), 0.0)
+            self.head_done = np.where(spill, used_b, self.head_done)
+            done = used_a + used_b
         self.processed = self.processed + done
         # Periodic durable checkpoints (site-independent cadence).
         self._since_ckpt += self.dt
@@ -1125,20 +1220,15 @@ class _FleetBatch:
     def _metrics_step(self, solar: np.ndarray) -> None:
         dt, dt_h = self.dt, self.dt_h
         self._elapsed += dt
-        serving = self._running_count() > 0
-        self.uptime_s = np.where(serving, self.uptime_s + dt, self.uptime_s)
-        online = (self.mode == _STANDBY) | (self.mode == _DISCHARGING)
+        rack = self._rack_view()
+        self.uptime_s = np.where(
+            rack.running > 0, self.uptime_s + dt, self.uptime_s
+        )
         stored = (self.y1 + self.y2) * self.nominal_v
-        online_wh = np.where(online, stored, 0.0).sum(axis=1)
+        online_wh = np.where(self._bank_view().online, stored, 0.0).sum(axis=1)
         self.stored_int = self.stored_int + online_wh * dt
         self.load_wh = self.load_wh + self._metrics_demand * dt_h
-        # Server state only changes between the plant's demand read and
-        # here via emergency shed, and shed sites have no running VMs —
-        # stale power values there are masked out by `running`.
-        power = self._last_power
-        running = self.placed * (self.sstate == _ON) > 0
-        effective = np.where(running, power, 0.0).sum(axis=1)
-        self.eff_wh = self.eff_wh + effective * dt_h
+        self.eff_wh = self.eff_wh + rack.effective * dt_h
         self.solar_wh = self.solar_wh + solar * dt_h
         self.used_wh = self.used_wh + (
             self._rep_solar_to_load + self._rep_charge_power

@@ -8,6 +8,7 @@ the way the CI smoke driver does.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -22,6 +23,17 @@ QUICK = {
     "policies": [{"name": "cap", "signal": "carbon",
                   "governor": "const:0.9", "control": "duty_cap"}],
 }
+
+
+def _raw_status(client: ServeClient, request: bytes) -> int:
+    """Send raw request bytes and return the status code of the reply."""
+    with socket.create_connection((client.host, client.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
 
 
 @pytest.fixture()
@@ -128,6 +140,15 @@ class TestDaemonEndToEnd:
         with pytest.raises(ServeError) as excinfo:
             client._request("PUT", "/v1/sessions")
         assert excinfo.value.status == 405
+        sessions = client.healthz()["sessions"]
+        for length in (b"abc", b"-1"):
+            status = _raw_status(
+                client,
+                b"POST /v1/sessions HTTP/1.1\r\nContent-Length: " + length
+                + b"\r\n\r\n",
+            )
+            assert status == 400, length
+        assert client.healthz()["sessions"] == sessions
 
     def test_summary_conflict_until_done(self, client):
         info = client.create_session(QUICK, autostart=False)

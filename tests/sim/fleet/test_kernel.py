@@ -1,4 +1,5 @@
-"""Fleet kernel unit tests: specs, routing, grouping, short lockstep."""
+"""Fleet kernel unit tests: specs, routing, grouping, short lockstep,
+cached views."""
 
 import dataclasses
 
@@ -146,3 +147,75 @@ class TestLockstep:
         divergence = run_lockstep("baseline", "seismic", "cloudy",
                                   max_ticks=720, atol=1e-9, verbose=False)
         assert divergence is None, f"diverged: {divergence}"
+
+
+def _view_site(controller, workload, weather, *, seed, soc, mean_w=800.0,
+               scenario=None) -> SiteSpec:
+    from repro.solar.traces import make_day_trace
+
+    trace = make_day_trace(weather, dt_seconds=5.0, seed=seed,
+                           target_mean_w=mean_w)
+    return SiteSpec(controller, workload, seed, soc, tuple(trace.power_w),
+                    5.0, duration_s=2 * 3600.0, scenario=scenario)
+
+
+def _view_batches() -> list[tuple]:
+    """(controller, workload, scenario) of every batch the views test."""
+    from repro.experiments.scenarios import get_scenario, scenario_names
+
+    batches = [(c, w, None) for c in ("insure", "baseline")
+               for w in ("video", "seismic")]
+    for name in scenario_names():
+        spec = get_scenario(name)
+        batches.append((spec.controller, spec.workload, name))
+    return batches
+
+
+class TestViews:
+    """The cached rack and bank views never go stale."""
+
+    @staticmethod
+    def _assert_fresh(cached, fresh, tick):
+        for name, held, derived in zip(cached._fields, cached, fresh):
+            if not isinstance(held, np.ndarray):
+                assert held == derived, f"tick {tick}: {name} is stale"
+                continue
+            assert held.dtype == derived.dtype and np.array_equal(
+                held, derived
+            ), f"tick {tick}: {name} is stale"
+            try:
+                held[...] = derived
+            except ValueError:
+                continue
+            pytest.fail(f"tick {tick}: {name} is writable")
+
+    @pytest.mark.parametrize(
+        "controller,workload,scenario", _view_batches(),
+        ids=lambda axis: axis or "bare",
+    )
+    def test_views_match_a_fresh_derivation_every_tick(
+        self, controller, workload, scenario
+    ):
+        # Two ordinary sites per batch; the bare insure/video batch adds a
+        # dim rainy day on a nearly empty bank, a site that sheds load.
+        from repro.sim.fleet import controllers
+        from repro.sim.fleet.kernel import _FleetBatch
+
+        sites = [
+            _view_site(controller, workload, weather, seed=5 + i,
+                       soc=0.55 + 0.25 * i, scenario=scenario)
+            for i, weather in enumerate(("sunny", "cloudy"))
+        ]
+        sheds = (controller, workload, scenario) == ("insure", "video", None)
+        if sheds:
+            sites.append(_view_site(controller, workload, "rainy", seed=3,
+                                    soc=0.1, mean_w=300.0))
+        batch = _FleetBatch(sites)
+        controllers.start(batch)
+        for k in range(batch.steps):
+            batch.step_tick(k)
+            self._assert_fresh(batch._rack_view(), batch._build_rack_view(), k)
+            self._assert_fresh(batch._bank_view(), batch._build_bank_view(), k)
+        assert batch.steps == 1440
+        if sheds:
+            assert batch.crash_count[-1] > 0
