@@ -15,7 +15,10 @@ run then silently diverges.  This rule closes that gap structurally:
    reviewed reason why the fleet kernel does not need it);
 3. every mapped fleet array must actually be written somewhere in the
    fleet modules, and map entries that no longer correspond to a scalar
-   mutation are reported as stale.
+   mutation are reported as stale;
+4. every int or float literal in a fleet module outside
+   :data:`FREE_LITERALS` is reported: a copied parameter diverges silently
+   when its scalar owner changes.  Values the fleet owns carry an allow.
 
 The tables below are part of the reviewed contract: adding scalar state
 means either porting it to the fleet kernel and extending
@@ -67,6 +70,10 @@ FLEET_MODULES: tuple[str, ...] = (
     "repro.sim.fleet.kernel",
     "repro.sim.fleet.controllers",
 )
+
+#: Literals the fleet modules may write: identities, small counts and the
+#: unit conversions (minute, kilo, hour, day).
+FREE_LITERALS = frozenset({0, 1, 2, 60, 1000, 3600, 86400})
 
 #: Constructors and wiring methods whose writes are initialization, not
 #: per-tick state evolution.  ``bind*``/``attach*`` prefixes cover the
@@ -299,7 +306,8 @@ class KernelParityRule(Rule):
     id: ClassVar[str] = "kernel-parity"
     description: ClassVar[str] = (
         "scalar tick-kernel state mutations must map to fleet kernel "
-        "array ops (or a reviewed not-ported entry)"
+        "array ops (or a reviewed not-ported entry), and the fleet "
+        "kernel types in no parameter"
     )
 
     def __init__(
@@ -313,6 +321,18 @@ class KernelParityRule(Rule):
         self.fleet_modules = fleet_modules
         self.field_map = FIELD_MAP if field_map is None else field_map
         self.not_ported = NOT_PORTED if not_ported is None else not_ported
+
+    def check_module(self, module: ModuleSource) -> list[Finding]:
+        if module.module not in self.fleet_modules:
+            return []
+        message = "numeric literal {!r} in the fleet kernel; read it from its scalar owner"
+        return [
+            module.finding(self.id, node, message.format(node.value))
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)
+            and node.value not in FREE_LITERALS
+        ]
 
     def check_project(self, project: Project) -> list[Finding]:
         scalar_mods = [

@@ -14,6 +14,13 @@ from dataclasses import dataclass
 
 from repro.battery.unit import BatteryUnit
 
+#: Water-filling redistribution rounds per step.
+FILL_ROUNDS = 4
+#: Budget (W) that ends water-filling, and the slack of a full grant.
+GRANT_EPSILON_W = 1e-9
+#: Float trickle as a fraction of the float current.
+FLOAT_FRACTION = 0.5
+
 
 @dataclass(frozen=True, slots=True)
 class ChargeResult:
@@ -122,8 +129,8 @@ class SolarCharger:
             ceiling_w = unit.max_charge_current() * voltage
             plan.append([unit, voltage, ceiling_w, 0.0])
         active = list(plan)
-        for _ in range(4):
-            if remaining <= 1e-9 or not active:
+        for _ in range(FILL_ROUNDS):
+            if remaining <= GRANT_EPSILON_W or not active:
                 break
             share = remaining / len(active)
             next_active = []
@@ -132,7 +139,7 @@ class SolarCharger:
                 grant = min(share, headroom)
                 entry[3] += grant
                 remaining -= grant
-                if grant >= share - 1e-9:
+                if grant >= share - GRANT_EPSILON_W:
                     next_active.append(entry)
             active = next_active
 
@@ -162,6 +169,6 @@ class SolarCharger:
             # Float charging merely offsets self-discharge; model it as an
             # idle step plus the bus power it costs.
             unit.idle(dt_seconds)
-            unit.kibam.apply_current(-amps * 0.5, dt_seconds)
+            unit.kibam.apply_current(-amps * FLOAT_FRACTION, dt_seconds)
             total += amps * unit.terminal_voltage / self.efficiency
         return total

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from repro.battery.params import VoltageParams
 
+#: Shape of the EMF curve over the available-well head (mildly convex:
+#: lead-acid voltage falls slowly over the mid range, quickly near empty).
+EMF_EXPONENT = 0.75
+
 
 class VoltageModel:
     """Maps electrochemical state and current to terminal voltage."""
@@ -27,9 +31,7 @@ class VoltageModel:
         elif head > 1.0:
             head = 1.0
         p = self.params
-        # Mildly convex profile: lead-acid voltage falls slowly over the
-        # mid range and quickly near empty.
-        shaped = head ** 0.75
+        shaped = head ** EMF_EXPONENT
         empty = p.emf_empty
         return empty + (p.emf_full - empty) * shaped
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from repro.battery.params import WearParams
 
 _SECONDS_PER_HOUR = 3600.0
+#: Shelf life as a multiple of design life (an unused battery still ages).
+SHELF_MARGIN = 1.5
 
 
 class WearModel:
@@ -68,12 +70,11 @@ class WearModel:
     def projected_life_days(self, elapsed_seconds: float) -> float:
         """Projected service life (days) if the observed usage continued.
 
-        Capped at shelf life implied by ``design_life_days`` times a small
-        margin, since an unused battery still ages chemically.
+        Capped at the shelf life, ``design_life_days * SHELF_MARGIN``.
         """
         if elapsed_seconds <= 0:
             raise ValueError("elapsed_seconds must be positive")
-        shelf_cap = self.params.design_life_days * 1.5
+        shelf_cap = self.params.design_life_days * SHELF_MARGIN
         if self.weighted_ah <= 0.0:
             return shelf_cap
         elapsed_days = elapsed_seconds / 86400.0

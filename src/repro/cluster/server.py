@@ -15,6 +15,9 @@ import enum
 from repro.cluster.profiles import ServerProfile
 from repro.cluster.vm import VirtualMachine
 
+#: Utilisation a SAVING server draws power at while it checkpoints.
+SAVING_UTILISATION = 0.15
+
 
 class ServerState(enum.Enum):
     OFF = "off"
@@ -148,7 +151,7 @@ class Server:
             return 0.0
         if state is ServerState.BOOTING:
             return self.profile.idle_w
-        return self.profile.power_at(0.15)
+        return self.profile.power_at(SAVING_UTILISATION)
 
     def compute_seconds(self, dt_seconds: float) -> float:
         """Useful VM-compute-seconds produced this tick.

@@ -24,6 +24,9 @@ from repro.battery.unit import BatteryMode
 from repro.core.controller_base import PowerManager
 from repro.sim.clock import Clock
 
+#: Discharge current (A) above which a low cell voltage trips protection.
+TRIP_AMPS = 0.5
+
 
 @dataclass
 class BaselineParams:
@@ -38,9 +41,6 @@ class BaselineParams:
     charge_to_soc: float = 0.90
     #: Unconstrained per-cabinet discharge power assumed when sizing VMs.
     bank_power_per_unit_w: float = 420.0
-    #: Cloud margin applied to the solar EMA when the bank cannot help
-    #: (unified buffer on the charge bus).
-    solar_margin: float = 0.85
     #: Minimum seconds between successive VM-count increases.
     upscale_holdoff_s: float = 120.0
     #: SoC above which yesterday's bank starts the day online (the 90 %
@@ -124,7 +124,7 @@ class BaselineController(PowerManager):
         cutoff = self.bank[0].params.voltage.v_cutoff
         senses = [self.telemetry.sense(u.name) for u in self.bank]
         tripping = any(
-            s.voltage <= cutoff + p.protect_margin_v and s.current > 0.5
+            s.voltage <= cutoff + p.protect_margin_v and s.current > TRIP_AMPS
             for s in senses
         ) or min(s.soc_estimate for s in senses) <= p.soc_floor
 
@@ -156,7 +156,7 @@ class BaselineController(PowerManager):
         )
 
         # Mode label bookkeeping for traces.
-        battery_needed = self.rack.demand_w > self.solar_ema_w * 1.02
+        battery_needed = self.battery_needed()
         for unit in self.bank:
             if battery_needed and unit.mode is BatteryMode.STANDBY:
                 self.transition(unit, BatteryMode.DISCHARGING, "green-inadequate", t)

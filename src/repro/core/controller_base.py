@@ -29,8 +29,11 @@ if TYPE_CHECKING:  # imported for annotations only; avoids a runtime cycle
     from repro.battery.charger import SolarCharger
     from repro.policy.policy import Policy
 
-#: Power drawn by one VM's share of a busy ProLiant (350 W / 2 VMs).
-DEFAULT_PER_VM_W = 175.0
+#: Solar EMA time constant (s), and the slow sizing EMA's multiple of it.
+SOLAR_EMA_TAU_S = 120.0
+SLOW_EMA_FACTOR = 3.0
+#: The battery is needed once demand exceeds the solar EMA by this factor.
+BATTERY_NEEDED_MARGIN = 1.02
 
 
 class PowerSource:
@@ -67,8 +70,7 @@ class PowerManager(Component):
         workload: Workload,
         source: PowerSource,
         events: EventLog,
-        per_vm_w: float = DEFAULT_PER_VM_W,
-        solar_ema_tau_s: float = 120.0,
+        per_vm_w: float,
     ) -> None:
         super().__init__(name)
         self.bank = bank
@@ -80,7 +82,6 @@ class PowerManager(Component):
         self.source = source
         self.events = events
         self.per_vm_w = per_vm_w
-        self.solar_ema_tau_s = solar_ema_tau_s
         self.solar_ema_w = 0.0
         #: Slow EMA used for sizing decisions (minutes-scale commitment).
         self.solar_ema_slow_w = 0.0
@@ -117,12 +118,16 @@ class PowerManager(Component):
     # Sensing helpers
     # ------------------------------------------------------------------
     def _update_solar_ema(self, dt: float) -> None:
-        alpha = min(1.0, dt / self.solar_ema_tau_s)
+        alpha = min(1.0, dt / SOLAR_EMA_TAU_S)
         self.solar_ema_w += alpha * (self.source.available_power_w - self.solar_ema_w)
-        alpha_slow = min(1.0, dt / (self.solar_ema_tau_s * 3.0))
+        alpha_slow = min(1.0, dt / (SOLAR_EMA_TAU_S * SLOW_EMA_FACTOR))
         self.solar_ema_slow_w += alpha_slow * (
             self.source.available_power_w - self.solar_ema_slow_w
         )
+
+    def battery_needed(self) -> bool:
+        """Whether the rack draws more than the solar EMA covers."""
+        return self.rack.demand_w > self.solar_ema_w * BATTERY_NEEDED_MARGIN
 
     def online_units(self) -> list[BatteryUnit]:
         return self.bank.in_mode(BatteryMode.STANDBY, BatteryMode.DISCHARGING)

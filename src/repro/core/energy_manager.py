@@ -19,6 +19,9 @@ from repro.core.spatial import SpatialParams, SpatialPolicy
 from repro.core.temporal import TemporalAction, TemporalParams, TemporalPolicy
 from repro.sim.clock import Clock
 
+#: Rack demand (W) each additional reserve cabinet covers.
+RESERVE_STEP_W = 500.0
+
 
 @dataclass
 class InsureParams:
@@ -145,8 +148,7 @@ class InsureController(PowerManager):
         self._ensure_online_reserve(t)
         online = self.online_units()
         online_names = [u.name for u in online]
-        demand = self.rack.demand_w
-        battery_needed = demand > self.solar_ema_w * 1.02
+        battery_needed = self.battery_needed()
 
         decision = self.temporal.evaluate(
             total_discharge_a=self.telemetry.total_discharge_current(online_names),
@@ -200,7 +202,7 @@ class InsureController(PowerManager):
         # Reserve scales with the load the buffer may need to absorb.
         want = max(
             self.params.min_online_units,
-            min(len(self.bank), int(self.rack.demand_w // 500.0) + 1),
+            min(len(self.bank), int(self.rack.demand_w // RESERVE_STEP_W) + 1),
         )
         if len(self.usable_online_units(floor)) >= want:
             return

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.battery.bank import BatteryBank
 from repro.battery.unit import BatteryUnit
+from repro.battery.voltage import EMF_EXPONENT
 from repro.power.modbus import decode_fixed
 from repro.power.plc import AnalogInputModule, ProgrammableLogicController
 from repro.power.sensors import CurrentTransducer, VoltageTransducer
@@ -23,8 +24,15 @@ from repro.sim.rng import RandomStreams
 
 #: Register layout: two registers per battery (voltage, current).
 _REGS_PER_BATTERY = 2
-_V_SCALE = 100.0   # 0.01 V resolution
-_I_SCALE = 100.0   # 0.01 A resolution
+V_SCALE = 100.0   # 0.01 V resolution
+I_SCALE = 100.0   # 0.01 A resolution
+#: PLC analog scan period (s).
+PLC_SCAN_PERIOD_S = 0.5
+#: Current magnitude (A) below which a cabinet counts as resting.
+REST_AMPS = 0.25
+#: Rest (s) before the OCV re-anchors the SoC estimate, and the OCV's weight.
+OCV_REST_S = 300.0
+OCV_WEIGHT = 0.1
 
 
 @dataclass
@@ -37,10 +45,6 @@ class BatterySense:
     soc_estimate: float = 1.0
     discharge_ah: float = 0.0  # the SPM usage statistic AhT[i]
     rest_seconds: float = 0.0
-
-    @property
-    def is_resting(self) -> bool:
-        return abs(self.current) < 0.25
 
 
 class BatteryTelemetry:
@@ -57,7 +61,7 @@ class BatteryTelemetry:
         """``gain_error`` injects an uncalibrated-sensor fault: every
         transducer reads consistently high/low by that fraction."""
         self.bank = bank
-        self.plc = plc or ProgrammableLogicController(scan_period_s=0.5)
+        self.plc = plc or ProgrammableLogicController(scan_period_s=PLC_SCAN_PERIOD_S)
         streams = streams or RandomStreams(0)
         #: Every transducer in register order, for fault injection
         #: (:meth:`set_gain_error`) without rebuilding the chain.
@@ -73,8 +77,8 @@ class BatteryTelemetry:
             i_sensor = CurrentTransducer(self._i_source(unit), rng=rng_i)
             v_sensor.gain = 1.0 + gain_error
             i_sensor.gain = 1.0 + gain_error
-            module.bind(0, v_sensor, _V_SCALE)
-            module.bind(1, i_sensor, _I_SCALE)
+            module.bind(0, v_sensor, V_SCALE)
+            module.bind(1, i_sensor, I_SCALE)
             self._sensors.extend((v_sensor, i_sensor))
             self.plc.add_module(module)
 
@@ -116,8 +120,8 @@ class BatteryTelemetry:
         registers = self.plc.slave.input
         base = 0
         for unit, sense in self._rows:
-            sense.voltage = decode_fixed(registers[base], _V_SCALE)
-            sense.current = decode_fixed(registers[base + 1], _I_SCALE)
+            sense.voltage = decode_fixed(registers[base], V_SCALE)
+            sense.current = decode_fixed(registers[base + 1], I_SCALE)
             self._update_estimates(unit, sense, dt_seconds)
             base += _REGS_PER_BATTERY
         return self.senses
@@ -133,17 +137,18 @@ class BatteryTelemetry:
         elif estimate > 1.0:
             estimate = 1.0
         sense.soc_estimate = estimate
-        if current > 0.25:
+        if current > REST_AMPS:
             sense.discharge_ah += delta_ah
 
         # Re-anchor from open-circuit voltage after a sustained rest, the
         # standard lead-acid practice: OCV is a reliable SoC proxy only at
         # equilibrium.
-        if -0.25 < current < 0.25:
+        if -REST_AMPS < current < REST_AMPS:
             sense.rest_seconds += dt_seconds
-            if sense.rest_seconds >= 300.0:
+            if sense.rest_seconds >= OCV_REST_S:
                 ocv_soc = self._soc_from_ocv(unit, sense.voltage)
-                sense.soc_estimate = 0.9 * sense.soc_estimate + 0.1 * ocv_soc
+                sense.soc_estimate = ((1.0 - OCV_WEIGHT) * sense.soc_estimate
+                                      + OCV_WEIGHT * ocv_soc)
         else:
             sense.rest_seconds = 0.0
 
@@ -153,7 +158,7 @@ class BatteryTelemetry:
         p = unit.params.voltage
         frac = (voltage - p.emf_empty) / (p.emf_full - p.emf_empty)
         frac = min(max(frac, 0.0), 1.0)
-        return frac ** (1.0 / 0.75)
+        return frac ** (1.0 / EMF_EXPONENT)
 
     # ------------------------------------------------------------------
     # Aggregates the controllers use

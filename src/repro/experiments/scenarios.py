@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.core.system import build_day_system
 from repro.experiments.runner import derive_seed
 from repro.policy.policy import Policy
-from repro.policy.registry import make_control, make_governor, make_signal
+from repro.policy.registry import PolicyDef, build_policy
 from repro.sim.cache import cached_cell
 from repro.telemetry.metrics import RunSummary
 
@@ -41,17 +41,6 @@ from repro.validate.golden import (
     INITIAL_SOC,
     TARGET_MEAN_W,
 )
-
-
-@dataclass(frozen=True)
-class PolicyDef:
-    """One policy of a scenario, as registry names + a governor rule."""
-
-    name: str
-    signal: str
-    governor: str
-    control: str
-    interval_s: float = 300.0
 
 
 @dataclass(frozen=True)
@@ -153,17 +142,6 @@ def scenario_seed(name: str) -> int:
     """The pinned per-scenario seed (golden cells and fleet use the same)."""
     get_scenario(name)
     return derive_seed(BASE_SEED, "scenario", name)
-
-
-def build_policy(pdef: PolicyDef, seed: int) -> Policy:
-    """Instantiate one policy definition for a concrete site seed."""
-    return Policy(
-        name=pdef.name,
-        signal=make_signal(pdef.signal, seed=seed),
-        governor=make_governor(pdef.governor),
-        control=make_control(pdef.control),
-        interval_s=pdef.interval_s,
-    )
 
 
 def build_policies(name: str, seed: int) -> list[Policy]:

@@ -35,18 +35,21 @@ if TYPE_CHECKING:  # annotations only; keeps policy importable standalone
 #: Hardware duty quantum: racks actuate DVFS in tenths, and the fleet
 #: kernel stores duty as a deci int — caps snap *down* to this grid.
 DUTY_QUANTUM = 0.1
+#: Duty quanta in full duty: the fleet kernel's duty scale.
+DUTY_STEPS = round(1 / DUTY_QUANTUM)
+#: Slack when a fraction snaps down to a grid (duty quanta, whole VMs).
+GRID_EPSILON = 1e-9
 
 
 def quantize_duty(fraction: float) -> float:
     """Snap a capacity fraction down to the duty grid, clamped to [0, 1].
 
     Floor (not round): a cap may never exceed what the governor granted.
-    The epsilon absorbs representation error in fractions like 0.7 so the
-    scalar float path and the fleet's deci-int path agree on every grid
-    point.
+    ``GRID_EPSILON`` lets the scalar float path and the fleet's integer
+    duty path agree on every grid point.
     """
     fraction = min(1.0, max(0.0, fraction))
-    return math.floor(fraction * 10.0 + 1e-9) / 10.0
+    return math.floor(fraction * DUTY_STEPS + GRID_EPSILON) / DUTY_STEPS
 
 
 def nudge_duty(duty: float, direction: int, step: float,
@@ -123,6 +126,12 @@ class DutyCapControl(ControlMethod):
         self.duty_min = max(float(duty_min), DUTY_QUANTUM)
         self._last_cap: float | None = None
 
+    def bind(self, manager: PowerManager, charger: SolarCharger | None = None) -> None:
+        if not hasattr(manager, "duty"):
+            raise ValueError(f"control {self.name!r} needs a DVFS duty knob, "
+                             f"which {type(manager).__name__} lacks")
+        super().bind(manager, charger)
+
     def apply(self, fraction: float, t: float) -> bool:
         cap = max(self.duty_min, quantize_duty(fraction))
         manager = self._manager
@@ -137,6 +146,10 @@ class DutyCapControl(ControlMethod):
         return True
 
 
+#: Controls that turn the DVFS duty knob, which only InsureController has.
+DVFS_CONTROLS = frozenset({DutyCapControl.name})
+
+
 class VmRetargetControl(ControlMethod):
     """Cap the VM target at ``floor(fraction * preferred)`` instances."""
 
@@ -146,7 +159,7 @@ class VmRetargetControl(ControlMethod):
         manager = self._manager
         preferred = manager.workload.preferred_vms
         fraction = min(1.0, max(0.0, fraction))
-        cap = min(preferred, int(math.floor(fraction * preferred + 1e-9)))
+        cap = min(preferred, int(math.floor(fraction * preferred + GRID_EPSILON)))
         if manager.vm_target <= cap:
             return False
         manager.vm_target = cap

@@ -11,6 +11,7 @@ example.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.policy import governors as _governors
 from repro.policy.controls import (
@@ -21,6 +22,7 @@ from repro.policy.controls import (
     VmRetargetControl,
 )
 from repro.policy.governors import Governor
+from repro.policy.policy import Policy
 from repro.policy.signals import (
     BatterySocSignal,
     CarbonIntensitySignal,
@@ -81,6 +83,29 @@ def make_governor(spec: str) -> Governor:
     if kind in _GOVERNOR_RULES:
         return _GOVERNOR_RULES[kind](spec)
     return _governors.parse_governor(spec)
+
+
+@dataclass(frozen=True)
+class PolicyDef:
+    """One policy as registry names plus a governor rule string: the
+    policy type of scenarios, session manifests and ``inject.policy``."""
+
+    name: str
+    signal: str
+    governor: str
+    control: str
+    interval_s: float = 300.0
+
+
+def build_policy(pdef: PolicyDef, seed: int) -> Policy:
+    """Instantiate one policy definition for a concrete site seed."""
+    return Policy(
+        name=pdef.name,
+        signal=make_signal(pdef.signal, seed=seed),
+        governor=make_governor(pdef.governor),
+        control=make_control(pdef.control),
+        interval_s=pdef.interval_s,
+    )
 
 
 def register_control(cls: type[ControlMethod]) -> type[ControlMethod]:

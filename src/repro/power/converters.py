@@ -8,6 +8,11 @@ overhead per powered server port.
 
 from __future__ import annotations
 
+#: Ohmic loss at rated load as a fraction of rating (grows with load²).
+OHMIC_LOSS_FRACTION = 0.02
+#: Load fraction beyond which the ohmic loss stops growing.
+MAX_LOAD_FRACTION = 1.2
+
 
 class DCDCConverter:
     """Loss model for the battery-bus to server-bus converter.
@@ -42,9 +47,8 @@ class DCDCConverter:
         """Conversion efficiency when delivering ``output_w``."""
         if output_w <= 0:
             return 0.0
-        load = min(output_w / self.rated_w, 1.2)
-        # Proportional (ohmic) loss grows with the square of load.
-        ohmic = 0.02 * load * load * self.rated_w
+        load = min(output_w / self.rated_w, MAX_LOAD_FRACTION)
+        ohmic = OHMIC_LOSS_FRACTION * load * load * self.rated_w
         losses = self.fixed_loss_w + ohmic
         base = output_w / (output_w + losses)
         return min(base, self.peak_efficiency)

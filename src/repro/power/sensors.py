@@ -14,6 +14,9 @@ from collections.abc import Callable
 
 import numpy as np
 
+#: Standard normals drawn per refill of a transducer's noise buffer.
+NOISE_BLOCK = 256
+
 
 class Transducer:
     """Generic measurement channel.
@@ -72,7 +75,7 @@ class Transducer:
             pos = self._noise_pos
             buf = self._noise_buf
             if pos >= len(buf):
-                buf = self._noise_buf = self.rng.standard_normal(256).tolist()
+                buf = self._noise_buf = self.rng.standard_normal(NOISE_BLOCK).tolist()
                 pos = 0
             self._noise_pos = pos + 1
             value += self.noise_std * buf[pos]

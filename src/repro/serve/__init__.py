@@ -31,7 +31,6 @@ from repro.serve.client import ServeClient, SSEvent
 from repro.serve.daemon import ServeDaemon
 from repro.serve.manager import SessionManager
 from repro.serve.manifest import (
-    PolicySpec,
     SessionManifest,
     parse_manifest,
     render_manifest,
@@ -41,7 +40,6 @@ from repro.serve.sse import EventBuffer, SSEParser, encode_event
 
 __all__ = [
     "EventBuffer",
-    "PolicySpec",
     "SSEParser",
     "SSEvent",
     "ServeClient",

@@ -38,20 +38,26 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.manager import CapacityError, SessionManager
 from repro.serve.manifest import ManifestError, parse_manifest
-from repro.serve.session import Session, SessionError, SessionState
+from repro.serve.session import Session, SessionError
 from repro.serve.sse import encode_comment
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8737
 #: Largest accepted request body (a manifest is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
+#: Most header lines one request may carry.
+MAX_HEADERS = 100
+#: Seconds a client gets to send one whole request; an SSE stream is
+#: written after the request is read, so it is not bound by this.
+REQUEST_TIMEOUT_S = 10.0
 #: Idle seconds between SSE keep-alive comments.
 SSE_HEARTBEAT_S = 10.0
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 204: "No Content", 400: "Bad Request",
-    404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-    413: "Payload Too Large", 500: "Internal Server Error",
+    404: "Not Found", 405: "Method Not Allowed", 408: "Request Timeout",
+    409: "Conflict", 413: "Payload Too Large",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
@@ -166,6 +172,15 @@ class ServeDaemon:
             writer.close()
 
     async def _read_request(self, reader: asyncio.StreamReader):
+        try:
+            return await asyncio.wait_for(self._read_request_unbounded(reader),
+                                          REQUEST_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            raise HttpError(408, f"no request within {REQUEST_TIMEOUT_S} s") from None
+        except ValueError:  # StreamReader.readline: a line overran its limit
+            raise HttpError(431, "request line or header too long") from None
+
+    async def _read_request_unbounded(self, reader: asyncio.StreamReader):
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
             raise HttpError(400, "empty request")
@@ -174,10 +189,11 @@ class ServeDaemon:
             raise HttpError(400, f"malformed request line {request_line!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-            if not line:
-                break
+        count = 0
+        while line := (await reader.readline()).decode("latin-1").rstrip("\r\n"):
+            count += 1
+            if count > MAX_HEADERS:
+                raise HttpError(431, f"more than {MAX_HEADERS} headers")
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()

@@ -32,10 +32,14 @@ tested in ``tests/serve/test_manifest.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections.abc import Mapping
 from typing import Any
 
+from repro.policy.controls import DVFS_CONTROLS
+from repro.policy.registry import (
+    PolicyDef, build_policy, control_names, make_governor, signal_names,
+)
 from repro.validate.golden import (
     BASE_SEED,
     CONTROLLERS,
@@ -62,33 +66,9 @@ _EXPLICIT_KEYS = frozenset({
 })
 _POLICY_KEYS = frozenset({"name", "signal", "governor", "control", "interval_s"})
 
-#: Controls that turn the DVFS duty knob, which only the insure
-#: controller exposes (the baseline controller has no duty cycling).
-DVFS_CONTROLS = frozenset({"duty_cap"})
-
 
 class ManifestError(ValueError):
     """Raised on any invalid manifest payload (maps to HTTP 400)."""
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """One policy overlay in registry wire format."""
-
-    name: str
-    signal: str
-    governor: str
-    control: str
-    interval_s: float = 300.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "signal": self.signal,
-            "governor": self.governor,
-            "control": self.control,
-            "interval_s": self.interval_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -105,7 +85,7 @@ class SessionManifest:
     duration_s: float = DURATION_S
     tick_slice: int = DEFAULT_TICK_SLICE
     trace_stride: int = DEFAULT_TRACE_STRIDE
-    policies: tuple[PolicySpec, ...] = ()
+    policies: tuple[PolicyDef, ...] = ()
     #: The pinned cell id this manifest was resolved from (None for the
     #: explicit form).  Cell-backed sessions get a golden verdict in
     #: their final ``summary`` event.
@@ -135,14 +115,8 @@ def _integer(payload: Mapping[str, Any], key: str, default: int) -> int:
     return int(value)
 
 
-def parse_policy(payload: Mapping[str, Any]) -> PolicySpec:
+def parse_policy(payload: Mapping[str, Any]) -> PolicyDef:
     """Validate one policy entry against the :mod:`repro.policy` registry."""
-    from repro.policy.registry import (
-        control_names,
-        make_governor,
-        signal_names,
-    )
-
     _require(isinstance(payload, Mapping), f"policy must be an object, got {payload!r}")
     unknown = set(payload) - _POLICY_KEYS
     _require(not unknown, f"unknown policy keys {sorted(unknown)}")
@@ -159,7 +133,7 @@ def parse_policy(payload: Mapping[str, Any]) -> PolicySpec:
         raise ManifestError(f"bad governor spec: {exc}") from None
     interval_s = _number(payload, "interval_s", 300.0)
     _require(interval_s > 0, f"interval_s must be positive, got {interval_s}")
-    return PolicySpec(
+    return PolicyDef(
         name=payload["name"],
         signal=payload["signal"],
         governor=payload["governor"],
@@ -182,15 +156,11 @@ def _parse_cell_form(payload: Mapping[str, Any]) -> SessionManifest:
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
     cell = resolve_cell(**axes)
-    policies: tuple[PolicySpec, ...] = ()
+    policies: tuple[PolicyDef, ...] = ()
     if cell.scenario is not None:
         from repro.experiments.scenarios import get_scenario
 
-        policies = tuple(
-            PolicySpec(name=p.name, signal=p.signal, governor=p.governor,
-                       control=p.control, interval_s=p.interval_s)
-            for p in get_scenario(cell.scenario).policies
-        )
+        policies = get_scenario(cell.scenario).policies
 
     duration_s = _number(payload, "duration_s", DURATION_S)
     _require(duration_s > 0, f"duration_s must be positive, got {duration_s}")
@@ -289,25 +259,8 @@ def render_manifest(manifest: SessionManifest) -> dict[str, Any]:
         "duration_s": manifest.duration_s,
         "tick_slice": manifest.tick_slice,
         "trace_stride": manifest.trace_stride,
-        "policies": [p.to_dict() for p in manifest.policies],
+        "policies": [asdict(p) for p in manifest.policies],
     }
-
-
-def build_policies(manifest: SessionManifest) -> list:
-    """Instantiate the manifest's policy overlays for its seed."""
-    from repro.policy.policy import Policy
-    from repro.policy.registry import make_control, make_governor, make_signal
-
-    return [
-        Policy(
-            name=spec.name,
-            signal=make_signal(spec.signal, seed=manifest.seed),
-            governor=make_governor(spec.governor),
-            control=make_control(spec.control),
-            interval_s=spec.interval_s,
-        )
-        for spec in manifest.policies
-    ]
 
 
 def build_session_system(manifest: SessionManifest):
@@ -325,7 +278,8 @@ def build_session_system(manifest: SessionManifest):
         manifest.controller, manifest.workload, manifest.weather,
         mean_w=manifest.mean_w, seed=manifest.seed,
         initial_soc=manifest.initial_soc, dt=manifest.dt,
-        observability=obs, policies=build_policies(manifest),
+        observability=obs,
+        policies=[build_policy(p, manifest.seed) for p in manifest.policies],
     )
     return system, obs
 

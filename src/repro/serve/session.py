@@ -202,7 +202,7 @@ class Session:
         self.obs.decisions.record(self.clock_t, kind, "serve", **data)
 
     def _check_control_pairing(self, control_name: Any) -> None:
-        from repro.serve.manifest import DVFS_CONTROLS
+        from repro.policy.controls import DVFS_CONTROLS
 
         if control_name in DVFS_CONTROLS and not hasattr(self._manager(), "duty"):
             raise SessionError(
@@ -211,8 +211,7 @@ class Session:
             )
 
     def _inject_policy(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        from repro.policy.policy import Policy
-        from repro.policy.registry import make_control, make_governor, make_signal
+        from repro.policy.registry import build_policy
         from repro.serve.manifest import ManifestError, parse_policy
 
         try:
@@ -222,13 +221,7 @@ class Session:
         if any(p.name == spec.name for p in self._manager().policies):
             raise SessionError(f"policy {spec.name!r} already attached")
         self._check_control_pairing(spec.control)
-        policy = Policy(
-            name=spec.name,
-            signal=make_signal(spec.signal, seed=self.manifest.seed),
-            governor=make_governor(spec.governor),
-            control=make_control(spec.control),
-            interval_s=spec.interval_s,
-        )
+        policy = build_policy(spec, self.manifest.seed)
         self._record("inject.policy", policy=spec.name, signal=spec.signal,
                      governor=spec.governor, control=spec.control,
                      interval_s=spec.interval_s)

@@ -3,12 +3,12 @@
 Each function here is a mask-based translation of one scalar control
 routine (`repro.core.energy_manager.InsureController`,
 `repro.core.baseline.BaselineController` and the shared
-`repro.core.controller_base.PowerManager` helpers).  The control cadence
-(30 s TPM / 300 s SPM / 30 s baseline period) is global — it depends only
-on dt — so it lives in plain Python counters on the batch; everything a
-site can diverge on (targets, holdoffs, trip latches, battery modes) is a
-`(n_sites,)` or `(n_sites, n_batteries)` array updated under boolean
-masks.
+`repro.core.controller_base.PowerManager` helpers) that reads its knobs
+from the same `InsureParams` / `BaselineParams` (``batch.params``).  The
+control cadence is global — it depends only on dt — so it lives in plain
+Python counters on the batch; everything a site can diverge on (targets,
+holdoffs, trip latches, battery modes) is a `(n_sites,)` or
+`(n_sites, n_batteries)` array updated under boolean masks.
 
 Ordering contract: statements execute in the exact order of the scalar
 controller so that every sensed read (rack demand, SoC estimates, solar
@@ -22,6 +22,10 @@ try:
 except ImportError:  # pragma: no cover - gated by repro.sim.fleet
     np = None
 
+from repro.core.baseline import TRIP_AMPS
+from repro.core.controller_base import BATTERY_NEEDED_MARGIN
+from repro.core.energy_manager import RESERVE_STEP_W
+from repro.policy.controls import DUTY_STEPS
 from repro.sim.fleet.kernel import (
     _BOOTING,
     _BUS_CHARGE,
@@ -35,38 +39,6 @@ from repro.sim.fleet.kernel import (
     _STANDBY,
 )
 
-# --- InsureParams / TemporalParams / SpatialParams defaults ------------
-TPM_INTERVAL_S = 30.0
-SPM_INTERVAL_S = 300.0
-USABLE_MARGIN = 0.05
-SOC_FLOOR = 0.25            # TemporalParams.soc_floor
-CAP_C_RATE = 0.30
-RELAX_FRACTION = 0.6
-VM_STEP = 2
-DUTY_MIN_DECI = 5           # duty 0.5 in tenths
-MIN_RESTART_VMS = 2
-MIN_ONLINE_UNITS = 1
-SOLAR_MARGIN = 0.9
-UPSCALE_HOLDOFF_S = 600.0
-DOWNSCALE_HOLDOFF_S = 180.0
-BATCH_RECONFIG_HOLDOFF_S = 900.0
-CRASH_BACKOFF_S = 420.0
-LIFETIME_AH = 17500.0
-DESIGN_LIFE_DAYS = 4.0 * 365.0
-CHARGE_TO_SOC = 0.90
-PEAK_CHARGE_POWER_W = 270.0
-MIN_CHARGE_SURPLUS_W = 40.0
-ELASTIC_STEP = 0.25
-
-# --- BaselineParams defaults -------------------------------------------
-BL_CONTROL_INTERVAL_S = 30.0
-BL_PROTECT_MARGIN_V = 0.15
-BL_SOC_FLOOR = 0.08
-BL_CHARGE_TO_SOC = 0.90
-BL_BANK_POWER_PER_UNIT_W = 420.0
-BL_UPSCALE_HOLDOFF_S = 120.0
-BL_START_MIN_SOC = 0.25
-
 
 def start(batch) -> None:
     """Controller.start(): initial battery modes + direct relay attach.
@@ -77,11 +49,11 @@ def start(batch) -> None:
     state.
     """
     if batch.controller == "insure":
-        high = batch.est >= CHARGE_TO_SOC
+        high = batch.est >= batch.params.spatial.charge_to_soc
         new_mode = np.where(high, _STANDBY, _OFFLINE).astype(np.int8)
         new_bus = np.where(high, _BUS_LOAD, _BUS_OFFLINE).astype(np.int8)
     else:
-        online = batch.est.min(axis=1) >= BL_START_MIN_SOC
+        online = batch.est.min(axis=1) >= batch.params.start_min_soc
         batch.buffer_online = online.copy()
         cols = online[:, None] & np.ones((1, batch.b), dtype=bool)
         new_mode = np.where(cols, _STANDBY, _CHARGING).astype(np.int8)
@@ -95,14 +67,14 @@ def start(batch) -> None:
 # InSURE
 # ======================================================================
 def insure_step(batch, k: int) -> None:
-    dt = batch.dt
+    dt, p = batch.dt, batch.params
     t = k * dt
     batch._tpm_elapsed += dt
-    if batch._tpm_elapsed >= TPM_INTERVAL_S:
+    if batch._tpm_elapsed >= p.tpm_interval_s:
         batch._tpm_elapsed = 0.0
         _insure_temporal(batch, t)
     batch._spm_elapsed += dt
-    if batch._spm_elapsed >= SPM_INTERVAL_S:
+    if batch._spm_elapsed >= p.spm_interval_s:
         batch._spm_elapsed = 0.0
         _insure_spatial(batch, t, k)
 
@@ -112,11 +84,17 @@ def _usable_count(batch, floor: float) -> np.ndarray:
     return usable.sum(axis=1)
 
 
+def _battery_needed(batch) -> np.ndarray:
+    """PowerManager.battery_needed."""
+    return batch._rack_view().demand > batch.ema * BATTERY_NEEDED_MARGIN
+
+
 def _sizing_target(batch) -> np.ndarray:
     """InsureController._sizing_target on the slow EMA + safe battery W."""
-    per_unit_w = CAP_C_RATE * batch.kib_cap * batch.nominal_v
-    safe_w = _usable_count(batch, SOC_FLOOR + USABLE_MARGIN) * per_unit_w
-    supportable = batch.ema_slow * SOLAR_MARGIN + safe_w
+    p, battery = batch.params, batch.battery
+    per_unit_w = p.temporal.cap_c_rate * battery.capacity_ah * battery.nominal_voltage
+    safe_w = _usable_count(batch, p.temporal.soc_floor + p.usable_margin) * per_unit_w
+    supportable = batch.ema_slow * p.solar_margin + safe_w
     vms = (supportable // batch.per_vm_w).astype(np.int64)
     return np.maximum(0, np.minimum(batch.preferred_vms, vms))
 
@@ -128,15 +106,15 @@ def _checkpoint_and_stop(batch, mask: np.ndarray) -> None:
     # rack.graceful_stop_all: power_off any server reconcile left running.
     cells = mask[:, None] & ((batch.sstate == _ON) | (batch.sstate == _BOOTING))
     batch.sstate = np.where(cells, _SAVING, batch.sstate)
-    batch.stimer = np.where(cells, batch.srv_save_s, batch.stimer)
+    batch.stimer = np.where(cells, batch.server.save_s, batch.stimer)
 
 
 def _insure_temporal(batch, t: float) -> None:
-    n = batch.n
-    batch.since_up += TPM_INTERVAL_S
-    batch.since_down += TPM_INTERVAL_S
-    batch.since_batch += TPM_INTERVAL_S
-    batch.since_crash += TPM_INTERVAL_S
+    n, p = batch.n, batch.params
+    batch.since_up += p.tpm_interval_s
+    batch.since_down += p.tpm_interval_s
+    batch.since_batch += p.tpm_interval_s
+    batch.since_crash += p.tpm_interval_s
 
     # Crash backoff: an uncontrolled power loss zeroes the target.
     crashed = batch.crashes > batch.seen_crashes
@@ -150,8 +128,7 @@ def _insure_temporal(batch, t: float) -> None:
 
     online = batch._bank_view().online
     n_online = online.sum(axis=1)
-    demand = batch._rack_view().demand
-    battery_needed = demand > batch.ema * 1.02
+    battery_needed = _battery_needed(batch)
 
     # TemporalPolicy.evaluate over sensed aggregates.
     total_dis = np.where(
@@ -159,13 +136,13 @@ def _insure_temporal(batch, t: float) -> None:
     ).sum(axis=1)
     min_soc = np.where(online, batch.est, np.inf).min(axis=1)
     min_soc = np.where(n_online > 0, min_soc, 0.0)
-    cap = CAP_C_RATE * batch.kib_cap * n_online
-    act_ckpt = (n_online > 0) & battery_needed & (min_soc <= SOC_FLOOR)
+    cap = p.temporal.cap_c_rate * batch.battery.capacity_ah * n_online
+    act_ckpt = (n_online > 0) & battery_needed & (min_soc <= p.temporal.soc_floor)
     act_cap = ~act_ckpt & (n_online > 0) & (total_dis > cap)
     act_relax = (
         ~act_ckpt
         & ~act_cap
-        & ((total_dis < cap * RELAX_FRACTION) | ~battery_needed)
+        & ((total_dis < cap * p.temporal.relax_fraction) | ~battery_needed)
     )
 
     do_ckpt = act_ckpt & ~batch.protect.any(axis=1)
@@ -192,19 +169,20 @@ def _insure_temporal(batch, t: float) -> None:
 
 def _ensure_online_reserve(batch) -> None:
     """Keep min_online_units usable cabinets on the load bus."""
-    floor = SOC_FLOOR + USABLE_MARGIN
+    p = batch.params
+    floor = p.temporal.soc_floor + p.usable_margin
     n_usable = _usable_count(batch, floor)
     demand = batch._rack_view().demand
     want = np.maximum(
-        MIN_ONLINE_UNITS,
-        np.minimum(batch.b, (demand // 500.0).astype(np.int64) + 1),
+        p.min_online_units,
+        np.minimum(batch.b, (demand // RESERVE_STEP_W).astype(np.int64) + 1),
     )
     need = n_usable < want
     if not need.any():
         return
     candidates = (
         ((batch.mode == _OFFLINE) | (batch.mode == _CHARGING))
-        & (batch.est > floor + USABLE_MARGIN)
+        & (batch.est > floor + p.usable_margin)
     )
     # Highest SoC first, stable (scalar sort(reverse=True) is stable too).
     key = np.where(candidates, -batch.est, np.inf)
@@ -225,26 +203,31 @@ def _ensure_online_reserve(batch) -> None:
 def _match_load(batch, mask: np.ndarray, act_cap: np.ndarray,
                 act_relax: np.ndarray) -> None:
     """Power-aware load matching via duty cycle or VM scaling."""
+    p, temporal = batch.params, batch.params.temporal
+    vm_step = temporal.vm_step
     cap_target = _sizing_target(batch)
 
     if batch.actuation == "duty":
-        # Duty lives in exact tenths; ±1 deci replicates round(d±0.1, 3).
+        # Duty lives in exact quanta: ±step replicates round(d ± duty_step, 3).
+        step = round(temporal.duty_step * DUTY_STEPS)
+        floor = round(temporal.duty_min * DUTY_STEPS)
         new_deci = batch.duty_deci.copy()
         new_deci = np.where(
-            act_cap, np.maximum(DUTY_MIN_DECI, batch.duty_deci - 1), new_deci
+            act_cap, np.maximum(floor, batch.duty_deci - step), new_deci
         )
         new_deci = np.where(
-            act_relax, np.minimum(10, batch.duty_deci + 1), new_deci
+            act_relax, np.minimum(DUTY_STEPS, batch.duty_deci + step), new_deci
         )
         changed = mask & (new_deci != batch.duty_deci)
         if changed.any():
             batch.duty_deci = np.where(changed, new_deci, batch.duty_deci)
+        # The scalar batch-upscale hysteresis is two VMs, not vm_step.
         batch_up = (
             mask
             & act_relax
-            & (batch.duty_deci >= 10)
-            & (cap_target >= batch.vm_target + VM_STEP)
-            & (batch.since_batch >= BATCH_RECONFIG_HOLDOFF_S)
+            & (batch.duty_deci >= DUTY_STEPS)
+            & (cap_target >= batch.vm_target + 2)
+            & (batch.since_batch >= p.batch_reconfig_holdoff_s)
         )
         if batch_up.any():
             batch.since_batch = np.where(batch_up, 0.0, batch.since_batch)
@@ -253,34 +236,34 @@ def _match_load(batch, mask: np.ndarray, act_cap: np.ndarray,
         batch_down = (
             mask
             & act_cap
-            & (batch.duty_deci <= DUTY_MIN_DECI)
-            & (batch.vm_target > VM_STEP)
-            & (batch.since_batch >= BATCH_RECONFIG_HOLDOFF_S)
+            & (batch.duty_deci <= floor)
+            & (batch.vm_target > vm_step)
+            & (batch.since_batch >= p.batch_reconfig_holdoff_s)
         )
         if batch_down.any():
             batch.since_batch = np.where(batch_down, 0.0, batch.since_batch)
-            shrunk = batch.vm_target - VM_STEP
+            shrunk = batch.vm_target - vm_step
             batch.vm_target = np.where(batch_down, shrunk, batch.vm_target)
             batch._set_target(batch_down, shrunk)
     else:
         new_target = batch.vm_target.copy()
         new_target = np.where(
-            act_cap, np.maximum(0, batch.vm_target - VM_STEP), new_target
+            act_cap, np.maximum(0, batch.vm_target - vm_step), new_target
         )
         new_target = np.where(
             act_relax,
-            np.minimum(batch.preferred_vms, batch.vm_target + VM_STEP),
+            np.minimum(batch.preferred_vms, batch.vm_target + vm_step),
             new_target,
         )
         new_target = np.minimum(new_target, np.maximum(cap_target, 0))
         up = mask & (new_target > batch.vm_target)
         up_blocked = up & (
-            (batch.since_up < UPSCALE_HOLDOFF_S)
-            | (batch.since_crash < CRASH_BACKOFF_S)
+            (batch.since_up < p.upscale_holdoff_s)
+            | (batch.since_crash < p.crash_backoff_s)
         )
         batch.since_up = np.where(up & ~up_blocked, 0.0, batch.since_up)
         down = mask & (new_target < batch.vm_target) & ~act_cap
-        down_blocked = down & (batch.since_down < DOWNSCALE_HOLDOFF_S)
+        down_blocked = down & (batch.since_down < p.downscale_holdoff_s)
         batch.since_down = np.where(
             down & ~down_blocked, 0.0, batch.since_down
         )
@@ -308,41 +291,45 @@ def _drain_protect(batch) -> None:
 
 def _maybe_restart(batch) -> None:
     """Restart the cluster after a protective stop, once safe."""
+    p = batch.params
     idle = (batch.vm_target <= 0) & ~batch._rack_view().active
-    ready = idle & (batch.since_crash >= CRASH_BACKOFF_S)
-    ready &= _usable_count(batch, SOC_FLOOR + USABLE_MARGIN) >= MIN_ONLINE_UNITS
+    ready = idle & (batch.since_crash >= p.crash_backoff_s)
+    floor = p.temporal.soc_floor + p.usable_margin
+    ready &= _usable_count(batch, floor) >= p.min_online_units
     if not ready.any():
         return
     target = _sizing_target(batch)
-    go = ready & (target >= MIN_RESTART_VMS)
+    go = ready & (target >= p.min_restart_vms)
     if go.any():
         batch.vm_target = np.where(go, target, batch.vm_target)
-        batch.duty_deci = np.where(go, 10, batch.duty_deci)
+        batch.duty_deci = np.where(go, DUTY_STEPS, batch.duty_deci)
         batch._set_target(go, target)
 
 
 def _insure_spatial(batch, t: float, k: int) -> None:
     """SPM: offline screening (Fig. 9) + charge batch sizing (Fig. 10)."""
+    p = batch.params
+    spatial = p.spatial
     offline = batch.mode == _OFFLINE
     charging = batch.mode == _CHARGING
     demand = batch._rack_view().demand
     surplus = np.maximum(0.0, batch.ema - demand)
     usable_any = (
-        batch._bank_view().online & (batch.est > SOC_FLOOR)
+        batch._bank_view().online & (batch.est > p.temporal.soc_floor)
     ).any(axis=1)
     starving = batch._backlog_at_control(k) & ~usable_any
 
-    daily_budget = LIFETIME_AH / DESIGN_LIFE_DAYS
-    prorated = LIFETIME_AH * (t / 86400.0) / DESIGN_LIFE_DAYS
+    # SpatialPolicy.discharge_threshold over its BudgetRampGovernor.
+    prorated = batch.budget.limit(t)
     threshold = prorated + batch.elastic_bonus
     eligible = offline & (batch.sense_dis < threshold[:, None])
     overused = offline & ~eligible
     # Elastic relaxation: starved sites with only over-used cabinets.
-    relax = ~eligible.any(axis=1) & overused.any(axis=1) & starving
+    relax = ~eligible.any(axis=1) & overused.any(axis=1) & starving & spatial.elastic
     if relax.any():
         batch.elastic_bonus = np.where(
             relax,
-            batch.elastic_bonus + ELASTIC_STEP * daily_budget,
+            batch.elastic_bonus + spatial.elastic_step * batch.budget.daily(),
             batch.elastic_bonus,
         )
         threshold = np.where(relax, prorated + batch.elastic_bonus, threshold)
@@ -350,11 +337,11 @@ def _insure_spatial(batch, t: float, k: int) -> None:
 
     with np.errstate(invalid="ignore"):
         n_batch = np.where(
-            surplus < MIN_CHARGE_SURPLUS_W,
+            surplus < spatial.min_charge_surplus_w,
             0,
             np.maximum(
                 1,
-                np.floor(surplus / PEAK_CHARGE_POWER_W).astype(np.int64),
+                np.floor(surplus / spatial.peak_charge_power_w).astype(np.int64),
             ),
         )
     slots = np.maximum(0, n_batch - charging.sum(axis=1))
@@ -368,12 +355,12 @@ def _insure_spatial(batch, t: float, k: int) -> None:
     )
     picked = eligible & (rank < slots[:, None])
     batch._transition(picked, _CHARGING)
-    batch._transition(charging & (batch.est >= CHARGE_TO_SOC), _STANDBY)
+    batch._transition(charging & (batch.est >= spatial.charge_to_soc), _STANDBY)
 
     # Sunset release: nothing to charge from — free usable cabinets.
-    sunset = surplus < MIN_CHARGE_SURPLUS_W
+    sunset = surplus < spatial.min_charge_surplus_w
     if sunset.any():
-        floor = SOC_FLOOR + 2 * USABLE_MARGIN
+        floor = p.temporal.soc_floor + 2 * p.usable_margin
         batch._transition(
             sunset[:, None] & (batch.mode == _CHARGING) & (batch.est > floor),
             _STANDBY,
@@ -384,12 +371,12 @@ def _insure_spatial(batch, t: float, k: int) -> None:
 # Baseline
 # ======================================================================
 def baseline_step(batch, k: int) -> None:
-    dt = batch.dt
-    batch._ctl_elapsed += dt
-    if batch._ctl_elapsed < BL_CONTROL_INTERVAL_S:
+    interval = batch.params.control_interval_s
+    batch._ctl_elapsed += batch.dt
+    if batch._ctl_elapsed < interval:
         return
     batch._ctl_elapsed = 0.0
-    batch.since_up += BL_CONTROL_INTERVAL_S
+    batch.since_up += interval
     online_sites = batch.buffer_online.copy()
     _baseline_online(batch, online_sites)
     _baseline_charging(batch, ~online_sites)
@@ -401,7 +388,7 @@ def baseline_step(batch, k: int) -> None:
 def _baseline_retarget(batch, mask: np.ndarray, target: np.ndarray) -> None:
     """BaselineController._retarget: damped upscaling only."""
     up = mask & (target > batch.vm_target)
-    up_blocked = up & (batch.since_up < BL_UPSCALE_HOLDOFF_S)
+    up_blocked = up & (batch.since_up < batch.params.upscale_holdoff_s)
     batch.since_up = np.where(up & ~up_blocked, 0.0, batch.since_up)
     apply = mask & ~up_blocked & (target != batch.vm_target)
     if apply.any():
@@ -412,9 +399,10 @@ def _baseline_retarget(batch, mask: np.ndarray, target: np.ndarray) -> None:
 def _baseline_online(batch, mask: np.ndarray) -> None:
     if not mask.any():
         return
-    cutoff = batch.v_cutoff + BL_PROTECT_MARGIN_V
-    unit_trip = (batch.sense_v <= cutoff) & (batch.sense_i > 0.5)
-    tripping = unit_trip.any(axis=1) | (batch.est.min(axis=1) <= BL_SOC_FLOOR)
+    p = batch.params
+    cutoff = batch.battery.voltage.v_cutoff + p.protect_margin_v
+    unit_trip = (batch.sense_v <= cutoff) & (batch.sense_i > TRIP_AMPS)
+    tripping = unit_trip.any(axis=1) | (batch.est.min(axis=1) <= p.soc_floor)
     trip = mask & (tripping | batch.trip_pending)
     first = trip & ~batch.trip_pending
     if first.any():
@@ -434,13 +422,13 @@ def _baseline_online(batch, mask: np.ndarray) -> None:
     serve = mask & ~trip
     if not serve.any():
         return
-    bank_w = BL_BANK_POWER_PER_UNIT_W * batch.b
+    bank_w = p.bank_power_per_unit_w * batch.b
     supportable = batch.ema + bank_w
     vms = (supportable // batch.per_vm_w).astype(np.int64)
     target = np.maximum(0, np.minimum(batch.preferred_vms, vms))
     _baseline_retarget(batch, serve, target)
 
-    battery_needed = batch._rack_view().demand > batch.ema * 1.02
+    battery_needed = _battery_needed(batch)
     batch._transition(
         serve[:, None] & batch._bank_view().standby & battery_needed[:, None],
         _DISCHARGING,
@@ -455,7 +443,7 @@ def _baseline_charging(batch, mask: np.ndarray) -> None:
     if not mask.any():
         return
     _baseline_retarget(batch, mask, np.zeros(batch.n, dtype=np.int64))
-    charged = mask & (batch.est >= BL_CHARGE_TO_SOC).all(axis=1)
+    charged = mask & (batch.est >= batch.params.charge_to_soc).all(axis=1)
     if charged.any():
         cells = charged[:, None] & np.ones((1, batch.b), dtype=bool)
         batch._transition(cells, _STANDBY)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.policy.controls import DUTY_STEPS
 from repro.sim.fleet.kernel import _FleetBatch
 from repro.sim.fleet.validator import spec_for_cell
 
@@ -83,7 +84,7 @@ def snapshot_batch(batch: _FleetBatch, i: int = 0) -> dict[str, Any]:
         snap[f"sense_dis[{u}]"] = float(batch.sense_dis[i, u])
     for s in range(batch.s):
         snap[f"sstate[{s}]"] = _SSTATE_NAMES[int(batch.sstate[i, s])]
-        snap[f"duty[{s}]"] = int(batch.duty_deci[i]) / 10.0
+        snap[f"duty[{s}]"] = int(batch.duty_deci[i]) / DUTY_STEPS
         snap[f"placed[{s}]"] = int(batch.placed[i, s])
     snap["on_off"] = int(batch.on_off[i])
     snap["alloc_target"] = int(batch.alloc_target[i])

@@ -47,8 +47,29 @@ try:
 except ImportError:  # pragma: no cover - numpy ships in the base install
     np = None
 
+from repro.battery.charger import FILL_ROUNDS, FLOAT_FRACTION, GRANT_EPSILON_W, SolarCharger
+from repro.battery.params import BatteryParams
+from repro.battery.voltage import EMF_EXPONENT
+from repro.battery.wear import SHELF_MARGIN
+from repro.cluster.profiles import XEON_DL380
+from repro.cluster.server import SAVING_UTILISATION
+from repro.core.baseline import BaselineParams
+from repro.core.controller_base import SLOW_EMA_FACTOR, SOLAR_EMA_TAU_S
+from repro.core.energy_manager import InsureParams
+from repro.core.sensing import (
+    I_SCALE, OCV_REST_S, OCV_WEIGHT, PLC_SCAN_PERIOD_S, REST_AMPS, V_SCALE,
+)
+from repro.core.system import _UNSERVED_TOLERANCE_FRACTION, _UNSERVED_TOLERANCE_W
+from repro.policy.controls import DUTY_STEPS, DVFS_CONTROLS, GRID_EPSILON
+from repro.policy.governors import BudgetRampGovernor
+from repro.power.converters import (
+    MAX_LOAD_FRACTION, OHMIC_LOSS_FRACTION, DCDCConverter, PowerDistributionUnit,
+)
+from repro.power.sensors import NOISE_BLOCK, CurrentTransducer, VoltageTransducer
 from repro.sim.rng import RandomStreams
+from repro.telemetry.metrics import VOLTAGE_SAMPLE_S
 from repro.workloads import SeismicAnalysis, VideoSurveillance
+from repro.workloads.base import JOB_EPSILON_GB
 
 __all__ = ["FleetUnsupported", "SiteSpec", "simulate_fleet"]
 
@@ -61,24 +82,22 @@ class FleetUnsupported(RuntimeError):
     """
 
 
-# Battery operating modes (matching repro.battery.unit.BatteryMode order).
+# repro: allow[kernel-parity] fleet encoding, in repro.battery.unit.BatteryMode order
 _OFFLINE, _CHARGING, _STANDBY, _DISCHARGING = 0, 1, 2, 3
 # Relay bus attachment (both relays open / charge closed / discharge closed).
 _BUS_OFFLINE, _BUS_CHARGE, _BUS_LOAD = 0, 1, 2
 #: Bus a mode maps to (repro.power.modes.bus_for_mode).
 _BUS_FOR_MODE = (_BUS_OFFLINE, _BUS_CHARGE, _BUS_LOAD, _BUS_LOAD)
-# Server lifecycle (matching repro.cluster.server.ServerState).
+# repro: allow[kernel-parity] fleet encoding, in repro.cluster.server.ServerState order
 _OFF, _BOOTING, _ON, _SAVING = 0, 1, 2, 3
 
-#: Transducer noise block length (repro.power.sensors.Transducer).
-_NOISE_BLOCK = 256
-#: Upper bound, in float64 samples, on the buffered noise of a batch.
-_NOISE_BUDGET = 1 << 20
+#: Upper bound, in float64 samples, on the buffered noise of a batch, and
+#: on the noise blocks one refill draws per stream.
+_NOISE_BUDGET = 1 << 20  # repro: allow[kernel-parity] fleet memory budget
+_MAX_REFILL_BLOCKS = 8  # repro: allow[kernel-parity] fleet refill cap
 
 _SUPPORTED_CONTROLLERS = ("insure", "baseline")
 _WORKLOADS = {"video": VideoSurveillance, "seismic": SeismicAnalysis}
-#: VM slots per server (xeon-dl380, the only profile the kernel ports).
-_VM_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -98,9 +117,9 @@ class SiteSpec:
     initial_soc: float
     trace_power_w: tuple
     trace_dt_s: float
-    battery_count: int = 3
-    server_count: int = 4
-    dt_s: float = 5.0
+    battery_count: int = 3  # repro: allow[kernel-parity] build_system default
+    server_count: int = 4  # repro: allow[kernel-parity] build_system default
+    dt_s: float = 5.0  # repro: allow[kernel-parity] build_system default
     duration_s: float | None = None
     #: Policy scenario overlay (a name from
     #: :mod:`repro.experiments.scenarios`); None runs the bare controller.
@@ -123,7 +142,7 @@ def _check_supported(spec: SiteSpec) -> None:
         raise FleetUnsupported(f"workload {spec.workload!r} not batchable")
     if spec.trace_dt_s != spec.dt_s:
         raise FleetUnsupported("trace_dt_s must equal dt_s for the fleet kernel")
-    if spec.dt_s < 0.5:
+    if spec.dt_s < PLC_SCAN_PERIOD_S:
         raise FleetUnsupported("dt below the PLC scan period is not batchable")
     if spec.battery_count < 1 or spec.server_count < 1:
         raise FleetUnsupported("degenerate bank or rack")
@@ -133,20 +152,20 @@ def _check_supported(spec: SiteSpec) -> None:
     # The scalar allocator raises at the first scale-up past the rack's
     # VM capacity; the kernel's controllers have no such ceiling.
     preferred = _WORKLOADS[spec.workload].preferred_vms
-    if spec.server_count * _VM_SLOTS < preferred:
+    if spec.server_count * XEON_DL380.vm_slots < preferred:
         raise FleetUnsupported(
             f"{spec.server_count} servers hold fewer than the "
             f"{preferred} VMs {spec.workload!r} scales to"
         )
     if spec.scenario is not None:
-        _check_scenario_supported(spec.scenario)
+        _check_scenario_supported(spec)
 
 
 #: Control methods the batch kernel can apply as masked array ops.
 _FLEET_CONTROLS = frozenset({"duty_cap", "vm_retarget", "charge_current_cap"})
 
 
-def _check_scenario_supported(scenario: str) -> None:
+def _check_scenario_supported(spec: SiteSpec) -> None:
     """A scenario batches iff its signals are pure functions of time and
     its controls have an array port; anything else (plant-coupled signals
     like SoC/solar-forecast, checkpoint shedding) falls back to scalar."""
@@ -155,10 +174,14 @@ def _check_scenario_supported(scenario: str) -> None:
     from repro.policy.signals import DiurnalSignal
 
     try:
-        spec = get_scenario(scenario)
+        scenario = get_scenario(spec.scenario)
     except ValueError as exc:
         raise FleetUnsupported(str(exc)) from None
-    for pdef in spec.policies:
+    for pdef in scenario.policies:
+        # DutyCapControl.bind's own check: the scalar build rejects these.
+        if pdef.control in DVFS_CONTROLS and spec.controller != "insure":
+            raise ValueError(f"control {pdef.control!r} needs a DVFS duty knob, "
+                             f"which the {spec.controller} controller lacks")
         if pdef.control not in _FLEET_CONTROLS:
             raise FleetUnsupported(
                 f"policy control {pdef.control!r} not batchable"
@@ -175,8 +198,9 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
 
     Sites are grouped into homogeneous lockstep batches; results come back
     in input order.  Raises :class:`FleetUnsupported` if any site cannot
-    be batched, ValueError for an initial SoC outside [0, 1] (as the
-    scalar build does) and ImportError when numpy is unavailable.
+    be batched, ValueError for an initial SoC outside [0, 1] or a duty
+    control on a controller without a duty knob (as the scalar build
+    does) and ImportError when numpy is unavailable.
     """
     from repro.sim.fleet import require_numpy
 
@@ -290,75 +314,40 @@ class _FleetBatch:
     # Setup
     # ------------------------------------------------------------------
     def _init_constants(self) -> None:
-        # Derived constants computed with the scalar code's expressions so
-        # batched arithmetic starts from bit-identical values.
+        # The scalar objects build_system wires own every parameter; the
+        # batch keeps only what it derives from them, with the scalar
+        # code's own expressions, so batched arithmetic starts bit-identical.
         dt = self.dt
         self.dt_h = dt / 3600.0
-        # KiBaM (repro.battery.kibam, defaults c=0.62, k=4/h, 35 Ah)
-        self.kib_c = 0.62
-        self.kib_cap = 35.0
-        self.kib_k = 4.0
-        self.k_eff = self.kib_k * self.kib_c * (1.0 - self.kib_c) * self.kib_cap
-        self.y1_cap = self.kib_c * self.kib_cap
-        self.y2_cap = (1.0 - self.kib_c) * self.kib_cap
-        # Voltage model (repro.battery.voltage)
-        self.emf_empty = 23.0
-        self.emf_full = 25.6
-        self.r_internal = 0.03
-        self.v_charge_max = 28.8
-        self.v_cutoff = 23.3
-        # Acceptance (repro.battery.acceptance)
-        self.acc_bulk = 0.25 * self.kib_cap
-        self.acc_floor = 0.01 * self.kib_cap
-        self.acc_taper_start = 0.85
-        self.acc_taper_exp = 4.0
-        self.acc_gassing_soc = 0.88
-        self.acc_gassing_frac = 0.3
-        self.acc_parasitic = 0.6
-        # Wear (repro.battery.wear)
-        self.wear_lifetime = 17500.0
-        self.wear_design_days = 1460.0
-        self.wear_stress_rate = 0.3
-        self.wear_rate_slope = 2.0
-        self.wear_deep = 0.45
-        self.wear_deep_slope = 1.5
-        # Transducers (repro.power.sensors), one row per channel, voltage
-        # then current: input range and noise sigma.
-        self.sense_lo = np.array([0.0, -25.0])[:, None, None]
-        self.sense_hi = np.array([50.0, 25.0])[:, None, None]
+        self.battery = battery = BatteryParams()
+        self.server = XEON_DL380
+        self.charger = SolarCharger()
+        self.converter = DCDCConverter()
+        self.pdu = PowerDistributionUnit()
+        self.params = InsureParams() if self.controller == "insure" else BaselineParams()
+        cap, c = battery.capacity_ah, battery.kibam.c
+        # KiBaM.apply_current and _clamp_wells
+        self.k_eff = battery.kibam.k_per_hour * c * (1.0 - c) * cap
+        self.y1_cap = c * cap
+        self.y2_cap = (1.0 - c) * cap
+        # ChargeAcceptance.max_current (bulk, floor) and SolarCharger.float_step
+        self.acc_bulk = battery.acceptance.bulk_c_rate * cap
+        self.float_amps = battery.acceptance.float_c_rate * cap
+        # BatteryUnit.idle
+        leak_ah = battery.self_discharge_per_day * cap * dt / 86400.0
+        self.leak_amps = leak_ah * 3600.0 / dt
+        # Sensing chain, one row per channel (voltage, current): the
+        # transducer's range, noise sigma and ADC levels, then the PLC
+        # register scale.
+        rows = [(t.lo, t.hi, t.noise_std, t.levels, scale)
+                for t, scale in ((VoltageTransducer(float), V_SCALE),
+                                 (CurrentTransducer(float), I_SCALE))]
+        (self.sense_lo, self.sense_hi, self.sense_sigma, self.sense_levels,
+         self.sense_scale) = (
+            np.array(column, dtype=np.float64)[:, None, None]
+            for column in zip(*rows)
+        )
         self.sense_span = self.sense_hi - self.sense_lo
-        self.sense_sigma = np.array([0.03, 0.05])[:, None, None]
-        # Self discharge leak (repro.battery.unit.idle)
-        self.leak_ah = 0.001 * self.kib_cap * dt / 86400.0
-        self.leak_amps = self.leak_ah * 3600.0 / dt
-        # Charger (repro.battery.charger)
-        self.chg_eff = 0.94
-        self.chg_overhead = 15.0
-        self.float_amps = 0.01 * self.kib_cap
-        # DC/DC converter (repro.power.converters.DCDCConverter)
-        self.conv_rated = 2000.0
-        self.conv_peak_eff = 0.955
-        self.conv_fixed_loss = 12.0
-        # PDU
-        self.pdu_overhead = 2.0
-        # Server profile (xeon-dl380)
-        self.srv_idle = 280.0
-        self.srv_peak = 450.0
-        self.srv_boot_s = 660.0
-        self.srv_save_s = 240.0
-        self.srv_slots = _VM_SLOTS
-        self.cpu_share = 0.2
-        # per_vm_w (repro.core.controller_base.Controller.__init__)
-        u = self.cpu_share * self.srv_slots
-        if u > 1.0:
-            u = 1.0
-        self.per_vm_w = (
-            self.srv_idle + (self.srv_peak - self.srv_idle) * u
-        ) / self.srv_slots
-        # Shedding (repro.core.system.PlantCoupler)
-        self.shed_tol_w = 30.0
-        self.shed_tol_frac = 0.03
-        self.nominal_v = 24.0
 
     def _init_trace(self) -> None:
         trace = np.zeros((self.n, self.steps), dtype=np.float64)
@@ -372,10 +361,9 @@ class _FleetBatch:
         n, b = self.n, self.b
         soc0 = np.array([s.initial_soc for s in self.specs], dtype=np.float64)
         # BatteryUnit.__init__: y1 = soc*c*cap, y2 = soc*(1-c)*cap
-        self.y1 = np.repeat((soc0 * self.kib_c * self.kib_cap)[:, None], b, axis=1)
-        self.y2 = np.repeat(
-            (soc0 * (1.0 - self.kib_c) * self.kib_cap)[:, None], b, axis=1
-        )
+        cap, c = self.battery.capacity_ah, self.battery.kibam.c
+        self.y1 = np.repeat((soc0 * c * cap)[:, None], b, axis=1)
+        self.y2 = np.repeat((soc0 * (1.0 - c) * cap)[:, None], b, axis=1)
         self.last_i = np.zeros((n, b), dtype=np.float64)
         self.mode = np.full((n, b), _STANDBY, dtype=np.int8)
         self.bus = np.full((n, b), _BUS_OFFLINE, dtype=np.int8)
@@ -408,15 +396,15 @@ class _FleetBatch:
         # calls).  Both channels of all n*b cells count against the
         # budget, so large batches keep one 256-sample block.
         cells = 2 * self.n * self.b
-        mult = max(1, min(8, _NOISE_BUDGET // (_NOISE_BLOCK * cells)))
-        self.noise_block = _NOISE_BLOCK * mult
+        mult = max(1, min(_MAX_REFILL_BLOCKS, _NOISE_BUDGET // (NOISE_BLOCK * cells)))
+        self.noise_block = NOISE_BLOCK * mult
         # Stream-major: every stream refills one contiguous row in place,
         # and a tick reads its (2, n, b) slot across the rows.
         self._blk = np.empty(
             (2, self.n, self.b, self.noise_block), dtype=np.float64
         )
         # Per-channel (block, n, b) views of the same buffer.
-        self._blk_v, self._blk_i = self._blk.transpose(0, 3, 1, 2)
+        self._blk_v, self._blk_i = np.moveaxis(self._blk, -1, 1)
 
     def _refill_noise(self) -> None:
         # The scalar transducer refills a 256-sample block when exhausted;
@@ -433,7 +421,7 @@ class _FleetBatch:
         self.placed = np.zeros((n, s), dtype=np.int64)
         self.crashes = np.zeros(n, dtype=np.int64)
         self.on_off = np.zeros(n, dtype=np.int64)
-        self.duty_deci = np.full(n, 10, dtype=np.int64)  # duty = deci / 10
+        self.duty_deci = np.full(n, DUTY_STEPS, dtype=np.int64)  # duty = deci / steps
         self.vm_target = np.zeros(n, dtype=np.int64)   # controller's view
         self.alloc_target = np.zeros(n, dtype=np.int64)  # allocator's view
         self.vm_ops = np.zeros(n, dtype=np.int64)
@@ -455,6 +443,8 @@ class _FleetBatch:
             self.elastic_bonus = np.zeros(n, dtype=np.float64)
             self._tpm_elapsed = float("inf")
             self._spm_elapsed = float("inf")
+            sp = self.params.spatial
+            self.budget = BudgetRampGovernor(sp.lifetime_ah, sp.design_life_days)
         else:
             self.since_up = inf.copy()
             self.buffer_online = np.zeros(n, dtype=bool)
@@ -464,31 +454,23 @@ class _FleetBatch:
     def _init_workload(self) -> None:
         # Arrivals are site-independent: drive the real scalar workload's
         # _generate over the whole horizon once and record the schedule.
-        if self.workload_kind == "video":
-            wl = VideoSurveillance()
-            self.ckpt_interval = wl.checkpoint_interval_s
-            self.gb_rate = wl.gb_per_compute_second
-            self.preferred_vms = wl.preferred_vms
-            self.actuation = wl.actuation
-            self.job_size = wl.chunk_gb
-            # VideoSurveillance._job_delay: lag beyond the chunk duration
-            self.delay_offset = wl.chunk_seconds
-        else:
-            wl = SeismicAnalysis()
-            self.ckpt_interval = wl.checkpoint_interval_s
-            self.gb_rate = wl.gb_per_compute_second
-            self.preferred_vms = wl.preferred_vms
-            self.actuation = wl.actuation
-            self.job_size = wl.job_size_gb
-            # Workload._job_delay: lag beyond ideal service time
-            self.delay_offset = wl.job_size_gb / (
-                wl.gb_per_compute_second * max(wl.preferred_vms, 1)
-            )
-        # Censored delay (Workload.mean_delay_minutes) always uses the
-        # base ideal-service offset, for video too.
+        wl = _WORKLOADS[self.workload_kind]()
+        video = isinstance(wl, VideoSurveillance)
+        self.ckpt_interval = wl.checkpoint_interval_s
+        self.gb_rate = wl.gb_per_compute_second
+        self.preferred_vms = wl.preferred_vms
+        self.actuation = wl.actuation
+        self.cpu_share = wl.cpu_share
+        self.job_size = wl.chunk_gb if video else wl.job_size_gb
+        # Workload._job_delay and the censored mean_delay_minutes count lag
+        # beyond ideal service; VideoSurveillance._job_delay beyond the chunk.
         self.censor_offset = self.job_size / (
             self.gb_rate * max(self.preferred_vms, 1)
         )
+        self.delay_offset = wl.chunk_seconds if video else self.censor_offset
+        # Controller.per_vm_w as build_system derives it.
+        srv = self.server
+        self.per_vm_w = srv.power_at(self.cpu_share * srv.vm_slots) / srv.vm_slots
         arr_t: list[float] = [job.arrival_t for job in wl.queue.pending]
         arr_dl: list[float] = [
             (job.deadline_t if job.deadline_t is not None else np.nan)
@@ -577,18 +559,12 @@ class _FleetBatch:
             if control == "duty_cap":
                 # quantize_duty + "only ever lowers" (DutyCapControl),
                 # floored at the one-quantum hardware minimum.
-                caps = np.maximum(
-                    np.floor(clamped * 10.0 + 1e-9).astype(np.int64), 1
-                )
+                caps = np.maximum(np.floor(clamped * DUTY_STEPS + GRID_EPSILON).astype(np.int64), 1)
                 self.duty_deci = np.minimum(self.duty_deci, caps)
             elif control == "vm_retarget":
                 # VmRetargetControl: cap the preferred-VM fraction.
-                caps = np.minimum(
-                    self.preferred_vms,
-                    np.floor(
-                        clamped * self.preferred_vms + 1e-9
-                    ).astype(np.int64),
-                )
+                fit = np.floor(clamped * self.preferred_vms + GRID_EPSILON)
+                caps = np.minimum(self.preferred_vms, fit.astype(np.int64))
                 mask = self.vm_target > caps
                 self.vm_target = np.where(mask, caps, self.vm_target)
                 self._set_target(mask, caps)
@@ -619,13 +595,14 @@ class _FleetBatch:
     # Battery physics (ports of repro.battery.*)
     # ------------------------------------------------------------------
     def _emf(self, y1: np.ndarray) -> np.ndarray:
-        head = np.minimum(np.maximum(y1 / (self.kib_c * self.kib_cap), 0.0), 1.0)
-        shaped = head**0.75
-        return self.emf_empty + (self.emf_full - self.emf_empty) * shaped
+        volt = self.battery.voltage
+        head = np.minimum(np.maximum(y1 / self.y1_cap, 0.0), 1.0)
+        shaped = head**EMF_EXPONENT
+        return volt.emf_empty + (volt.emf_full - volt.emf_empty) * shaped
 
     def _terminal_voltage(self, emf: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        v = emf - amps * self.r_internal
-        return np.where(amps < 0.0, np.minimum(v, self.v_charge_max), v)
+        v = emf - amps * self.battery.voltage.r_internal_ohm
+        return np.where(amps < 0.0, np.minimum(v, self.battery.voltage.v_charge_max), v)
 
     def _refresh_voltage(self) -> None:
         """EMF and terminal voltage of every cell at the tick boundary.
@@ -645,14 +622,7 @@ class _FleetBatch:
         either way each cell sees the exact scalar expression tree.
         """
         y1, y2 = self.y1, self.y2
-        diffusion = (
-            self.k_eff
-            * (
-                y2 / ((1.0 - self.kib_c) * self.kib_cap)
-                - y1 / (self.kib_c * self.kib_cap)
-            )
-            * self.dt_h
-        )
+        diffusion = self.k_eff * (y2 / self.y2_cap - y1 / self.y1_cap) * self.dt_h
         requested = amps * self.dt_h
         y1n = y1 - requested + diffusion
         y2n = y2 - diffusion
@@ -674,36 +644,38 @@ class _FleetBatch:
     def _max_discharge_current(self) -> np.ndarray:
         """BatteryUnit.max_discharge_current for every cell."""
         y1, y2 = self.y1, self.y2
-        available_head = y1 / (self.kib_c * self.kib_cap)
-        bound_head = y2 / ((1.0 - self.kib_c) * self.kib_cap)
+        available_head = y1 / self.y1_cap
+        bound_head = y2 / self.y2_cap
         kinetic = np.maximum(
             0.0,
             (y1 + self.k_eff * (bound_head - available_head) * self.dt_h)
             / self.dt_h,
         )
-        headroom = self._tick_emf - self.v_cutoff
-        cutoff = np.maximum(0.0, headroom / self.r_internal)
+        headroom = self._tick_emf - self.battery.voltage.v_cutoff
+        cutoff = np.maximum(0.0, headroom / self.battery.voltage.r_internal_ohm)
         return np.maximum(0.0, np.minimum(kinetic, cutoff))
 
     def _acceptance_max_current(self, soc: np.ndarray) -> np.ndarray:
+        acc = self.battery.acceptance
         soc_c = np.minimum(np.maximum(soc, 0.0), 1.0)
-        frac = (soc_c - self.acc_taper_start) / (1.0 - self.acc_taper_start)
+        frac = (soc_c - acc.taper_start_soc) / (1.0 - acc.taper_start_soc)
         tapered = np.maximum(
-            self.acc_bulk * np.exp(-self.acc_taper_exp * frac), self.acc_floor
+            self.acc_bulk * np.exp(-acc.taper_exponent * frac), self.float_amps
         )
-        return np.where(soc_c <= self.acc_taper_start, self.acc_bulk, tapered)
+        return np.where(soc_c <= acc.taper_start_soc, self.acc_bulk, tapered)
 
     def _acceptance_effective(
         self, applied: np.ndarray, soc: np.ndarray, max_current: np.ndarray
     ) -> np.ndarray:
         """ChargeAcceptance.effective_current, given max_current(soc)."""
+        acc = self.battery.acceptance
         accepted = np.minimum(applied, max_current)
-        accepted = np.maximum(0.0, accepted - self.acc_parasitic)
-        gass = soc > self.acc_gassing_soc
+        accepted = np.maximum(0.0, accepted - acc.parasitic_amps)
+        gass = soc > acc.gassing_soc
         frac = np.minimum(
-            (soc - self.acc_gassing_soc) / (1.0 - self.acc_gassing_soc), 1.0
+            (soc - acc.gassing_soc) / (1.0 - acc.gassing_soc), 1.0
         )
-        derated = accepted * (1.0 - self.acc_gassing_frac * frac)
+        derated = accepted * (1.0 - acc.gassing_fraction * frac)
         accepted = np.where(gass, derated, accepted)
         return np.where(applied <= 0.0, 0.0, accepted)
 
@@ -711,16 +683,17 @@ class _FleetBatch:
         self, cells: np.ndarray, amps: np.ndarray, soc_before: np.ndarray
     ) -> None:
         """WearModel.record for the discharging cells."""
+        wear = self.battery.wear
         ah = np.abs(amps) * self.dt / 3600.0
-        c_rate = amps / self.kib_cap
+        c_rate = amps / self.battery.capacity_ah
         stress = np.where(
-            c_rate > self.wear_stress_rate,
-            1.0 + self.wear_rate_slope * (c_rate - self.wear_stress_rate),
+            c_rate > wear.stress_c_rate,
+            1.0 + wear.stress_rate_slope * (c_rate - wear.stress_c_rate),
             1.0,
         )
         stress = np.where(
-            soc_before < self.wear_deep,
-            stress + self.wear_deep_slope * (self.wear_deep - soc_before),
+            soc_before < wear.deep_soc,
+            stress + wear.deep_slope * (wear.deep_soc - soc_before),
             stress,
         )
         self.wear_dis = np.where(cells, self.wear_dis + ah, self.wear_dis)
@@ -736,31 +709,29 @@ class _FleetBatch:
         return self._rack
 
     def _build_rack_view(self) -> _RackView:
-        sstate, placed = self.sstate, self.placed
-        duty = (self.duty_deci / 10.0)[:, None]
+        sstate, placed, srv = self.sstate, self.placed, self.server
+        duty = (self.duty_deci / DUTY_STEPS)[:, None]
         on = sstate == _ON
         booting = sstate == _BOOTING
         saving = sstate == _SAVING
         # Server.power_w for every (site, server).
         util = np.minimum(1.0, self.cpu_share * placed * duty)
-        p_on = self.srv_idle + (self.srv_peak - self.srv_idle) * util
-        p_saving = self.srv_idle + (self.srv_peak - self.srv_idle) * 0.15
+        p_on = srv.idle_w + (srv.peak_w - srv.idle_w) * util
         power = np.zeros((self.n, self.s), dtype=np.float64)
         power = np.where(on, p_on, power)
-        power = np.where(booting, self.srv_idle, power)
-        power = np.where(saving, p_saving, power)
+        power = np.where(booting, srv.idle_w, power)
+        power = np.where(saving, srv.power_at(SAVING_UTILISATION), power)
         # ServerRack.demand_w: per-server power plus PDU port overhead.
-        demand = (
-            power.sum(axis=1) + self.pdu_overhead * (power > 0.0).sum(axis=1)
-        )
+        ports = (power > 0.0).sum(axis=1)
+        demand = power.sum(axis=1) + self.pdu.port_overhead_w * ports
         demand_bus = self._converter_input(demand)
         running = placed * on
         timed = booting | saving
         return _read_only(_RackView(
             demand=demand,
             demand_bus=demand_bus,
-            shed_w=np.maximum(self.shed_tol_w, self.shed_tol_frac * demand_bus),
-            compute=np.where(on, placed * duty * 1.0 * self.dt, 0.0).sum(axis=1),
+            shed_w=np.maximum(_UNSERVED_TOLERANCE_W, _UNSERVED_TOLERANCE_FRACTION * demand_bus),
+            compute=np.where(on, placed * duty * srv.relative_speed * self.dt, 0.0).sum(axis=1),
             running=running.sum(axis=1),
             active=(sstate != _OFF).any(axis=1),
             effective=np.where(running > 0, power, 0.0).sum(axis=1),
@@ -792,7 +763,8 @@ class _FleetBatch:
     def _reconcile(self, mask: np.ndarray, target: np.ndarray) -> None:
         if not mask.any():
             return
-        needed = np.where(target > 0, (target + self.srv_slots - 1) // self.srv_slots, 0)
+        slots = self.server.vm_slots
+        needed = np.where(target > 0, (target + slots - 1) // slots, 0)
         powered = (self.sstate == _ON) | (self.sstate == _BOOTING)
         cum_p = np.cumsum(powered, axis=1) - powered
         n_pow = powered.sum(axis=1, keepdims=True)
@@ -807,7 +779,7 @@ class _FleetBatch:
             self.vm_ops += stripped.sum(axis=1)
             self.placed = np.where(drop, 0, self.placed)
             self.sstate = np.where(power_off, _SAVING, self.sstate)
-            self.stimer = np.where(power_off, self.srv_save_s, self.stimer)
+            self.stimer = np.where(power_off, self.server.save_s, self.stimer)
         # Keep pass in keep-list order (powered first, then rack order).
         order = np.argsort(rank, axis=1, kind="stable")
         rows = np.arange(self.n)
@@ -820,10 +792,10 @@ class _FleetBatch:
             boot = act & (st == _OFF)
             if boot.any():
                 self.sstate[rows[boot], col[boot]] = _BOOTING
-                self.stimer[rows[boot], col[boot]] = self.srv_boot_s
+                self.stimer[rows[boot], col[boot]] = self.server.boot_s
                 wrote = True
             fit = act & (st != _SAVING)
-            want = np.minimum(self.srv_slots, remaining)
+            want = np.minimum(slots, remaining)
             old = self.placed[rows, col]
             ops = np.where(fit, np.abs(want - old), 0)
             if ops.any():
@@ -889,41 +861,44 @@ class _FleetBatch:
         if slot == 0:
             self._refill_noise()
         # Transducer.read on both channels at once: noise, clip to the
-        # input range, 12-bit quantisation.  IEEE addition commutes, so
+        # input range, ADC quantisation.  IEEE addition commutes, so
         # adding the source to the noise term is source + noise bit for bit.
         value = self.sense_sigma * self._blk[..., slot]
         value[0] += self._tick_tv
         value[1] += self.last_i
-        lo, span = self.sense_lo, self.sense_span
+        lo, span, levels = self.sense_lo, self.sense_span, self.sense_levels
         value = np.minimum(np.maximum(value, lo), self.sense_hi)
-        code = np.rint((value - lo) / span * 4095)
-        quantised = lo + code * span / 4095
-        # PLC register encode (x100 fixed point) and Modbus decode.
-        self.sense_v, self.sense_i = np.rint(quantised * 100.0) / 100.0
+        code = np.rint((value - lo) / span * levels)
+        quantised = lo + code * span / levels
+        # PLC register encode (fixed point) and Modbus decode.
+        scale = self.sense_scale
+        self.sense_v, self.sense_i = np.rint(quantised * scale) / scale
         # BatteryTelemetry._update_estimates
         current = self.sense_i
         delta_ah = current * self.dt / 3600.0
-        est = self.est - delta_ah / self.kib_cap
+        est = self.est - delta_ah / self.battery.capacity_ah
         self.est = np.minimum(np.maximum(est, 0.0), 1.0)
-        discharging = current > 0.25
+        discharging = current > REST_AMPS
         self.sense_dis = np.where(
             discharging, self.sense_dis + delta_ah, self.sense_dis
         )
-        resting = np.abs(current) < 0.25
+        resting = np.abs(current) < REST_AMPS
         self.rest_s = np.where(resting, self.rest_s + self.dt, 0.0)
-        anchor = resting & (self.rest_s >= 300.0)
+        anchor = resting & (self.rest_s >= OCV_REST_S)
         if anchor.any():
-            frac = (self.sense_v - self.emf_empty) / (
-                self.emf_full - self.emf_empty
+            volt = self.battery.voltage
+            frac = (self.sense_v - volt.emf_empty) / (
+                volt.emf_full - volt.emf_empty
             )
             frac = np.minimum(np.maximum(frac, 0.0), 1.0)
-            ocv = frac ** (1.0 / 0.75)
-            self.est = np.where(anchor, 0.9 * self.est + 0.1 * ocv, self.est)
+            ocv = frac ** (1.0 / EMF_EXPONENT)
+            blend = (1.0 - OCV_WEIGHT) * self.est + OCV_WEIGHT * ocv
+            self.est = np.where(anchor, blend, self.est)
 
     def _update_ema(self, solar: np.ndarray) -> None:
-        alpha = min(1.0, self.dt / 120.0)
+        alpha = min(1.0, self.dt / SOLAR_EMA_TAU_S)
         self.ema = self.ema + alpha * (solar - self.ema)
-        alpha_slow = min(1.0, self.dt / (120.0 * 3.0))
+        alpha_slow = min(1.0, self.dt / (SOLAR_EMA_TAU_S * SLOW_EMA_FACTOR))
         self.ema_slow = self.ema_slow + alpha_slow * (solar - self.ema_slow)
 
     # ------------------------------------------------------------------
@@ -931,11 +906,12 @@ class _FleetBatch:
     # ------------------------------------------------------------------
     def _converter_input(self, demand: np.ndarray) -> np.ndarray:
         """DCDCConverter.input_for, vectorized (demand is 0 or >= idle_w)."""
-        load = np.minimum(demand / self.conv_rated, 1.2)
-        ohmic = 0.02 * load * load * self.conv_rated
-        losses = self.conv_fixed_loss + ohmic
+        conv = self.converter
+        load = np.minimum(demand / conv.rated_w, MAX_LOAD_FRACTION)
+        ohmic = OHMIC_LOSS_FRACTION * load * load * conv.rated_w
+        losses = conv.fixed_loss_w + ohmic
         base = demand / np.where(demand > 0.0, demand + losses, 1.0)
-        eff = np.minimum(base, self.conv_peak_eff)
+        eff = np.minimum(base, conv.peak_efficiency)
         out = demand / np.where(demand > 0.0, eff, 1.0)
         return np.where(demand > 0.0, out, 0.0)
 
@@ -993,7 +969,7 @@ class _FleetBatch:
         # or idle, whichever the paths above chose for each cell.
         any_discharge = discharging.any()
         if any_discharge:
-            soc_before = (self.y1 + self.y2) / self.kib_cap
+            soc_before = (self.y1 + self.y2) / self.battery.capacity_ah
         self.y1, self.y2, moved = self._kibam_step(amps)
         got = moved * 3600.0 / self.dt
         # A charging cell's last_i is -stored = -(-moved * 3600 / dt): the
@@ -1030,37 +1006,38 @@ class _FleetBatch:
         into ``last_i``; unpaid strings keep the idle default.  Returns
         the PV-bus power drawn and the mask of charging cells.
         """
-        n, b = self.n, self.b
+        n, b, chg = self.n, self.b, self.charger
+        overhead_w = chg.per_string_overhead_w
         remaining = np.where(
-            charge_sites, (surplus * self.charge_cap) * self.chg_eff, 0.0
+            charge_sites, (surplus * self.charge_cap) * chg.efficiency, 0.0
         )
         # No budget pays one string's overhead: payable is 0 at every site.
-        if not (remaining >= self.chg_overhead).any():
+        if not (remaining >= overhead_w).any():
             return np.zeros(n, dtype=np.float64), np.zeros((n, b), dtype=bool)
         n_charging = on_charge.sum(axis=1)
         payable = np.minimum(
-            n_charging, (remaining // self.chg_overhead).astype(np.int64)
+            n_charging, (remaining // overhead_w).astype(np.int64)
         )
         rank = np.cumsum(on_charge, axis=1) - on_charge
         connected = on_charge & (rank < payable[:, None]) & charge_sites[:, None]
         any_conn = connected.any(axis=1)
         n_conn = connected.sum(axis=1)
-        overhead = self.chg_overhead * n_conn
+        overhead = overhead_w * n_conn
         remaining = np.where(any_conn, remaining - overhead, remaining)
         used = np.where(any_conn, overhead, 0.0)
 
         # A round's grant depends only on its share and the cell's own
         # headroom, so it is computed bank-wide; the budget subtraction
         # keeps bank order, since IEEE subtraction is not associative.
-        voltage = np.maximum(self._tick_tv, self.emf_empty)
-        soc = (self.y1 + self.y2) / self.kib_cap
+        voltage = np.maximum(self._tick_tv, self.battery.voltage.emf_empty)
+        soc = (self.y1 + self.y2) / self.battery.capacity_ah
         max_current = self._acceptance_max_current(soc)
         ceiling = max_current * voltage
         granted = np.zeros((n, b), dtype=np.float64)
         active = connected
-        for _ in range(4):
+        for _ in range(FILL_ROUNDS):
             n_act = active.sum(axis=1)
-            alive = any_conn & (remaining > 1e-9) & (n_act > 0)
+            alive = any_conn & (remaining > GRANT_EPSILON_W) & (n_act > 0)
             if not alive.any():
                 break
             share = remaining / np.maximum(n_act, 1)
@@ -1071,7 +1048,7 @@ class _FleetBatch:
             granted = granted + grant
             for col in range(b):
                 remaining = remaining - grant[:, col]
-            active = np.where(m, grant >= share - 1e-9, active)
+            active = np.where(m, grant >= share - GRANT_EPSILON_W, active)
 
         # BatteryUnit.apply_charge on every string with a grant.
         applied = granted / voltage
@@ -1080,13 +1057,13 @@ class _FleetBatch:
         charging = landing & (effective > 0.0)
         np.copyto(amps, -effective, where=charging)
         np.copyto(
-            last_i, -np.minimum(applied, self.acc_parasitic),
+            last_i, -np.minimum(applied, self.battery.acceptance.parasitic_amps),
             where=landing & ~charging,
         )
         landed_w = np.where(landing, granted, 0.0)
         for col in range(b):
             used = used + landed_w[:, col]
-        return np.where(any_conn, used / self.chg_eff, 0.0), charging
+        return np.where(any_conn, used / chg.efficiency, 0.0), charging
 
     def _float_pass(
         self,
@@ -1105,9 +1082,9 @@ class _FleetBatch:
         candidates = idle_standby & (curtailed > 1.0)[:, None]
         if not candidates.any():
             return curtailed, charge_power
-        y1, y2, _ = self._kibam_step(-self.float_amps * 0.5)
+        y1, y2, _ = self._kibam_step(-self.float_amps * FLOAT_FRACTION)
         tv = self._terminal_voltage(self._emf(y1), self.last_i)
-        used = self.float_amps * tv / self.chg_eff
+        used = self.float_amps * tv / self.charger.efficiency
         floated = np.zeros_like(candidates)
         for col in range(self.b):
             floats = candidates[:, col] & (curtailed > 1.0)
@@ -1156,21 +1133,18 @@ class _FleetBatch:
         n_arr = self.n_by_tick[k]
         budget = compute * self.gb_rate
         has_head = self.head_idx < n_arr
-        work = has_head & (budget > 1e-12)
+        work = has_head & (budget > JOB_EPSILON_GB)
         rem_head = np.maximum(0.0, self.job_size - self.head_done)
         used_a = np.where(work, np.minimum(budget, rem_head), 0.0)
         head_done = self.head_done + used_a
         finished = work & (
-            np.maximum(0.0, self.job_size - head_done) <= 1e-12
+            np.maximum(0.0, self.job_size - head_done) <= JOB_EPSILON_GB
         )
         self.head_done = np.where(work, head_done, self.head_done)
         done = used_a
         if finished.any():
             arr = self.arr_t[np.minimum(self.head_idx, len(self.arr_t) - 1)]
-            if self.workload_kind == "video":
-                delay = np.maximum(0.0, t_next - arr - self.delay_offset)
-            else:
-                delay = np.maximum(0.0, (t_next - arr) - self.delay_offset)
+            delay = np.maximum(0.0, t_next - arr - self.delay_offset)
             self.delay_sum = np.where(
                 finished, self.delay_sum + delay, self.delay_sum
             )
@@ -1187,7 +1161,7 @@ class _FleetBatch:
             self.head_ckpt = np.where(finished, 0.0, self.head_ckpt)
             # Leftover budget spills into the next job (cannot finish it).
             leftover = np.where(finished, budget - used_a, 0.0)
-            spill = finished & (leftover > 1e-12) & (self.head_idx < n_arr)
+            spill = finished & (leftover > JOB_EPSILON_GB) & (self.head_idx < n_arr)
             used_b = np.where(spill, np.minimum(leftover, self.job_size), 0.0)
             self.head_done = np.where(spill, used_b, self.head_done)
             done = used_a + used_b
@@ -1200,10 +1174,6 @@ class _FleetBatch:
 
     def _checkpoint_all(self, mask: np.ndarray) -> None:
         self.head_ckpt = np.where(mask, self.head_done, self.head_ckpt)
-
-    def _backlog_positive(self, k: int) -> np.ndarray:
-        """Whether Workload.backlog_gb > 0 (any pending job remains)."""
-        return self.head_idx < self.n_by_tick[k]
 
     def _backlog_at_control(self, k: int) -> np.ndarray:
         """Backlog as the controller sees it at tick k.
@@ -1224,7 +1194,7 @@ class _FleetBatch:
         self.uptime_s = np.where(
             rack.running > 0, self.uptime_s + dt, self.uptime_s
         )
-        stored = (self.y1 + self.y2) * self.nominal_v
+        stored = (self.y1 + self.y2) * self.battery.nominal_voltage
         online_wh = np.where(self._bank_view().online, stored, 0.0).sum(axis=1)
         self.stored_int = self.stored_int + online_wh * dt
         self.load_wh = self.load_wh + self._metrics_demand * dt_h
@@ -1238,7 +1208,7 @@ class _FleetBatch:
         tv = self._tick_tv
         self.min_v = np.minimum(self.min_v, tv.min(axis=1))
         self._since_vsample += dt
-        if self._since_vsample >= 60.0:
+        if self._since_vsample >= VOLTAGE_SAMPLE_S:
             self._since_vsample = 0.0
             self.vsamples.append(tv.sum(axis=1) / self.b)
 
@@ -1283,12 +1253,13 @@ class _FleetBatch:
         mean_delay = self._mean_delay_minutes(elapsed)
         energy_avail = self.stored_int / elapsed
         # WearModel.projected_life_days, averaged over the bank.
-        shelf = self.wear_design_days * 1.5
+        wear = self.battery.wear
+        shelf = wear.design_life_days * SHELF_MARGIN
         rate = self.wear_wt / (elapsed / 86400.0)
         with np.errstate(divide="ignore"):
             days = np.where(
                 self.wear_wt > 0.0,
-                np.minimum(shelf, self.wear_lifetime / np.where(rate > 0, rate, 1.0)),
+                np.minimum(shelf, wear.lifetime_ah / np.where(rate > 0, rate, 1.0)),
                 shelf,
             )
         life = days.mean(axis=1)

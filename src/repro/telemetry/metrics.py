@@ -22,6 +22,9 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # circular at runtime: repro.core imports this module
     from repro.core.controller_base import PowerManager
 
+#: Seconds between the bank-voltage samples behind the voltage sigma.
+VOLTAGE_SAMPLE_S = 60.0
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -98,7 +101,6 @@ class MetricsCollector(Component):
         self._curtailed_wh = 0.0
         self._min_voltage = float("inf")
         self._voltage_samples: list[float] = []
-        self._voltage_sample_every = 60.0
         self._since_voltage_sample = float("inf")
 
     def step(self, clock: Clock) -> None:
@@ -148,7 +150,7 @@ class MetricsCollector(Component):
                 min_v = tv
         self._min_voltage = min_v
         self._since_voltage_sample += dt
-        if self._since_voltage_sample >= self._voltage_sample_every:
+        if self._since_voltage_sample >= VOLTAGE_SAMPLE_S:
             self._since_voltage_sample = 0.0
             self._voltage_samples.append(self.bank.mean_voltage)
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: GB below which a job counts as done and a budget as spent.
+JOB_EPSILON_GB = 1e-12
+
 
 @dataclass
 class Job:
@@ -63,7 +66,7 @@ class Job:
             raise ValueError("gb must be non-negative")
         used = min(gb, self.remaining_gb)
         self.done_gb += used
-        if self.remaining_gb <= 1e-12 and not self.finished:
+        if self.remaining_gb <= JOB_EPSILON_GB and not self.finished:
             self.completion_t = t
         return used
 
@@ -147,7 +150,7 @@ class Workload:
     behind it has ``done_gb == checkpoint_gb == 0``.  :meth:`step`
     advances only the head (retiring it before leftover budget reaches
     the next job), :meth:`_drop_oldest` only trims the head, and a job
-    left with <= 1e-12 GB is retired or dropped at once.  Checkpoints and
+    left with <= ``JOB_EPSILON_GB`` is retired or dropped at once.  Checkpoints and
     crash rollbacks therefore touch only the head, so no per-tick path
     scans the queue (the fleet kernel's ``head_idx`` / ``head_done`` /
     ``head_ckpt`` arrays encode the same invariant).
@@ -204,7 +207,7 @@ class Workload:
 
         budget_gb = compute_seconds * self.gb_per_compute_second
         done = 0.0
-        while budget_gb > 1e-12:
+        while budget_gb > JOB_EPSILON_GB:
             job = self.queue.head
             if job is None:
                 break
@@ -246,14 +249,14 @@ class Workload:
     def _drop_oldest(self, gb: float) -> None:
         """Overwrite-oldest: unprocessed data of the oldest jobs is lost."""
         remaining = gb
-        while remaining > 1e-12 and self.queue.pending:
+        while remaining > JOB_EPSILON_GB and self.queue.pending:
             job = self.queue.pending[0]
             lost = min(job.remaining_gb, remaining)
             job.size_gb -= lost
             job.checkpoint_gb = min(job.checkpoint_gb, job.size_gb)
             remaining -= lost
             self.stats.dropped_gb += lost
-            if job.remaining_gb <= 1e-12:
+            if job.remaining_gb <= JOB_EPSILON_GB:
                 # Nothing left of this job to process; discard it (a
                 # dropped deadline job is a miss, not a completion).
                 if job.deadline_t is not None:

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.core import ModuleSource, Project, Rule
 from repro.analysis.registry import make_rule, make_rules, register_rule, rule_names
 from repro.analysis.rules.parity import KernelParityRule
+from repro.analysis.runner import lint_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -188,6 +189,21 @@ class TestKernelParityRule:
         )
         findings = run_rule(rule, *self._modules())
         assert all("Tank.sink" not in f.message for f in findings)
+
+    def test_copied_literals_fire(self):
+        rule = self._rule({})
+        mod = load_fixture("parity_literals.py", "fix.fleet")
+        findings, suppressed = lint_project(
+            Project([mod]), [rule], all_rules_selected=False
+        )
+        assert sorted((f.line, f.message.split()[2]) for f in findings) == [
+            (7, "35.0"), (8, "0.85"), (8, "4.0"), (20, "1e-09"),
+        ]
+        assert suppressed == 1
+
+    def test_literals_outside_fleet_modules_ignored(self):
+        mod = load_fixture("parity_literals.py", "fix.scalar")
+        assert self._rule({}).check_module(mod) == []
 
     def test_real_tables_are_consistent(self):
         """The committed FIELD_MAP/NOT_PORTED pass against the real tree."""

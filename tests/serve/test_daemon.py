@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.serve import daemon as daemon_module
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 
@@ -148,6 +149,22 @@ class TestDaemonEndToEnd:
                 + b"\r\n\r\n",
             )
             assert status == 400, length
+        assert client.healthz()["sessions"] == sessions
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        # A head that never ends runs into the per-request deadline.
+        (b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 2\r\n", 408),
+        (b"POST /v1/sessions HTTP/1.1\r\n" + b"X: 1\r\n" * 5000
+         + b"\r\n", 431),
+        # A line past the stream's 64 KiB buffer limit.
+        (b"POST /v1/sessions HTTP/1.1\r\nX: " + b"a" * 70_000
+         + b"\r\n\r\n", 431),
+    ], ids=["head-never-ends", "5000-headers", "70kb-line"])
+    def test_request_head_limits(self, client, monkeypatch, request_bytes,
+                                 status):
+        monkeypatch.setattr(daemon_module, "REQUEST_TIMEOUT_S", 0.5)
+        sessions = client.healthz()["sessions"]
+        assert _raw_status(client, request_bytes) == status
         assert client.healthz()["sessions"] == sessions
 
     def test_summary_conflict_until_done(self, client):

@@ -66,6 +66,21 @@ class TestSiteSpec:
         with pytest.raises(ValueError, match=r"initial soc must be in \[0,1\]"):
             simulate_fleet([_spec(initial_soc=soc)])
 
+    @pytest.mark.parametrize("scenario", ["carbon-chasing", "grid-hybrid"])
+    def test_duty_cap_on_baseline_rejected_by_both_kernels(self, scenario):
+        # The baseline controller has no DVFS duty knob: the scalar build
+        # refuses the duty_cap policy, and the kernel raises the same error.
+        from repro.core.system import build_day_system
+        from repro.experiments.scenarios import build_policies
+
+        with pytest.raises(ValueError, match="duty knob"):
+            build_day_system("baseline", "seismic", "sunny", mean_w=800.0,
+                             seed=3, initial_soc=0.9,
+                             policies=build_policies(scenario, 3))
+        with pytest.raises(ValueError, match="duty knob"):
+            simulate_fleet([_spec(controller="baseline", workload="seismic",
+                                  scenario=scenario)])
+
     def test_rack_too_small_for_the_workload_is_routed_to_scalar(self):
         # Three 2-slot servers cannot host video's 8 VMs: the scalar
         # allocator raises at the first scale-up, so the kernel declines

@@ -24,8 +24,8 @@ from repro.workloads import make_workload  # noqa: E402
 
 DT_S = 5.0
 TICKS = 720
-#: Scenarios whose controls the scalar baseline controller can take: it
-#: has no duty knob, so a duty_cap policy raises there.
+#: Scenarios whose controls the baseline controller can take: it has no
+#: duty knob, so both kernels reject a duty_cap policy at build time.
 BASELINE_SCENARIOS = (None, "price-arbitrage")
 
 
