@@ -99,6 +99,12 @@ FIELD_MAP: dict[str, tuple[str, ...]] = {
     "Server.on_off_cycles": ("on_off",),
     "Server._transition_left": ("stimer",),
     "ServerRack._last_compute_seconds": ("last_compute",),
+    # The derived records and what they are derived for: the rack record
+    # is the fleet's rack view, the bus's unit tuples its bank view, and
+    # the record's compute seconds are for the batch's fixed dt.
+    "ServerRack._record": ("_rack",),
+    "ServerRack._dt": ("dt",),
+    "PowerBus._bus_units": ("_bank",),
     "NodeAllocator.target_vms": ("alloc_target",),
     "NodeAllocator.vm_ctrl_ops": ("vm_ops",),
     "VirtualMachine.running": ("placed",),
@@ -138,7 +144,6 @@ FIELD_MAP: dict[str, tuple[str, ...]] = {
     "BaselineController._elapsed": ("_ctl_elapsed",),
     "SpatialPolicy._elastic_bonus": ("elastic_bonus",),
     "PlantCoupler.shed_events": ("crash_count",),
-    "PlantCoupler.last_server_demand_w": ("_metrics_demand",),
     "PowerManager.solar_ema_w": ("ema",),
     "PowerManager.solar_ema_slow_w": ("ema_slow",),
     "DutyCapControl.duty": ("duty_deci",),

@@ -10,6 +10,7 @@ natural behaviour when the budget is scarce.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.battery.unit import BatteryUnit
@@ -79,7 +80,7 @@ class SolarCharger:
 
     def step(
         self,
-        targets: list[BatteryUnit],
+        targets: Sequence[BatteryUnit],
         power_budget_w: float,
         dt_seconds: float,
     ) -> ChargeResult:

@@ -16,6 +16,20 @@ from repro.cluster.rack import ServerRack
 from repro.cluster.server import Server, ServerState
 
 
+def check_vm_capacity(server_count: int, vm_slots: int, preferred_vms: int) -> None:
+    """Refuse a rack too small for the VMs its workload scales to.
+
+    The controllers scale up to ``preferred_vms``, and the allocator
+    refuses a target past the rack's capacity, so such a run would fail
+    mid-day at its first large scale-up.  Both kernels refuse it at build.
+    """
+    if server_count * vm_slots < preferred_vms:
+        raise ValueError(
+            f"{server_count} servers of {vm_slots} VM slots hold fewer than "
+            f"the {preferred_vms} VMs the workload scales to"
+        )
+
+
 class NodeAllocator:
     """Maps VM-count targets onto a rack."""
 
@@ -82,9 +96,10 @@ class NodeAllocator:
             self.rack.events.emit(t, "vm.ctrl", server.name, op="remove", vm=vm.vm_id)
         while len(server.vms) < want:
             vm = self.rack.new_vm(self.cpu_share)
-            server.place_vm(vm)
+            # Start before placing: placing tells the rack the server changed.
             if server.state is ServerState.ON:
                 vm.start()
+            server.place_vm(vm)
             self.vm_ctrl_ops += 1
             self.rack.events.emit(t, "vm.ctrl", server.name, op="add", vm=vm.vm_id)
 

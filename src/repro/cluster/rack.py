@@ -5,9 +5,17 @@ bus, total compute-seconds for the workload, and rack-wide actuation
 (duty cycles, emergency shedding).  Emits ``server.on``, ``server.off``,
 ``server.crash`` and ``vm.ctrl`` events so Table 6's operation counters
 fall straight out of the event log.
+
+The figures a tick reads (PDU demand, running VMs, effective and
+transition power, compute seconds) live in one read-only
+:class:`RackRecord`, built from the servers on first read and dropped by
+every server mutator, so a tick in which no server changes derives
+nothing.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from repro.cluster.profiles import XEON_DL380, ServerProfile
 from repro.cluster.server import Server, ServerState
@@ -16,6 +24,17 @@ from repro.power.converters import PowerDistributionUnit
 from repro.sim.clock import Clock
 from repro.sim.component import Component
 from repro.sim.events import EventLog
+
+
+class RackRecord(NamedTuple):
+    """Rack figures derived from the servers' states, VMs and duty."""
+
+    demand_w: float          # ServerRack.demand_w: PDU input draw
+    running_vms: int         # VMs doing useful work
+    effective_w: float       # power of the servers running VMs
+    transition_w: float      # power of the servers booting or saving
+    timed: bool              # a server is booting or saving
+    compute_seconds: float   # VM-compute-seconds of one tick of ``dt``
 
 
 class ServerRack(Component):
@@ -33,7 +52,8 @@ class ServerRack(Component):
         if server_count <= 0:
             raise ValueError("server_count must be positive")
         self.profile = profile or XEON_DL380
-        self.servers = [Server(f"{name}.pm{i + 1}", self.profile) for i in range(server_count)]
+        self.servers = [Server(f"{name}.pm{i + 1}", self.profile, self._drop_record)
+                        for i in range(server_count)]
         self.pdu = pdu or PowerDistributionUnit(ports=max(8, server_count))
         # Note: an empty EventLog is falsy (it has __len__), so an 'or'
         # default would silently discard a shared log.
@@ -41,6 +61,43 @@ class ServerRack(Component):
         self._vm_counter = 0
         self.compute_seconds_total = 0.0
         self._last_compute_seconds = 0.0
+        #: Tick length the record's compute seconds are for (the latest step's).
+        self._dt = 0.0
+        self._record: RackRecord | None = None
+
+    # ------------------------------------------------------------------
+    # The derived record
+    # ------------------------------------------------------------------
+    @property
+    def record(self) -> RackRecord:
+        """The rack figures of the current server states, VMs and duty."""
+        record = self._record
+        if record is None:
+            record = self._record = self._build_record()
+        return record
+
+    def _drop_record(self) -> None:
+        self._record = None
+
+    def _build_record(self) -> RackRecord:
+        # Raises (and so caches nothing) while the PDU is over capacity.
+        demand = self.pdu.draw([s.power_w for s in self.servers])
+        dt = self._dt
+        running = 0
+        effective = 0.0
+        transition = 0.0
+        timed = False
+        compute = 0.0
+        for server in self.servers:
+            count = server.running_vm_count()
+            running += count
+            if count:
+                effective += server.power_w
+            elif server.state is ServerState.BOOTING or server.state is ServerState.SAVING:
+                transition += server.power_w
+                timed = True
+            compute += server.compute_seconds(dt)
+        return RackRecord(demand, running, effective, transition, timed, compute)
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -50,7 +107,7 @@ class ServerRack(Component):
         return sum(s.profile.vm_slots for s in self.servers)
 
     def running_vm_count(self) -> int:
-        return sum(s.running_vm_count() for s in self.servers)
+        return self.record.running_vms
 
     def placed_vm_count(self) -> int:
         return sum(len(s.vms) for s in self.servers)
@@ -60,7 +117,7 @@ class ServerRack(Component):
 
     def serving(self) -> bool:
         """Whether at least one VM is doing useful work right now."""
-        return any(s.running_vm_count() for s in self.servers)
+        return self.record.running_vms > 0
 
     def fully_serving(self) -> bool:
         """Whether every placed VM is running (no boot/save in progress)."""
@@ -108,10 +165,17 @@ class ServerRack(Component):
     # Simulation
     # ------------------------------------------------------------------
     def step(self, clock: Clock) -> None:
-        self._last_compute_seconds = 0.0
-        for server in self.servers:
-            server.step(clock.dt)
-            self._last_compute_seconds += server.compute_seconds(clock.dt)
+        dt = clock.dt
+        if dt != self._dt:
+            self._dt = dt
+            self._record = None
+        record = self.record
+        if record.timed:
+            # Only boot and save timers run; an expiry drops the record.
+            for server in self.servers:
+                server.step(dt)
+            record = self.record
+        self._last_compute_seconds = record.compute_seconds
         self.compute_seconds_total += self._last_compute_seconds
 
     @property
@@ -122,8 +186,7 @@ class ServerRack(Component):
     @property
     def demand_w(self) -> float:
         """Instantaneous rack power demand including PDU overhead."""
-        loads = [s.power_w for s in self.servers]
-        return self.pdu.draw(loads)
+        return self.record.demand_w
 
     def total_on_off_cycles(self) -> int:
         return sum(s.on_off_cycles for s in self.servers)

@@ -11,6 +11,7 @@ quantified in Table 6.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 
 from repro.cluster.profiles import ServerProfile
 from repro.cluster.vm import VirtualMachine
@@ -26,12 +27,24 @@ class ServerState(enum.Enum):
     SAVING = "saving"
 
 
-class Server:
-    """One physical machine hosting up to ``profile.vm_slots`` VMs."""
+def _unowned() -> None:
+    """Change hook of a server outside a rack: nothing derives from it."""
 
-    def __init__(self, name: str, profile: ServerProfile) -> None:
+
+class Server:
+    """One physical machine hosting up to ``profile.vm_slots`` VMs.
+
+    Every mutator of the state, the hosted VMs or the duty calls
+    ``on_change`` last, so an owner that derives figures from the server
+    (the rack's record) can drop them.  A VM's running flag counts as
+    hosted state: start it before placing it on a server, never after.
+    """
+
+    def __init__(self, name: str, profile: ServerProfile,
+                 on_change: Callable[[], None] = _unowned) -> None:
         self.name = name
         self.profile = profile
+        self.on_change = on_change
         self.state = ServerState.OFF
         self.vms: list[VirtualMachine] = []
         #: DVFS duty cycle in [duty_floor, 1]: fraction of time at full speed.
@@ -47,12 +60,14 @@ class Server:
         if len(self.vms) >= self.profile.vm_slots:
             raise ValueError(f"{self.name}: no free VM slot")
         self.vms.append(vm)
+        self.on_change()
 
     def evict_vm(self, vm: VirtualMachine) -> None:
         try:
             self.vms.remove(vm)
         except ValueError:
             raise ValueError(f"{vm.vm_id} is not hosted on {self.name}") from None
+        self.on_change()
 
     @property
     def free_slots(self) -> int:
@@ -82,6 +97,7 @@ class Server:
             return False
         self.state = ServerState.BOOTING
         self._transition_left = self.profile.boot_s
+        self.on_change()
         return True
 
     def power_off(self) -> bool:
@@ -93,6 +109,7 @@ class Server:
                 vm.checkpoint()
         self.state = ServerState.SAVING
         self._transition_left = self.profile.save_s
+        self.on_change()
         return True
 
     def emergency_off(self) -> bool:
@@ -106,6 +123,7 @@ class Server:
         self._transition_left = 0.0
         self.crashes += 1
         self.on_off_cycles += 1
+        self.on_change()
         return True
 
     def set_duty(self, duty: float) -> None:
@@ -113,6 +131,7 @@ class Server:
         if not 0.1 <= duty <= 1.0:
             raise ValueError(f"duty must be in [0.1, 1], got {duty}")
         self.duty = duty
+        self.on_change()
 
     def step(self, dt_seconds: float) -> None:
         """Advance boot/save transitions."""
@@ -122,11 +141,13 @@ class Server:
                 self.state = ServerState.ON
                 for vm in self.vms:
                     vm.start()
+                self.on_change()
         elif self.state is ServerState.SAVING:
             self._transition_left -= dt_seconds
             if self._transition_left <= 0.0:
                 self.state = ServerState.OFF
                 self.on_off_cycles += 1
+                self.on_change()
 
     # ------------------------------------------------------------------
     # Electrical / computational output

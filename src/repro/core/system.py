@@ -26,7 +26,7 @@ from typing import Any, Literal
 from repro.battery.bank import BatteryBank
 from repro.battery.charger import SolarCharger
 from repro.battery.params import BatteryParams
-from repro.cluster.allocator import NodeAllocator
+from repro.cluster.allocator import NodeAllocator, check_vm_capacity
 from repro.cluster.profiles import ServerProfile
 from repro.cluster.rack import ServerRack
 from repro.core.baseline import BaselineController, BaselineParams
@@ -83,16 +83,11 @@ class PlantCoupler(Component):
         #: observability is attached).
         self.decisions = NULL_DECISIONS
         self.tracer = NULL_TRACER
-        #: Rack demand sampled this tick, still valid for downstream
-        #: readers (None whenever a shed changed the rack afterwards).
-        self.last_server_demand_w: float | None = None
 
     def step(self, clock: Clock) -> None:
         solar = self.source.available_power_w
-        demand = self.rack.demand_w
-        report = self.bus.resolve(solar, demand, clock.dt)
+        report = self.bus.resolve(solar, self.rack.record.demand_w, clock.dt)
         self.last_report = report
-        self.last_server_demand_w = demand
 
         compute = self.rack.last_compute_seconds
         shed_threshold = max(_UNSERVED_TOLERANCE_W,
@@ -108,7 +103,6 @@ class PlantCoupler(Component):
                                   unserved_w=report.unserved_w,
                                   demand_w=report.demand_w)
             compute = 0.0
-            self.last_server_demand_w = None  # rack state changed under us
         with self.tracer.span("plant.workload"):
             self.workload.step(clock.t, clock.dt, compute)
 
@@ -284,6 +278,7 @@ def build_system(
     telemetry = BatteryTelemetry(bank, streams=streams)
     rack = ServerRack("rack", server_count=server_count, profile=server_profile,
                       events=events)
+    check_vm_capacity(server_count, rack.profile.vm_slots, workload.preferred_vms)
     allocator = NodeAllocator(rack, cpu_share=workload.cpu_share)
     bus = PowerBus(bank, charger=SolarCharger(), switchnet=switchnet)
 

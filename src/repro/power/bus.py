@@ -14,6 +14,7 @@ Order of precedence each tick (matching the prototype's wiring):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.battery.bank import BatteryBank
@@ -68,6 +69,11 @@ class PowerBus:
         self.switchnet = switchnet
         self.last_report = BusReport(0, 0, 0, 0, 0, 0, 0)
         self._units_by_name = {unit.name: unit for unit in bank}
+        #: bus -> (the switch network's name tuple, its units), remapped
+        #: only when the network hands out a new tuple.
+        self._bus_units: dict[str, tuple[tuple[str, ...], tuple[BatteryUnit, ...]]] = {
+            "load": ((), ()), "charge": ((), ()),
+        }
         #: Cumulative energy accounting (Wh at the PV bus unless noted).
         #: Pure bookkeeping read by the obs energy ledger — nothing feeds
         #: back into the resolution, so same-seed traces are unaffected.
@@ -86,15 +92,23 @@ class PowerBus:
         #: Wall-side server demand as requested from the bus.
         self.e_server_wall_wh = 0.0
 
-    def _on_load_bus(self) -> list[BatteryUnit]:
+    def _on_load_bus(self) -> Sequence[BatteryUnit]:
         if self.switchnet is None:
             return self.bank.in_mode(BatteryMode.DISCHARGING, BatteryMode.STANDBY)
-        return [self._units_by_name[n] for n in self.switchnet.on_bus("load")]
+        return self._units_on("load")
 
-    def _on_charge_bus(self) -> list[BatteryUnit]:
+    def _on_charge_bus(self) -> Sequence[BatteryUnit]:
         if self.switchnet is None:
             return self.bank.in_mode(BatteryMode.CHARGING)
-        return [self._units_by_name[n] for n in self.switchnet.on_bus("charge")]
+        return self._units_on("charge")
+
+    def _units_on(self, bus: str) -> tuple[BatteryUnit, ...]:
+        names = self.switchnet.on_bus(bus)
+        mapped, units = self._bus_units[bus]
+        if names is not mapped:
+            units = tuple(self._units_by_name[n] for n in names)
+            self._bus_units[bus] = (names, units)
+        return units
 
     def resolve(
         self,
@@ -172,7 +186,7 @@ class PowerBus:
 
     def _discharge(
         self,
-        units: list[BatteryUnit],
+        units: Sequence[BatteryUnit],
         deficit_w: float,
         dt_seconds: float,
     ) -> float:

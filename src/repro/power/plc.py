@@ -29,6 +29,8 @@ class AnalogInputModule:
         self.base_address = base_address
         self.capacity = channels
         self._channels: list[tuple[int, Transducer, float]] = []
+        #: The scan-plan drop of the PLC this module is added to.
+        self._on_bind: Callable[[], None] | None = None
 
     def bind(self, channel: int, transducer: Transducer, scale: float = 100.0) -> None:
         """Wire a transducer to a channel slot."""
@@ -37,6 +39,8 @@ class AnalogInputModule:
         if any(c == channel for c, _, _ in self._channels):
             raise ValueError(f"channel {channel} already bound")
         self._channels.append((channel, transducer, scale))
+        if self._on_bind is not None:
+            self._on_bind()
 
 
 class ProgrammableLogicController(Component):
@@ -61,10 +65,9 @@ class ProgrammableLogicController(Component):
         self.program: ControlProgram | None = None
         self._since_scan = float("inf")  # force a scan on the first step
         self.scan_count = 0
-        #: Flattened (address, read, scale) scan plan over all modules,
-        #: rebuilt whenever the channel population changes.
-        self._scan_plan: list[tuple[int, Callable[[], float], float]] = []
-        self._scan_plan_size = -1
+        #: Flattened (address, read, scale) scan plan over all modules;
+        #: None once a module is added or a channel bound.
+        self._scan_plan: tuple[tuple[int, Callable[[], float], float], ...] | None = None
 
     def add_module(self, module: AnalogInputModule) -> AnalogInputModule:
         for existing in self.modules:
@@ -78,7 +81,24 @@ class ProgrammableLogicController(Component):
             if len(overlap) > 0:
                 raise ValueError("analog module register ranges overlap")
         self.modules.append(module)
+        module._on_bind = self._drop_scan_plan
+        self._scan_plan = None
         return module
+
+    def _drop_scan_plan(self) -> None:
+        self._scan_plan = None
+
+    def _build_scan_plan(self) -> tuple[tuple[int, Callable[[], float], float], ...]:
+        plan = tuple(
+            (module.base_address + channel, transducer.read, scale)
+            for module in self.modules
+            for channel, transducer, scale in module._channels
+        )
+        # Validate the (static) register addresses once, so the scan
+        # loop can write to the input bank directly.
+        for address, _, _ in plan:
+            self.slave._check(address, self.slave.input)
+        return plan
 
     def set_program(self, program: ControlProgram) -> None:
         self.program = program
@@ -89,21 +109,11 @@ class ProgrammableLogicController(Component):
             return
         self._since_scan = 0.0
         self.scan_count += 1
-        size = sum(len(m._channels) for m in self.modules)
-        if size != self._scan_plan_size:
-            plan = [
-                (module.base_address + channel, transducer.read, scale)
-                for module in self.modules
-                for channel, transducer, scale in module._channels
-            ]
-            # Validate the (static) register addresses once, so the scan
-            # loop can write to the input bank directly.
-            for address, _, _ in plan:
-                self.slave._check(address, self.slave.input)
-            self._scan_plan = plan
-            self._scan_plan_size = size
+        plan = self._scan_plan
+        if plan is None:
+            plan = self._scan_plan = self._build_scan_plan()
         registers = self.slave.input
-        for address, read, scale in self._scan_plan:
+        for address, read, scale in plan:
             registers[address] = encode_fixed(read(), scale)
         if self.program is not None:
             self.program(clock, self)

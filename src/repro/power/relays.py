@@ -112,6 +112,9 @@ class SwitchNetwork:
     The network is the PLC's actuator: controllers request per-cabinet bus
     attachments and the network performs (and counts) the relay actuations,
     emitting ``relay.switch`` events used for Table 6's "Power Ctrl. Times".
+
+    :meth:`on_bus` hands out name tuples scanned from the contacts once and
+    kept until :meth:`attach` moves a contact, the only way they move.
     """
 
     def __init__(self, battery_names: list[str], events: EventLog | None = None) -> None:
@@ -123,6 +126,8 @@ class SwitchNetwork:
         #: Number of controller-visible switching operations (a mode change
         #: for one cabinet counts once, however many contacts moved).
         self.switch_operations = 0
+        #: bus -> names of the cabinets on it; None once a contact moved.
+        self._buses: dict[str, tuple[str, ...]] | None = None
 
     def attach(self, battery_name: str, bus: str, t: float = 0.0) -> int:
         """Attach ``battery_name`` to ``bus`` in {"offline","charge","load"}.
@@ -138,6 +143,9 @@ class SwitchNetwork:
             actuations = pair.to_load()
         else:
             raise ValueError(f"unknown bus {bus!r}")
+        if actuations:
+            # Before validating: a refused bridge has already moved a contact.
+            self._buses = None
         pair.validate()
         if actuations:
             self.total_actuations += actuations
@@ -150,18 +158,25 @@ class SwitchNetwork:
     def state_of(self, battery_name: str) -> str:
         return self._pair(battery_name).state
 
-    def on_bus(self, bus: str) -> list[str]:
+    def on_bus(self, bus: str) -> tuple[str, ...]:
         """Names of cabinets currently attached to ``bus``."""
-        # Inlined RelayPair.state tests (charge contact wins): this runs
-        # twice per bus-resolution tick.
+        buses = self._buses
+        if buses is None:
+            buses = self._buses = self._scan_buses()
+        try:
+            return buses[bus]
+        except KeyError:
+            raise ValueError(f"unknown bus {bus!r}") from None
+
+    def _scan_buses(self) -> dict[str, tuple[str, ...]]:
+        # RelayPair.state per cabinet: the charge contact wins.
         pairs = self.pairs.items()
-        if bus == "charge":
-            return [n for n, p in pairs if p.charge.closed]
-        if bus == "load":
-            return [n for n, p in pairs if p.discharge.closed and not p.charge.closed]
-        if bus == "offline":
-            return [n for n, p in pairs if not p.charge.closed and not p.discharge.closed]
-        raise ValueError(f"unknown bus {bus!r}")
+        return {
+            "charge": tuple(n for n, p in pairs if p.charge.closed),
+            "load": tuple(n for n, p in pairs if p.discharge.closed and not p.charge.closed),
+            "offline": tuple(n for n, p in pairs
+                             if not p.charge.closed and not p.discharge.closed),
+        }
 
     def _pair(self, battery_name: str) -> RelayPair:
         try:

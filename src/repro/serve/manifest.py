@@ -32,10 +32,12 @@ tested in ``tests/serve/test_manifest.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from collections.abc import Mapping
 from typing import Any
 
+from repro.core.sensing import PLC_SCAN_PERIOD_S
 from repro.policy.controls import DVFS_CONTROLS
 from repro.policy.registry import (
     PolicyDef, build_policy, control_names, make_governor, signal_names,
@@ -105,6 +107,8 @@ def _number(payload: Mapping[str, Any], key: str, default: float) -> float:
     value = payload.get(key, default)
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{key} must be a number, got {value!r}")
+    # JSON's Infinity/NaN tokens parse to floats no run can be sized by.
+    _require(math.isfinite(value), f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -208,7 +212,8 @@ def parse_manifest(payload: Mapping[str, Any]) -> SessionManifest:
     _require(0.0 < initial_soc <= 1.0,
              f"initial_soc must be in (0, 1], got {initial_soc}")
     dt = _number(payload, "dt", DT_SECONDS)
-    _require(dt > 0, f"dt must be positive, got {dt}")
+    _require(dt >= PLC_SCAN_PERIOD_S,
+             f"dt must be at least the {PLC_SCAN_PERIOD_S} s PLC scan period, got {dt}")
     duration_s = _number(payload, "duration_s", DURATION_S)
     _require(duration_s > 0, f"duration_s must be positive, got {duration_s}")
     tick_slice = _integer(payload, "tick_slice", DEFAULT_TICK_SLICE)

@@ -51,6 +51,7 @@ from repro.battery.charger import FILL_ROUNDS, FLOAT_FRACTION, GRANT_EPSILON_W, 
 from repro.battery.params import BatteryParams
 from repro.battery.voltage import EMF_EXPONENT
 from repro.battery.wear import SHELF_MARGIN
+from repro.cluster.allocator import check_vm_capacity
 from repro.cluster.profiles import XEON_DL380
 from repro.cluster.server import SAVING_UTILISATION
 from repro.core.baseline import BaselineParams
@@ -149,14 +150,9 @@ def _check_supported(spec: SiteSpec) -> None:
     # KiBaM's own check: the scalar build rejects these (NaN included).
     if not 0.0 <= spec.initial_soc <= 1.0:
         raise ValueError(f"initial soc must be in [0,1], got {spec.initial_soc}")
-    # The scalar allocator raises at the first scale-up past the rack's
-    # VM capacity; the kernel's controllers have no such ceiling.
-    preferred = _WORKLOADS[spec.workload].preferred_vms
-    if spec.server_count * XEON_DL380.vm_slots < preferred:
-        raise FleetUnsupported(
-            f"{spec.server_count} servers hold fewer than the "
-            f"{preferred} VMs {spec.workload!r} scales to"
-        )
+    # The scalar build's own check.
+    check_vm_capacity(spec.server_count, XEON_DL380.vm_slots,
+                      _WORKLOADS[spec.workload].preferred_vms)
     if spec.scenario is not None:
         _check_scenario_supported(spec)
 
@@ -198,9 +194,10 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
 
     Sites are grouped into homogeneous lockstep batches; results come back
     in input order.  Raises :class:`FleetUnsupported` if any site cannot
-    be batched, ValueError for an initial SoC outside [0, 1] or a duty
-    control on a controller without a duty knob (as the scalar build
-    does) and ImportError when numpy is unavailable.
+    be batched, ValueError for an initial SoC outside [0, 1], a rack too
+    small for the workload's VMs or a duty control on a controller without
+    a duty knob (as the scalar build does) and ImportError when numpy is
+    unavailable.
     """
     from repro.sim.fleet import require_numpy
 
@@ -351,10 +348,16 @@ class _FleetBatch:
 
     def _init_trace(self) -> None:
         trace = np.zeros((self.n, self.steps), dtype=np.float64)
+        # Sites often share one trace tuple (and a frozen spec's tuple
+        # never changes): convert each distinct one once, only its first
+        # ``steps`` samples.
+        rows: dict[int, np.ndarray] = {}
         for i, spec in enumerate(self.specs):
-            power = np.asarray(spec.trace_power_w, dtype=np.float64)
-            count = min(power.shape[0], self.steps)
-            trace[i, :count] = power[:count]
+            power = spec.trace_power_w
+            row = rows.get(id(power))
+            if row is None:
+                row = rows[id(power)] = np.asarray(power[:self.steps], dtype=np.float64)
+            trace[i, :row.shape[0]] = row
         self.trace = trace
 
     def _init_battery(self) -> None:

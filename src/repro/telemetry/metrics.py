@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 from repro.battery.bank import BatteryBank
 from repro.cluster.rack import ServerRack
-from repro.cluster.server import ServerState
 from repro.sim.clock import Clock
 from repro.sim.component import Component
 from repro.workloads.base import Workload
@@ -108,7 +107,10 @@ class MetricsCollector(Component):
         dt_h = dt / 3600.0
         self._elapsed += dt
 
-        if self.rack.serving():
+        # The rack record is rebuilt only if a shed changed the servers
+        # since the coupler read its demand this tick.
+        rack = self.rack.record
+        if rack.running_vms:
             self._uptime_s += dt
 
         # Energy availability counts *reachable* energy: cabinets on the
@@ -120,22 +122,9 @@ class MetricsCollector(Component):
                 online_wh += u.stored_energy_wh
         self._stored_wh_integral += online_wh * dt
 
-        # The coupler sampled rack demand earlier this tick; nothing between
-        # it and this collector changes server power state unless a shed
-        # happened (in which case it invalidates the sample and we re-read).
-        demand = getattr(self.plant, "last_server_demand_w", None)
-        if demand is None:
-            demand = self.rack.demand_w
-        self._load_energy_wh += demand * dt_h
-        effective = 0
-        transition = 0
-        for server in self.rack.servers:
-            if server.running_vm_count():
-                effective += server.power_w
-            elif server.state is ServerState.BOOTING or server.state is ServerState.SAVING:
-                transition += server.power_w
-        self._effective_energy_wh += effective * dt_h
-        self._checkpoint_energy_wh += transition * dt_h
+        self._load_energy_wh += rack.demand_w * dt_h
+        self._effective_energy_wh += rack.effective_w * dt_h
+        self._checkpoint_energy_wh += rack.transition_w * dt_h
 
         report = self.plant.last_report
         if report is not None:

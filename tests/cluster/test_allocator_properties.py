@@ -68,3 +68,40 @@ def test_vm_ctrl_ops_count_only_changes(targets):
         if event.data.get("op") == "retarget"
     )
     assert retargets == distinct_changes
+
+
+_RACK_OPS = st.one_of(
+    st.tuples(st.just("set_target"), st.integers(0, 8)),
+    st.tuples(st.just("sync"), st.none()),
+    st.tuples(st.just("step"), st.integers(1, 20)),
+    st.tuples(st.just("set_duty"), st.sampled_from([0.3, 0.6, 1.0])),
+    st.tuples(st.just("emergency_shed"), st.none()),
+    st.tuples(st.just("graceful_stop_all"), st.none()),
+)
+
+
+@given(ops=st.lists(_RACK_OPS, min_size=1, max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_rack_record_equals_a_fresh_build(ops):
+    rack = ServerRack(server_count=4)
+    allocator = NodeAllocator(rack)
+    clock = Clock(dt=60.0)
+    # Rebuild at every notification, as an eager owner would: a mutator
+    # that tells the rack before its change is complete leaves a stale
+    # record behind.
+    for server in rack.servers:
+        server.on_change = lambda: (rack._drop_record(), rack.record)
+    for op, arg in ops:
+        if op == "set_target":
+            allocator.set_target(arg, clock.t)
+        elif op == "sync":
+            allocator.sync(clock.t)
+        elif op == "step":
+            for _ in range(arg):
+                rack.step(clock)
+                clock.advance()
+        elif op == "set_duty":
+            rack.set_duty(arg, clock.t)
+        else:
+            getattr(rack, op)(clock.t)
+        assert rack.record == rack._build_record()

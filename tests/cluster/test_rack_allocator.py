@@ -91,6 +91,72 @@ class TestRack:
         assert rack.events.count("power.duty") == 1
 
 
+class TestRackRecord:
+    """Each server mutator drops the cached record; the next read sees
+    the change."""
+
+    @staticmethod
+    def _serving_rack():
+        rack = ServerRack(server_count=4)
+        alloc = NodeAllocator(rack)
+        alloc.set_target(3)
+        settle(rack)
+        return rack, alloc
+
+    def _assert_fresh_after(self, rack, mutate):
+        before = rack.record
+        mutate()
+        assert rack.record == rack._build_record()
+        assert rack.record != before
+
+    def test_place_and_evict(self):
+        rack, _ = self._serving_rack()
+        server = rack.servers[1]  # ON, one VM
+        vm = VirtualMachine("extra")
+        vm.start()
+        self._assert_fresh_after(rack, lambda: server.place_vm(vm))
+        vm.checkpoint()
+        self._assert_fresh_after(rack, lambda: server.evict_vm(vm))
+
+    def test_power_cycle(self):
+        rack, _ = self._serving_rack()
+        server = rack.servers[0]
+        self._assert_fresh_after(rack, server.power_off)
+        self._assert_fresh_after(rack, lambda: server.step(rack.profile.save_s))
+        self._assert_fresh_after(rack, server.power_on)
+        self._assert_fresh_after(rack, lambda: server.step(rack.profile.boot_s))
+        self._assert_fresh_after(rack, server.emergency_off)
+
+    def test_duty(self):
+        rack, _ = self._serving_rack()
+        self._assert_fresh_after(rack, lambda: rack.servers[0].set_duty(0.5))
+
+    def test_compute_seconds_follow_the_tick_length(self):
+        rack, _ = self._serving_rack()  # three VMs running, stepped at 60 s
+        rack.step(Clock(dt=10.0))
+        assert rack.last_compute_seconds == pytest.approx(3 * 10.0)
+
+    def test_allocator_starts_a_vm_before_placing_it(self):
+        rack, alloc = self._serving_rack()
+        told = []
+        for server in rack.servers:
+            server.on_change = lambda s=server: told.append(s.running_vm_count())
+        alloc.set_target(4)  # a second VM on the half-full ON server
+        assert told == [2]
+
+    def test_pdu_over_capacity_raises_at_every_read(self):
+        from repro.power.converters import PowerDistributionUnit
+
+        rack = ServerRack(server_count=4, pdu=PowerDistributionUnit(capacity_w=600.0))
+        NodeAllocator(rack).set_target(4)
+        assert rack.demand_w == pytest.approx(2 * 280.0 + 2 * 2.0)  # booting
+        with pytest.raises(ValueError, match="over capacity"):
+            settle(rack)  # the boot completes: two busy servers draw 700 W
+        for _ in range(2):
+            with pytest.raises(ValueError, match="over capacity"):
+                rack.demand_w
+
+
 class TestAllocator:
     def test_target_maps_to_servers(self, rack):
         alloc = NodeAllocator(rack)

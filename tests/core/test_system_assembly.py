@@ -22,8 +22,9 @@ class TestAssembly:
         assert len(system.switchnet.pairs) == 5
 
     def test_server_count_and_profile(self):
-        system = sys_with(server_count=2, server_profile=CORE_I7)
-        assert len(system.rack.servers) == 2
+        # Five 2-slot servers hold video's 8 VMs (a smaller rack is refused).
+        system = sys_with(server_count=5, server_profile=CORE_I7)
+        assert len(system.rack.servers) == 5
         assert system.rack.profile is CORE_I7
 
     def test_per_vm_watts_follow_profile(self):

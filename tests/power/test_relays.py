@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power.relays import Relay, RelayPair, SwitchNetwork
+from repro.power.relays import Relay, RelayError, RelayPair, SwitchNetwork
 from repro.sim.events import EventLog
 
 
@@ -55,9 +55,31 @@ class TestSwitchNetwork:
         net = SwitchNetwork(["b1", "b2"])
         net.attach("b1", "charge")
         net.attach("b2", "load")
-        assert net.on_bus("charge") == ["b1"]
-        assert net.on_bus("load") == ["b2"]
+        assert net.on_bus("charge") == ("b1",)
+        assert net.on_bus("load") == ("b2",)
+        assert net.on_bus("offline") == ()
         assert net.state_of("b1") == "charging"
+
+    def test_bus_tuples_follow_every_move(self):
+        net = SwitchNetwork(["b1", "b2"])
+        offline = net.on_bus("offline")
+        assert offline == ("b1", "b2")
+        net.attach("b1", "offline")  # moves no contact: the scan stays
+        assert net.on_bus("offline") is offline
+        net.attach("b1", "load")
+        assert net.on_bus("load") == ("b1",)
+        assert net.on_bus("offline") == ("b2",)
+
+    def test_refused_bridge_still_moves_the_free_contact(self):
+        net = SwitchNetwork(["b1"])
+        net.attach("b1", "load")
+        assert net.on_bus("load") == ("b1",)
+        net.pairs["b1"].discharge.force_stick()
+        with pytest.raises(RelayError):
+            net.attach("b1", "charge")
+        # The charge contact closed before the bridge was refused.
+        assert net.on_bus("charge") == ("b1",)
+        assert net.on_bus("load") == ()
 
     def test_switch_operations_counted_per_mode_change(self):
         net = SwitchNetwork(["b1"])

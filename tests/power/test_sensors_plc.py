@@ -57,6 +57,23 @@ class TestAnalogModule:
         plc.step(clock)
         assert decode_fixed(plc.slave.input[0]) == pytest.approx(12.5, abs=0.02)
 
+    def test_channels_bound_or_added_after_a_scan_are_scanned(self):
+        # The scan plan is derived once; binding a channel to an added
+        # module, or adding a module, must drop it.
+        plc = ProgrammableLogicController(scan_period_s=0.5)
+        module = plc.add_module(AnalogInputModule(base_address=0))
+        module.bind(0, Transducer(lambda: 12.5, lo=0.0, hi=50.0))
+        clock = Clock(dt=1.0)
+        plc.step(clock)
+        module.bind(1, Transducer(lambda: 7.5, lo=0.0, hi=50.0))
+        plc.step(clock)
+        assert decode_fixed(plc.slave.input[1]) == pytest.approx(7.5, abs=0.02)
+        later = AnalogInputModule(base_address=4)
+        later.bind(0, Transducer(lambda: 3.0, lo=0.0, hi=50.0))
+        plc.add_module(later)
+        plc.step(clock)
+        assert decode_fixed(plc.slave.input[4]) == pytest.approx(3.0, abs=0.02)
+
     def test_duplicate_channel_rejected(self):
         module = AnalogInputModule(base_address=0)
         module.bind(0, Transducer(lambda: 0.0, lo=0.0, hi=1.0))

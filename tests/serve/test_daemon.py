@@ -151,6 +151,18 @@ class TestDaemonEndToEnd:
             assert status == 400, length
         assert client.healthz()["sessions"] == sessions
 
+    def test_infinite_duration_is_a_bad_request(self, client):
+        # json.loads accepts the Infinity token; the manifest must not.
+        body = b'{"cell": "insure:video:sunny", "duration_s": Infinity}'
+        sessions = client.healthz()["sessions"]
+        status = _raw_status(
+            client,
+            b"POST /v1/sessions HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body,
+        )
+        assert status == 400
+        assert client.healthz()["sessions"] == sessions
+
     @pytest.mark.parametrize("request_bytes, status", [
         # A head that never ends runs into the per-request deadline.
         (b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 2\r\n", 408),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +122,42 @@ class TestExplicitForm:
     def test_non_mapping_rejected(self):
         with pytest.raises(ManifestError, match="JSON object"):
             parse_manifest([1, 2, 3])
+
+
+_POLICY = {"name": "p", "signal": "carbon", "governor": "const:1",
+           "control": "duty_cap"}
+
+
+def _with_number(form: str, key: str, value: float) -> dict:
+    if form == "cell":
+        return {"cell": "insure:video:sunny", key: value}
+    if form == "policy":
+        return {"policies": [{**_POLICY, key: value}]}
+    return {key: value}
+
+
+class TestNumbers:
+    """Every number a manifest carries must be finite: JSON's ``Infinity``
+    and ``NaN`` tokens parse to floats that size no run."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("form, key", [
+        ("cell", "duration_s"),
+        ("explicit", "mean_w"),
+        ("explicit", "initial_soc"),
+        ("explicit", "dt"),
+        ("explicit", "duration_s"),
+        ("policy", "interval_s"),
+    ])
+    def test_non_finite_rejected(self, form, key, value):
+        with pytest.raises(ManifestError, match=key):
+            parse_manifest(_with_number(form, key, value))
+
+    def test_dt_below_the_plc_scan_period_rejected(self):
+        with pytest.raises(ManifestError, match="PLC scan period"):
+            parse_manifest({"dt": 0.1})
+        assert parse_manifest({"dt": 0.5}).dt == 0.5
 
 
 # ----------------------------------------------------------------------

@@ -81,12 +81,33 @@ class TestSiteSpec:
             simulate_fleet([_spec(controller="baseline", workload="seismic",
                                   scenario=scenario)])
 
-    def test_rack_too_small_for_the_workload_is_routed_to_scalar(self):
+    def test_rack_too_small_for_the_workload_rejected_by_both_kernels(self):
         # Three 2-slot servers cannot host video's 8 VMs: the scalar
-        # allocator raises at the first scale-up, so the kernel declines
-        # the site and run_cells falls back to the scalar backends.
-        with pytest.raises(FleetUnsupported, match="3 servers"):
+        # allocator would raise at the first scale-up mid-run, so the
+        # scalar build refuses the rack, and the kernel the same site.
+        from repro.core.system import build_day_system
+
+        with pytest.raises(ValueError, match="3 servers of 2 VM slots"):
+            build_day_system("insure", "video", "sunny", mean_w=1400.0, seed=5,
+                             initial_soc=0.55, server_count=3)
+        with pytest.raises(ValueError, match="3 servers of 2 VM slots"):
             simulate_fleet([_spec(server_count=3)])
+
+
+class TestTrace:
+    def test_shared_and_short_traces_fill_their_rows(self):
+        # Sites sharing one trace tuple convert it once; a trace shorter
+        # than the horizon leaves the rest of its row at zero.
+        from repro.sim.fleet.kernel import _FleetBatch
+
+        shared = tuple(float(i) for i in range(200))
+        short = tuple(float(-i) for i in range(50))
+        batch = _FleetBatch([_spec(trace_power_w=trace, duration_s=600.0)
+                             for trace in (shared, short, shared)])
+        assert batch.trace.shape == (3, 120)
+        assert batch.trace[0].tolist() == list(shared[:120])
+        assert batch.trace[2].tolist() == list(shared[:120])
+        assert batch.trace[1].tolist() == list(short) + [0.0] * 70
 
 
 class TestNumpyGate:
