@@ -1,17 +1,15 @@
-"""Performance smoke: tick throughput, cold-run wall time, cache replay.
+"""Performance smoke: cache replay and the cost of optional observers.
 
-Not a paper figure — this guards the fast simulation core itself.  It
-measures one deterministic full-system day (the Figure 20 "high solar"
-cell), derives sustained ticks/second, then replays the identical
-configuration through the content-addressed run cache and checks the
-replay is effectively free.  Results land in ``BENCH_engine.json`` at the
-repository root so successive runs can be compared.
+Not a paper figure.  Runs one deterministic full-system day (the Figure
+20 "high solar" cell), replays the identical configuration through the
+content-addressed run cache and checks the replay is effectively free,
+then times the invariant checker and the observability stack against a
+plain run of the same cell.  Engine throughput is the benchmark
+ladder's to gate (``benchmarks/ladder``), parent against change.
 """
 
 import hashlib
-import json
 import time
-from pathlib import Path
 
 from conftest import banner, row
 
@@ -21,12 +19,8 @@ from repro.sim.cache import RunCache, cache_key
 from repro.solar.traces import make_day_trace
 from repro.workloads import SeismicAnalysis
 
-#: One simulated day at dt=5 s.
-DAY_SECONDS = 24 * 3600.0
+#: The tick of every cell here, in seconds.
 DT = 5.0
-TICKS = int(DAY_SECONDS / DT)
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
 def test_engine_perf_smoke(tmp_path, monkeypatch):
@@ -40,26 +34,13 @@ def test_engine_perf_smoke(tmp_path, monkeypatch):
     warm = run_single("insure", "seismic", "sunny", 1000.0, seed=1, dt=DT)
     warm_s = time.perf_counter() - t0
 
-    ticks_per_s = TICKS / cold_s
-
-    banner("Engine performance smoke (Figure 20 high-solar cell)")
-    row("cold run", f"{cold_s:.2f} s", f"{ticks_per_s:,.0f} ticks/s")
+    banner("Engine cache smoke (Figure 20 high-solar cell)")
+    row("cold run", f"{cold_s:.2f} s")
     row("cache replay", f"{warm_s * 1000:.1f} ms")
-
-    BENCH_PATH.write_text(json.dumps({
-        "cell": "fullsystem.run_single(insure, seismic, sunny, 1000W, seed=1)",
-        "ticks": TICKS,
-        "cold_seconds": round(cold_s, 4),
-        "ticks_per_second": round(ticks_per_s, 1),
-        "cache_replay_seconds": round(warm_s, 4),
-    }, indent=2) + "\n")
 
     # The replay must be served from disk, bit-identical and near-instant.
     assert warm == cold
     assert warm_s < 0.5
-    # Generous floor: the optimised kernel sustains ~20k ticks/s on one
-    # modest core; trip only on order-of-magnitude regressions.
-    assert ticks_per_s > 4000, f"engine too slow: {ticks_per_s:,.0f} ticks/s"
 
 
 def _build_bench_cell(invariants):

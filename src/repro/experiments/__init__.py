@@ -11,7 +11,7 @@ from repro.experiments.charging import (
     run_fig4b_discharge,
 )
 from repro.experiments.fixed_config import FixedConfigResult, run_fixed_config
-from repro.experiments.fullsystem import run_fullsystem_comparison
+from repro.experiments.fullsystem import run_figure20, run_figure21
 from repro.experiments.micro_sweep import run_micro_sweep
 from repro.experiments.table6 import run_table6
 from repro.experiments.table7 import run_table7
@@ -22,7 +22,8 @@ __all__ = [
     "run_fig4a_charging",
     "run_fig4b_discharge",
     "run_fixed_config",
-    "run_fullsystem_comparison",
+    "run_figure20",
+    "run_figure21",
     "run_micro_sweep",
     "run_table6",
     "run_table7",

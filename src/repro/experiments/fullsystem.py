@@ -67,30 +67,6 @@ def _profile_for(solar_mean_w: float) -> str:
     return "sunny" if solar_mean_w >= 800.0 else "cloudy"
 
 
-def run_fullsystem_comparison(
-    workload_kind: str,
-    solar_mean_w: float,
-    seed: int = 1,
-    initial_soc: float = 0.55,
-    dt: float = 5.0,
-    use_cache: bool = True,
-) -> ComparisonResult:
-    """One cell of the Figures 20/21 matrix."""
-    profile = _profile_for(solar_mean_w)
-    results: dict[str, RunSummary] = {}
-    for controller in ("insure", "baseline"):
-        results[controller] = run_single(
-            controller, workload_kind, profile, solar_mean_w,
-            seed=seed, initial_soc=initial_soc, dt=dt, use_cache=use_cache,
-        )
-    return ComparisonResult(
-        workload=workload_kind,
-        solar_mean_w=solar_mean_w,
-        insure=results["insure"],
-        baseline=results["baseline"],
-    )
-
-
 def _run_figure_matrix(
     workload_kind: str,
     seed: int,

@@ -79,30 +79,6 @@ class MicroComparison:
                            self.baseline.projected_life_days)
 
 
-def run_micro_comparison(
-    benchmark: str,
-    solar_level: str,
-    seed: int = 1,
-    initial_soc: float = 0.55,
-    dt: float = 5.0,
-    use_cache: bool = True,
-) -> MicroComparison:
-    """One benchmark x solar-level cell of Figures 17-19."""
-    _solar_point(solar_level)  # validate the level before running anything
-    results: dict[str, RunSummary] = {}
-    for controller in ("insure", "baseline"):
-        results[controller] = run_micro_cell(
-            benchmark, solar_level, controller,
-            seed=seed, initial_soc=initial_soc, dt=dt, use_cache=use_cache,
-        )
-    return MicroComparison(
-        benchmark=benchmark,
-        solar_level=solar_level,
-        insure=results["insure"],
-        baseline=results["baseline"],
-    )
-
-
 def run_micro_sweep(
     benchmarks: tuple[str, ...] = FIGURE17_BENCHMARKS,
     solar_levels: tuple[str, ...] = ("high", "low"),

@@ -19,7 +19,8 @@ Two higher-level consumers ride on those instruments:
 
 Observability is strictly read-only with respect to the simulation: a run
 with it attached produces bit-identical same-seed traces (enforced by the
-golden harness and the <5 % overhead gate in ``benchmarks/``).
+golden harness and the digest check of
+``benchmarks/test_perf_engine.py::test_observability_overhead``).
 
 ``repro.obs.profile`` (imported lazily to keep this package free of any
 dependency on the system assembly) drives instrumented full-system runs

@@ -11,10 +11,13 @@ children's).
 Cost model: tracing is **sampled by tick stride**.  The engine asks
 :meth:`SpanTracer.begin_tick` once per tick; on the 1-in-``stride`` ticks
 that sample, spans record real timings, on all other ticks ``span()``
-returns a shared no-op handle.  With the default stride the measured
-overhead on the BENCH cell stays below the 5 % gate in
-``benchmarks/test_perf_engine.py``.  Tracing never mutates simulation
-state, so same-seed traces are bit-identical with tracing on or off.
+returns a shared no-op handle.  On the BENCH cell the per-tick hooks
+alone (``begin_tick``, the null spans and the decision calls) cost under
+1 % of a full day, but the default observability stack costs 5–11 %,
+over the 5 % gate in ``benchmarks/test_perf_engine.py`` (see
+``docs/observability.md``).
+Tracing never mutates simulation state, so same-seed traces are
+bit-identical with tracing on or off.
 """
 
 from __future__ import annotations

@@ -30,16 +30,25 @@ import math
 from collections.abc import Mapping, Sequence
 
 
+def _finite_number(token: str) -> float:
+    """Parse one number of the rule grammar; ``nan`` and ``inf`` raise
+    ``ValueError``, as no limit or pivot can be compared against them."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token.strip()!r} is not a finite number")
+    return value
+
+
 def parse_limit_value(token: str) -> float:
-    """Parse one limit token: ``max`` → 1.0, ``70%`` → 0.7, else float."""
+    """Parse one limit token: ``max`` → 1.0, ``70%`` → 0.7, else a number."""
     token = token.strip()
     if token == "max":
         return 1.0
     if token == "min":
         return 0.0
     if token.endswith("%"):
-        return float(token[:-1]) / 100.0
-    return float(token)
+        return _finite_number(token[:-1]) / 100.0
+    return _finite_number(token)
 
 
 class Governor:
@@ -226,7 +235,8 @@ def parse_governor(spec: str) -> Governor:
         step:100=70%:200=50%[:below=max]
         linear:100:500[:LIMIT_AT_LO:LIMIT_AT_HI]
 
-    Raises ``ValueError`` naming the offending spec on any syntax error.
+    Raises ``ValueError`` naming the offending spec on any syntax error
+    or non-finite number.
     """
     kind, _, rest = spec.strip().partition(":")
     try:
@@ -254,15 +264,15 @@ def parse_governor(spec: str) -> Governor:
                 if left.strip() == "below":
                     below = parse_limit_value(value)
                 else:
-                    steps.append((float(left), parse_limit_value(value)))
+                    steps.append((_finite_number(left), parse_limit_value(value)))
             return StepGovernor(steps, below=below)
         if kind == "linear":
             parts = rest.split(":")
             if len(parts) == 2:
-                return LinearGovernor(float(parts[0]), float(parts[1]))
+                return LinearGovernor(_finite_number(parts[0]), _finite_number(parts[1]))
             if len(parts) == 4:
                 return LinearGovernor(
-                    float(parts[0]), float(parts[1]),
+                    _finite_number(parts[0]), _finite_number(parts[1]),
                     parse_limit_value(parts[2]), parse_limit_value(parts[3]),
                 )
             raise ValueError("linear takes 2 or 4 parameters")

@@ -42,6 +42,7 @@ from repro.policy.controls import DVFS_CONTROLS
 from repro.policy.registry import (
     PolicyDef, build_policy, control_names, make_governor, signal_names,
 )
+from repro.solar.traces import make_day_trace
 from repro.validate.golden import (
     BASE_SEED,
     CONTROLLERS,
@@ -232,6 +233,12 @@ def parse_manifest(payload: Mapping[str, Any]) -> SessionManifest:
                 f"control {spec.control!r} (policy {spec.name!r}) requires "
                 f"the insure controller; {controller!r} has no DVFS duty knob",
             )
+    # The day trace the build scales to mean_w (memoised, so the build
+    # reuses it); a mean too large for its samples fails here, not there.
+    try:
+        make_day_trace(weather, dt_seconds=dt, seed=seed, target_mean_w=mean_w)
+    except ValueError as exc:
+        raise ManifestError(f"mean_w {mean_w:g} W: {exc}") from None
     return SessionManifest(
         controller=controller, workload=workload, weather=weather,
         mean_w=mean_w, seed=seed, initial_soc=initial_soc, dt=dt,

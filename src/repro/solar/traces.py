@@ -138,15 +138,9 @@ def make_day_trace(
                         power_w=cached.copy())
     power = _raw_day(profile, rated_w, dt_seconds, seed)
     if target_energy_kwh is not None:
-        current = power.sum() * dt_seconds / 3.6e6
-        if current <= 0:
-            raise ValueError("raw trace has no energy to rescale")
-        power = power * (target_energy_kwh / current)
+        power = _rescaled(power, target_energy_kwh, power.sum() * dt_seconds / 3.6e6)
     elif target_mean_w is not None:
-        current = power.mean()
-        if current <= 0:
-            raise ValueError("raw trace has no energy to rescale")
-        power = power * (target_mean_w / current)
+        power = _rescaled(power, target_mean_w, power.mean())
     if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
         _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
     _TRACE_MEMO[memo_key] = power.copy()
@@ -157,14 +151,27 @@ def scale_to_mean_power(trace: DayTrace, mean_w: float) -> DayTrace:
     """Return a copy of ``trace`` rescaled to an exact mean power."""
     if mean_w < 0:
         raise ValueError("mean_w must be non-negative")
-    current = trace.mean_power_w
-    if current <= 0:
-        raise ValueError("trace has no energy to rescale")
     return DayTrace(
         start_hour=trace.start_hour,
         dt_seconds=trace.dt_seconds,
-        power_w=trace.power_w * (mean_w / current),
+        power_w=_rescaled(trace.power_w, mean_w, trace.mean_power_w),
     )
+
+
+def _rescaled(power: np.ndarray, target: float, current: float) -> np.ndarray:
+    """``power`` scaled from its ``current`` mean power or energy to ``target``.
+
+    Raises ``ValueError`` when the trace has no energy to scale, or when
+    the scaled trace is not finite: a NaN target, or one too large for a
+    float sample (a 1e308 W mean overflows the midday peak).
+    """
+    if current <= 0:
+        raise ValueError("trace has no energy to rescale")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = power * (target / current)
+    if not np.isfinite(scaled).all():
+        raise ValueError(f"a target of {target:g} leaves the rescaled trace non-finite")
+    return scaled
 
 
 def paper_high_trace(dt_seconds: float = 5.0, seed: int = 0) -> DayTrace:

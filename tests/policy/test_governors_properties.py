@@ -118,3 +118,16 @@ def test_parse_round_trips_describe_for_step(steps, below, signal):
     governor = StepGovernor(steps, below=below)
     reparsed = parse_governor(f"{governor.describe()}:below={below:g}")
     assert reparsed.limit(signal) == governor.limit(signal)
+
+
+@pytest.mark.parametrize("spec", [
+    "const:nan", "const:inf", "const:-inf", "const:nan%",
+    "list:red=nan", "list:red=0.5:default=inf",
+    "step:nan=50%", "step:100=inf", "step:100=50%:below=nan",
+    "linear:nan:500", "linear:100:inf", "linear:100:500:max:nan",
+])
+def test_non_finite_numbers_rejected(spec):
+    # A NaN limit compares false with everything, so the control it feeds
+    # takes whichever branch that leaves it in, without an error.
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_governor(spec)

@@ -37,6 +37,15 @@ def _raw_status(client: ServeClient, request: bytes) -> int:
     return int(reply.split(b" ", 2)[1])
 
 
+def _post_status(client: ServeClient, body: bytes) -> int:
+    """POST ``body`` as a session manifest; the reply's status code."""
+    return _raw_status(
+        client,
+        b"POST /v1/sessions HTTP/1.1\r\nContent-Length: "
+        + str(len(body)).encode() + b"\r\n\r\n" + body,
+    )
+
+
 @pytest.fixture()
 def daemon():
     instance = ServeDaemon(port=0, max_sessions=4)
@@ -155,12 +164,14 @@ class TestDaemonEndToEnd:
         # json.loads accepts the Infinity token; the manifest must not.
         body = b'{"cell": "insure:video:sunny", "duration_s": Infinity}'
         sessions = client.healthz()["sessions"]
-        status = _raw_status(
-            client,
-            b"POST /v1/sessions HTTP/1.1\r\nContent-Length: "
-            + str(len(body)).encode() + b"\r\n\r\n" + body,
-        )
-        assert status == 400
+        assert _post_status(client, body) == 400
+        assert client.healthz()["sessions"] == sessions
+
+    def test_overflowing_mean_w_is_a_bad_request(self, client):
+        # Finite, but the day trace scaled to it is not.
+        body = b'{"mean_w": 1e308}'
+        sessions = client.healthz()["sessions"]
+        assert _post_status(client, body) == 400
         assert client.healthz()["sessions"] == sessions
 
     @pytest.mark.parametrize("request_bytes, status", [

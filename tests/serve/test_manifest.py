@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.manifest import (
@@ -159,6 +159,20 @@ class TestNumbers:
             parse_manifest({"dt": 0.1})
         assert parse_manifest({"dt": 0.5}).dt == 0.5
 
+    @pytest.mark.parametrize("governor", [
+        "const:nan", "const:inf", "step:nan=50%", "list:red=nan",
+        "linear:100:500:1:nan",
+    ])
+    def test_non_finite_governor_number_rejected(self, governor):
+        with pytest.raises(ManifestError, match="not a finite number"):
+            parse_manifest({"policies": [{**_POLICY, "governor": governor}]})
+
+    def test_mean_w_overflowing_the_day_trace_rejected(self):
+        # Finite, but the trace scaled to it overflows at the midday peak.
+        with pytest.raises(ManifestError, match="mean_w"):
+            parse_manifest({"mean_w": 1e308})
+        assert parse_manifest({"mean_w": 1e300}).mean_w == 1e300
+
 
 # ----------------------------------------------------------------------
 # Property: parse(render(m)) == m over generated manifests
@@ -217,6 +231,9 @@ def explicit_manifests(draw):
     }
 
 
+# Parsing synthesises the day trace (about 0.4 s at dt = 0.5 s), so the
+# per-example deadline does not apply.
+@settings(deadline=None)
 @given(explicit_manifests())
 def test_explicit_round_trip(payload):
     manifest = parse_manifest(payload)

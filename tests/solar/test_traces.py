@@ -1,5 +1,8 @@
 """Calibrated day traces (Figure 15, Table 6)."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,16 @@ class TestValidation:
         trace = make_day_trace("sunny")
         with pytest.raises(ValueError):
             scale_to_mean_power(trace, -10.0)
+
+    # Any trace whose peak exceeds its mean overflows at the largest float.
+    @pytest.mark.parametrize("target", [sys.float_info.max, math.inf, math.nan])
+    def test_scaling_to_a_non_finite_trace_rejected(self, target):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_day_trace("sunny", seed=3, target_mean_w=target)
+        with pytest.raises(ValueError, match="non-finite"):
+            make_day_trace("sunny", seed=3, target_energy_kwh=target)
+        with pytest.raises(ValueError, match="non-finite"):
+            scale_to_mean_power(make_day_trace("sunny", seed=3), target)
 
     def test_empty_trace_mean(self):
         empty = DayTrace(start_hour=7.0, dt_seconds=5.0, power_w=np.array([]))
