@@ -5,16 +5,9 @@ project's* invariants — determinism of the tick kernel, unit-suffix
 discipline, observer purity, scalar↔fleet kernel parity, and async
 hygiene in the serve layer — none of which a generic linter can check.
 Run it via ``repro lint``; see ``docs/analysis.md`` for the rule
-catalogue and the suppression/baseline workflow.
+catalogue and the suppression workflow.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    filter_findings,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     Allow,
     Finding,
@@ -35,8 +28,6 @@ from repro.analysis.runner import build_project, default_root, run_lint
 
 __all__ = [
     "Allow",
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "ImportMap",
     "LintResult",
@@ -45,8 +36,6 @@ __all__ = [
     "Rule",
     "build_project",
     "default_root",
-    "filter_findings",
-    "load_baseline",
     "make_rule",
     "make_rules",
     "parse_allows",
@@ -55,5 +44,4 @@ __all__ = [
     "render_text",
     "rule_names",
     "run_lint",
-    "write_baseline",
 ]

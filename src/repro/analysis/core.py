@@ -2,7 +2,7 @@
 
 The suite parses the reproduction's own sources into ASTs and runs a set
 of registered :class:`Rule` objects over them.  Everything downstream of
-this module — rules, baseline, reporters, the ``repro lint`` CLI — works
+this module — rules, reporters, the ``repro lint`` CLI — works
 in terms of three small types:
 
 * :class:`ModuleSource` — one parsed source file (path, dotted module
@@ -10,7 +10,7 @@ in terms of three small types:
 * :class:`Project` — the set of modules under analysis, for rules that
   need a cross-module view (e.g. scalar↔fleet kernel parity);
 * :class:`Finding` — one diagnostic, anchored to ``path:line:col`` with
-  a stable fingerprint for the committed baseline.
+  a stable fingerprint for diffing reports across runs.
 
 Suppressions follow the ``# repro: allow[rule-id] reason`` convention:
 an *inline* allow suppresses findings on its own line, a *standalone*
@@ -53,12 +53,11 @@ class Finding:
     message: str
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
+        """Stable identity for matching a finding across runs.
 
         Line/column are deliberately excluded so unrelated edits above a
-        baselined finding do not resurrect it; the (rule, path, message)
-        triple identifies the finding, with duplicates handled
-        count-aware by the baseline filter.
+        finding do not change its identity; the (rule, path, message)
+        triple identifies the finding.
         """
         blob = f"{self.rule}|{self.path}|{self.message}".encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -270,14 +269,3 @@ def attribute_root(node: ast.AST) -> ast.AST:
     return node
 
 
-def dotted_parts(node: ast.AST) -> list[str] | None:
-    """``a.b.c`` -> ["a", "b", "c"]; None when the chain isn't Names."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    parts.reverse()
-    return parts

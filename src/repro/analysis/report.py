@@ -4,9 +4,8 @@ The JSON document is a stable, versioned schema (pinned by
 ``tests/analysis/test_report.py``) so CI can render findings into job
 summaries and external tooling can diff runs::
 
-    {"version": 1, "root": "...", "rules": [...],
-     "summary": {"files": N, "findings": N, "suppressed": N,
-                 "baselined": N},
+    {"version": 2, "root": "...", "rules": [...],
+     "summary": {"files": N, "findings": N, "suppressed": N},
      "findings": [{"rule", "path", "line", "col", "message",
                    "fingerprint"}, ...]}
 """
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.analysis.core import Finding
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -30,7 +29,6 @@ class LintResult:
     findings: list[Finding]
     files: int
     suppressed: int = 0
-    baselined: int = 0
     #: Allow comments honoured this run, for the text report's footer.
     suppressions_seen: int = 0
 
@@ -55,13 +53,8 @@ def render_text(result: LintResult) -> str:
         f"{count} {noun} across {result.files} module(s); "
         f"{len(result.rules)} rule(s)"
     )
-    extras = []
     if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed by allows")
-    if result.baselined:
-        extras.append(f"{result.baselined} matched baseline")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({result.suppressed} suppressed by allows)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -75,7 +68,6 @@ def render_json(result: LintResult) -> str:
             "files": result.files,
             "findings": len(result.findings),
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
         },
         "findings": [finding.as_dict() for finding in result.sorted_findings()],
     }

@@ -161,9 +161,6 @@ NOT_PORTED: dict[str, str] = {
     "BatteryUnit._mdc_key": "max-discharge-current memo",
     "BatteryUnit._mdc_value": "max-discharge-current memo",
     "WearModel.charge_ah": "not consumed by RunSummary",
-    "ServerRack.compute_seconds_total": (
-        "lifetime aggregate; fleet derives throughput from processed GB"
-    ),
     "ServerRack._vm_counter": "VM identity naming only",
     "VideoSurveillance._accumulated_s": "arrival schedule precomputed (n_by_tick)",
     "VideoSurveillance._chunk_counter": "arrival schedule precomputed (n_by_tick)",

@@ -4,9 +4,8 @@ The runner is the composition root of the analysis suite: it builds a
 :class:`~repro.analysis.core.Project` from the installed ``repro``
 package (or any directory handed to it), instantiates the requested
 rules from the registry, folds inline ``# repro: allow[...]``
-suppressions and the optional committed baseline into the raw findings,
-and returns a :class:`~repro.analysis.report.LintResult` for the
-reporters.
+suppressions into the raw findings, and returns a
+:class:`~repro.analysis.report.LintResult` for the reporters.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, filter_findings, load_baseline
 from repro.analysis.core import (
     SUPPRESSION_RULE,
     Finding,
@@ -38,7 +36,7 @@ def iter_sources(root: Path) -> list[ModuleSource]:
 
     Dotted module names are derived from the path relative to ``root``'s
     parent, so a checkout's ``src/repro`` scan yields ``repro.sim.engine``
-    etc.  Display paths are likewise parent-relative, keeping baselines
+    etc.  Display paths are likewise parent-relative, keeping findings
     stable across checkout locations.
     """
     root = Path(root).resolve()
@@ -145,28 +143,18 @@ def lint_project(
 def run_lint(
     root: Path | None = None,
     rule_ids: Sequence[str] | None = None,
-    baseline_path: Path | str | None = None,
 ) -> LintResult:
-    """End-to-end lint run over a source tree.
-
-    ``baseline_path`` (when given) filters findings against the committed
-    baseline; pass None to report everything.
-    """
+    """End-to-end lint run over a source tree."""
     scan_root = Path(root).resolve() if root is not None else default_root()
     project = build_project(scan_root)
     rules = make_rules(rule_ids)
     findings, suppressed = lint_project(
         project, rules, all_rules_selected=rule_ids is None
     )
-    baselined = 0
-    if baseline_path is not None:
-        baseline: Baseline = load_baseline(baseline_path)
-        findings, baselined = filter_findings(findings, baseline)
     return LintResult(
         root=str(scan_root),
         rules=[rule.id for rule in rules],
         findings=sorted(findings, key=Finding.sort_key),
         files=len(project),
         suppressed=suppressed,
-        baselined=baselined,
     )

@@ -12,7 +12,6 @@ Run reproduction experiments without writing code::
     python -m repro validate --jobs 4
     python -m repro validate --refresh
     python -m repro validate --sweep-hours 36 --report sweep.json
-    python -m repro profile run --workload seismic --solar sunny --out prof/
     python -m repro report run --workload video --compare baseline --out flight/
     python -m repro fleet run --sites 1024 --seeds 1 --backend fleet
     python -m repro fleet mc --cabinets 2,3,4,5 --samples 64
@@ -242,49 +241,6 @@ def _run_sweep(args: argparse.Namespace, cells, count: int) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import (
-        profile_run,
-        render_breakdown,
-        render_decisions,
-        render_hottest,
-        write_outputs,
-    )
-
-    duration_s = args.duration_h * 3600.0 if args.duration_h else None
-    result = profile_run(
-        controller=args.controller,
-        workload=args.workload,
-        weather=args.solar,
-        mean_w=args.mean_w,
-        seed=args.seed,
-        initial_soc=args.initial_soc,
-        stride=args.stride,
-        duration_s=duration_s,
-        cprofile_path=args.cprofile,
-    )
-    ticks_per_s = result.ticks / result.wall_s if result.wall_s else 0.0
-    print(f"{args.controller} / {args.workload} / {args.solar} "
-          f"({args.mean_w:.0f} W avg, seed {args.seed}) — "
-          f"{result.ticks} ticks in {result.wall_s:.2f} s "
-          f"({ticks_per_s:,.0f} ticks/s)")
-    print()
-    print(render_breakdown(result))
-    print()
-    print(render_hottest(result))
-    print()
-    print(render_decisions(result))
-    if args.cprofile:
-        print(f"\ncProfile stats written to {result.cprofile_path} "
-              f"(snakeviz/flameprof compatible)")
-    if args.out:
-        paths = write_outputs(result, args.out)
-        print()
-        for label, path in sorted(paths.items()):
-            print(f"{label:16s} {path}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.telemetry.flight import (
         render_markdown,
@@ -313,6 +269,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         stride=args.stride,
         compare=args.compare,
         scenario=args.scenario,
+        cprofile_path=args.cprofile,
     )
     markdown = render_markdown(report)
     if args.out:
@@ -337,11 +294,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.sites < 1 or args.seeds < 1:
         raise SystemExit("--sites and --seeds must be at least 1")
-    if args.backend == "fleet":
-        from repro.sim.fleet import NUMPY_HINT, numpy_available
-
-        if not numpy_available():
-            print(f"note: {NUMPY_HINT}", file=sys.stderr)
 
     cells = [
         dict(
@@ -485,15 +437,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis import (
-        DEFAULT_BASELINE_NAME,
-        render_json,
-        render_text,
-        rule_names,
-        run_lint,
-        write_baseline,
-    )
-    from repro.analysis.runner import build_project, default_root, lint_project
+    from repro.analysis import render_json, render_text, rule_names, run_lint
     from repro.analysis.registry import make_rules
 
     if args.list_rules:
@@ -510,22 +454,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
 
     root = Path(args.root) if args.root else None
-    baseline_path = None
-    if args.baseline is not None:
-        baseline_path = args.baseline if args.baseline else DEFAULT_BASELINE_NAME
-
-    if args.write_baseline:
-        project = build_project(root)
-        rules = make_rules(rule_ids)
-        findings, _ = lint_project(project, rules,
-                                   all_rules_selected=rule_ids is None)
-        out = write_baseline(findings,
-                             baseline_path or DEFAULT_BASELINE_NAME)
-        print(f"wrote {len(findings)} finding(s) to {out}")
-        return 0
-
-    result = run_lint(root=root, rule_ids=rule_ids,
-                      baseline_path=baseline_path)
+    result = run_lint(root=root, rule_ids=rule_ids)
     if args.json:
         print(render_json(result), end="")
     else:
@@ -604,28 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(only with --sweep-hours)")
     validate.set_defaults(func=_cmd_validate)
 
-    profile = sub.add_parser(
-        "profile",
-        help="run with observability attached and print a time breakdown",
-    )
-    profile_sub = profile.add_subparsers(dest="profile_command", required=True)
-    profile_run_p = profile_sub.add_parser(
-        "run", help="profile one simulated day (or --duration-h hours)"
-    )
-    profile_run_p.add_argument("--controller", default="insure",
-                               choices=("insure", "baseline"))
-    add_run_options(profile_run_p)
-    profile_run_p.add_argument("--duration-h", type=float, default=None,
-                               help="horizon in hours (default: full trace)")
-    profile_run_p.add_argument("--stride", type=int, default=16,
-                               help="trace every Nth tick (default 16)")
-    profile_run_p.add_argument("--out", default=None, metavar="DIR",
-                               help="write metrics/decisions/spans/breakdown "
-                                    "artifacts into DIR")
-    profile_run_p.add_argument("--cprofile", default=None, metavar="PATH",
-                               help="also write cProfile stats to PATH")
-    profile_run_p.set_defaults(func=_cmd_profile)
-
     report = sub.add_parser(
         "report",
         help="file a unified flight report (summary, ledger, alerts, spans)",
@@ -657,6 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     report_run_p.add_argument("--html", action="store_true",
                               help="also render flight_report.html (with "
                                    "--out)")
+    report_run_p.add_argument("--cprofile", default=None, metavar="PATH",
+                              help="also write cProfile stats of the run "
+                                   "(not the --compare run) to PATH")
     report_run_p.set_defaults(func=_cmd_report)
 
     fleet = sub.add_parser(
@@ -674,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--backend", default="fleet",
                            choices=("fleet", "pool", "serial"),
                            help="execution backend (default fleet; falls "
-                                "back to pool/serial without numpy)")
+                                "back to pool/serial for sites it cannot "
+                                "batch)")
     fleet_run.add_argument("--controller", default="insure",
                            choices=("insure", "baseline"))
     fleet_run.add_argument("--jobs", type=int, default=None,
@@ -730,12 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only this rule (repeatable; default: all)")
     lint.add_argument("--json", action="store_true",
                       help="emit the versioned JSON report instead of text")
-    lint.add_argument("--baseline", nargs="?", const="", default=None,
-                      metavar="PATH",
-                      help="filter findings against a committed baseline "
-                           "(default path: .lint-baseline.json)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="park current findings into the baseline file")
     lint.add_argument("--root", default=None, metavar="DIR",
                       help="package directory to scan (default: the "
                            "installed repro package)")
@@ -753,8 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; a ValueError it raises (a bad number, say) is a
+    usage error: exit status 2 and ``repro: error: ...`` on stderr."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

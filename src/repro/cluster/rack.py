@@ -59,7 +59,6 @@ class ServerRack(Component):
         # default would silently discard a shared log.
         self.events = events if events is not None else EventLog()
         self._vm_counter = 0
-        self.compute_seconds_total = 0.0
         self._last_compute_seconds = 0.0
         #: Tick length the record's compute seconds are for (the latest step's).
         self._dt = 0.0
@@ -176,7 +175,6 @@ class ServerRack(Component):
                 server.step(dt)
             record = self.record
         self._last_compute_seconds = record.compute_seconds
-        self.compute_seconds_total += self._last_compute_seconds
 
     @property
     def last_compute_seconds(self) -> float:

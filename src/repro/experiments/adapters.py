@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
-from repro.sim.fleet import FleetUnsupported, require_numpy
+from repro.sim.fleet import FleetUnsupported
 from repro.sim.fleet.kernel import SiteSpec, simulate_fleet
 from repro.telemetry.metrics import RunSummary
 
@@ -131,11 +131,9 @@ def run_cells_fleet(
     """Run every cell through the fleet kernel; results in input order.
 
     Raises :class:`FleetUnsupported` when the cell function has no
-    adapter or any cell cannot be expressed as a :class:`SiteSpec`, and
-    ``ImportError`` when numpy is unavailable — the runner treats both as
-    routing signals back to the pool/serial path.
+    adapter or any cell cannot be expressed as a :class:`SiteSpec` — the
+    runner's signal to route the batch back to the pool/serial path.
     """
-    require_numpy()
     name = _fn_name(fn)
     if name not in _ADAPTERS:
         raise FleetUnsupported(f"no fleet adapter for cell function {name}")

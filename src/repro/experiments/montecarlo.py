@@ -5,8 +5,8 @@ three cloud seeds per e-Buffer size — enough for the diminishing-returns
 trend, far too few for tail statistics ("what buffer size keeps p5 uptime
 above 90 %?").  This mode fans hundreds of seed-varied day-and-night runs
 per configuration through :func:`repro.experiments.runner.run_cells` with
-the ``fleet`` backend (falling back to pool/serial when numpy is missing),
-and reports per-configuration percentile envelopes instead of means.
+the ``fleet`` backend (falling back to pool/serial for cells it cannot
+batch), and reports per-configuration percentile envelopes instead of means.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ PERCENTILES = (5, 25, 50, 75, 95)
 
 
 def percentile(values: list[float], pct: float) -> float:
-    """Linear-interpolation percentile (numpy 'linear'), pure Python.
-
-    Implemented locally so the pool/serial fallback path reports the same
-    numbers without numpy installed.
-    """
+    """Linear-interpolation percentile (numpy 'linear'), pure Python."""
     if not values:
         raise ValueError("need at least one value")
     ordered = sorted(values)

@@ -178,17 +178,14 @@ def _try_fleet_backend(
     fn: Callable[..., Any], cells: Sequence[Mapping[str, Any]]
 ) -> list[Any] | None:
     """Route the batch through the vectorized kernel; None on fallback."""
+    from repro.experiments.adapters import run_cells_fleet
+    from repro.sim.fleet import FleetUnsupported
+
     registry = global_registry()
+    t0 = time.perf_counter()
     try:
-        from repro.experiments.adapters import run_cells_fleet
-
-        t0 = time.perf_counter()
         results = run_cells_fleet(fn, cells)
-    except Exception as exc:
-        from repro.sim.fleet import FleetUnsupported
-
-        if not isinstance(exc, (FleetUnsupported, ImportError)):
-            raise
+    except FleetUnsupported as exc:
         registry.counter(
             "runner.fleet_fallbacks_total",
             "cell batches the fleet backend routed back to pool/serial",
@@ -235,8 +232,8 @@ def run_cells(
         defaults to ``auto`` (pool with serial fallback).  ``fleet``
         batches every cell through the vectorized SoA kernel when the
         cell function has a registered adapter, and degrades to the
-        pool/serial path when numpy is missing or any cell is
-        unsupported.  ``serial`` forces the in-process loop.
+        pool/serial path when any cell is unsupported.  ``serial``
+        forces the in-process loop.
     """
     cells = list(cells)
     if not cells:

@@ -22,9 +22,10 @@ with it attached produces bit-identical same-seed traces (enforced by the
 golden harness and the digest check of
 ``benchmarks/test_perf_engine.py::test_observability_overhead``).
 
-``repro.obs.profile`` (imported lazily to keep this package free of any
-dependency on the system assembly) drives instrumented full-system runs
-for ``repro profile run``.
+Instrumented full-system runs are flown by
+:mod:`repro.telemetry.flight` (``repro report run``), whose flight
+report carries the span profile, hottest ticks, decision counts and
+ledger of one run.
 """
 
 from repro.obs.alerts import (

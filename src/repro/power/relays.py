@@ -59,9 +59,6 @@ class Relay:
         """Inject a mechanical fault: the contact freezes in place."""
         self.stuck = True
 
-    def repair(self) -> None:
-        self.stuck = False
-
     @property
     def life_fraction_used(self) -> float:
         return min(1.0, self.cycles / self.rated_cycles)

@@ -142,7 +142,9 @@ class SSEParser:
     Feed it raw bytes as they arrive; it yields completed events.  State
     carries across :meth:`feed` calls, so chunk boundaries may fall
     anywhere — mid-line, mid-UTF-8 sequence, or between the lines of one
-    block.
+    block.  Each complete line is decoded as UTF-8 with invalid bytes
+    replaced by U+FFFD, as the EventSource spec's decode step does, so a
+    corrupt byte garbles one field instead of ending the stream.
     """
 
     def __init__(self) -> None:
@@ -161,7 +163,8 @@ class SSEParser:
             if not sep:
                 break
             self._buffer = rest
-            events.extend(self._feed_line(line.rstrip(b"\r").decode("utf-8")))
+            events.extend(self._feed_line(
+                line.rstrip(b"\r").decode("utf-8", errors="replace")))
         return events
 
     def _feed_line(self, line: str) -> Iterable[ParsedEvent]:

@@ -20,7 +20,7 @@ produce bit-identical traces.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.sim.clock import Clock
 from repro.sim.component import Component
@@ -64,10 +64,6 @@ class Engine:
         self._components.append(component)
         self._by_name[component.name] = component
         return component
-
-    def add_all(self, components: Iterable[Component]) -> None:
-        for component in components:
-            self.add(component)
 
     def get(self, name: str) -> Component:
         """Look up a registered component by name."""

@@ -17,10 +17,7 @@ EMA) observes the same intermediate state the scalar controller would.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - gated by repro.sim.fleet
-    np = None
+import numpy as np
 
 from repro.core.baseline import TRIP_AMPS
 from repro.core.controller_base import BATTERY_NEEDED_MARGIN

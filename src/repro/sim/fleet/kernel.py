@@ -42,10 +42,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import NamedTuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in the base install
-    np = None
+import numpy as np
 
 from repro.battery.charger import FILL_ROUNDS, FLOAT_FRACTION, GRANT_EPSILON_W, SolarCharger
 from repro.battery.params import BatteryParams
@@ -196,12 +193,8 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
     in input order.  Raises :class:`FleetUnsupported` if any site cannot
     be batched, ValueError for an initial SoC outside [0, 1], a rack too
     small for the workload's VMs or a duty control on a controller without
-    a duty knob (as the scalar build does) and ImportError when numpy is
-    unavailable.
+    a duty knob (as the scalar build does).
     """
-    from repro.sim.fleet import require_numpy
-
-    require_numpy()
     for spec in specs:
         _check_supported(spec)
     groups: dict[tuple, list[int]] = {}

@@ -191,21 +191,3 @@ class FleetValidator:
                 compare_summaries(name, summary, record["summary"])
             )
         return verdicts
-
-    def validate(
-        self, cells: Sequence[tuple] | None = None
-    ) -> CellVerdict | None:
-        """Return the first failing verdict, or None when every cell matches."""
-        for verdict in self.validate_cells(cells):
-            if not verdict.ok:
-                return verdict
-        return None
-
-    def assert_valid(
-        self, cells: Sequence[tuple] | None = None
-    ) -> None:
-        """Raise AssertionError naming every mismatched variable."""
-        failures = [v for v in self.validate_cells(cells) if not v.ok]
-        if failures:
-            detail = "; ".join(v.describe() for v in failures)
-            raise AssertionError(f"fleet kernel diverged from goldens: {detail}")

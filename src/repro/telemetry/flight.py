@@ -10,22 +10,30 @@ after a day of field operation in a single document:
   effective work, Sankey-style with shares of harvest, plus the
   conservation-closure verdict,
 * the alert timeline and decision-event totals,
-* the sampled span profile of the tick loop,
+* the sampled span profile of the tick loop (calls, self and total time,
+  mean and max per call, share) and the hottest sampled ticks with
+  their top spans,
 * optionally a side-by-side against the other controller on the same
   seed and weather (``--compare``), including a per-edge ledger delta.
 
 Rendered as Markdown and (optionally) a dependency-free HTML page;
 :func:`write_flight_report` drops both next to the raw observability
-artifacts (metrics, decisions, spans, ledger, alerts).
+artifacts (metrics, decisions, spans, ledger, alerts).  ``cprofile_path``
+adds a function-level ``cProfile`` dump of the primary run (``.pstats``,
+loadable by ``pstats``, ``snakeviz`` or ``flameprof``).
+
+The report never touches simulation state: a flown run's traces stay
+bit-identical to the uninstrumented same-seed run.
 """
 
 from __future__ import annotations
 
+import cProfile
+import contextlib
 import html as _html
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from repro.core.system import build_day_system
 from repro.obs.hub import Observability
@@ -73,14 +81,26 @@ class FlightReport:
 
 def _fly(controller: str, workload: str, weather: str, mean_w: float,
          seed: int, initial_soc: float, dt: float,
-         duration_s: float | None, stride: int, policies=None):
+         duration_s: float | None, stride: int, policies=None,
+         cprofile_path=None):
+    """Build, run and time one instrumented cell.
+
+    With ``cprofile_path`` the run (not the build) is also profiled by
+    ``cProfile`` and the stats are dumped there.
+    """
     obs = Observability(trace_stride=stride)
     system = build_day_system(controller, workload, weather, mean_w=mean_w,
                               seed=seed, initial_soc=initial_soc, dt=dt,
                               observability=obs, policies=policies)
+    profiler = (cProfile.Profile() if cprofile_path is not None
+                else contextlib.nullcontext())
     t0 = time.perf_counter()
-    summary = system.run(duration_s)
+    with profiler:
+        summary = system.run(duration_s)
     wall_s = time.perf_counter() - t0
+    if cprofile_path is not None:
+        Path(cprofile_path).parent.mkdir(parents=True, exist_ok=True)
+        profiler.dump_stats(cprofile_path)
     return summary, obs, system.engine.clock.step_index, wall_s
 
 
@@ -96,9 +116,13 @@ def run_flight(
     stride: int = 16,
     compare: str | None = None,
     scenario: str | None = None,
+    cprofile_path=None,
 ) -> FlightReport:
     """Fly one instrumented cell (and optionally a comparison controller
     over the identical trace and seed) and collect the flight report.
+
+    ``cprofile_path`` dumps ``cProfile`` stats of the primary run only;
+    the comparison run is never profiled.
 
     ``scenario`` flies a policy scenario instead: the controller, workload,
     weather and seed come from its pinned spec, its policy overlays are
@@ -116,7 +140,8 @@ def run_flight(
         policies = cell.policies()
     summary, obs, ticks, wall_s = _fly(controller, workload, weather, mean_w,
                                        seed, initial_soc, dt, duration_s,
-                                       stride, policies=policies)
+                                       stride, policies=policies,
+                                       cprofile_path=cprofile_path)
     report = FlightReport(
         controller=controller, workload=workload, weather=weather,
         mean_w=mean_w, seed=seed, summary=summary, obs=obs,
@@ -168,8 +193,37 @@ def _summary_body(summary: RunSummary, title: str) -> str:
     return text.split("\n", 2)[2]
 
 
-def _span_rows(report: FlightReport, top: int = 12) -> list[dict[str, Any]]:
-    return report.obs.tracer.report_rows()[:top]
+_SPAN_HEADERS = ["span", "calls", "self ms", "total ms", "mean us", "max us",
+                 "share"]
+_HOTTEST_HEADERS = ["tick", "t (s)", "wall us", "top spans"]
+
+
+def _span_rows(report: FlightReport) -> list[list[str]]:
+    """Per-span rows of the tick-loop profile, hottest (self time) first."""
+    return [
+        [row["span"], str(row["calls"]), f"{row['self_s'] * 1e3:.2f}",
+         f"{row['total_s'] * 1e3:.2f}", f"{row['mean_us']:.1f}",
+         f"{row['max_us']:.1f}", f"{row['share'] * 100:.1f} %"]
+        for row in report.obs.tracer.report_rows()
+    ]
+
+
+def _hottest_rows(report: FlightReport) -> list[list[str]]:
+    """The slowest sampled ticks, slowest first, with their top three spans."""
+    rows = []
+    for entry in report.obs.tracer.hottest():
+        top = list(entry["breakdown"].items())[:3]
+        rows.append([
+            str(entry["tick"]), f"{entry['t']:.1f}", f"{entry['wall_us']:.1f}",
+            ", ".join(f"{name} {self_s * 1e6:.0f} us" for name, self_s in top),
+        ])
+    return rows
+
+
+def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return lines
 
 
 def _comparison_pair(report: FlightReport) -> tuple[RunSummary, RunSummary]:
@@ -241,12 +295,10 @@ def render_markdown(report: FlightReport) -> str:
         f"Sampled {report.obs.tracer.sampled_ticks} of {report.ticks} ticks "
         f"(stride {report.obs.tracer.stride}).",
         "",
-        "| span | calls | self ms | share |",
-        "|---|---|---|---|",
     ]
-    for row in _span_rows(report):
-        lines.append(f"| {row['span']} | {row['calls']} | "
-                     f"{row['self_s'] * 1e3:.2f} | {row['share'] * 100:.1f} % |")
+    lines += _md_table(_SPAN_HEADERS, _span_rows(report))
+    lines += ["", "### Hottest sampled ticks", ""]
+    lines += _md_table(_HOTTEST_HEADERS, _hottest_rows(report))
     lines.append("")
 
     if report.compare_summary is not None:
@@ -347,11 +399,9 @@ def render_html(report: FlightReport) -> str:
         parts.append("<p>No decision events recorded.</p>")
 
     parts.append("<h2>Span profile</h2>")
-    parts += _html_table(
-        ["span", "calls", "self ms", "share"],
-        [[row["span"], str(row["calls"]), f"{row['self_s'] * 1e3:.2f}",
-          f"{row['share'] * 100:.1f} %"] for row in _span_rows(report)],
-    )
+    parts += _html_table(_SPAN_HEADERS, _span_rows(report))
+    parts.append("<h3>Hottest sampled ticks</h3>")
+    parts += _html_table(_HOTTEST_HEADERS, _hottest_rows(report))
 
     if report.compare_summary is not None:
         theirs = report.compare_obs.ledger.edges()

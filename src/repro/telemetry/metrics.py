@@ -162,18 +162,6 @@ class MetricsCollector(Component):
         producing no compute (the On/Off cycle overhead of Table 6)."""
         return self._checkpoint_energy_wh
 
-    @property
-    def solar_energy_wh(self) -> float:
-        return self._solar_energy_wh
-
-    @property
-    def solar_used_wh(self) -> float:
-        return self._solar_used_wh
-
-    @property
-    def curtailed_wh(self) -> float:
-        return self._curtailed_wh
-
     # ------------------------------------------------------------------
     # Summary
     # ------------------------------------------------------------------

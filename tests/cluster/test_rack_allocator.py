@@ -63,7 +63,6 @@ class TestRack:
         alloc = NodeAllocator(rack)
         alloc.set_target(4)
         settle(rack, seconds=1800.0)
-        assert rack.compute_seconds_total > 0.0
         assert rack.last_compute_seconds == pytest.approx(4 * 60.0)
 
     def test_emergency_shed(self, rack):

@@ -12,10 +12,12 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import daemon as daemon_module
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import HttpError, ServeDaemon
 
 #: Manifest small enough that a session finishes in well under a second.
 QUICK = {
@@ -222,3 +224,58 @@ class TestDaemonEndToEnd:
         with pytest.raises(ServeError) as excinfo:
             client.get_session(sid)
         assert excinfo.value.status == 404
+
+
+# ----------------------------------------------------------------------
+# Fuzz: request bytes the daemon does not control
+# ----------------------------------------------------------------------
+@st.composite
+def near_valid_requests(draw):
+    """A request head and body with each part valid or mangled: bad
+    methods and targets, CRLF or bare LF, repeated, missing or bogus
+    Content-Length, more than MAX_HEADERS lines, and truncation anywhere."""
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    line = b" ".join([
+        draw(st.sampled_from([b"GET", b"POST", b"DELETE", b"get"])
+             | st.binary(max_size=6)),
+        draw(st.sampled_from([b"/healthz", b"/v1/sessions", b"/v1/cells"])
+             | st.binary(max_size=12)),
+        draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"])
+             | st.binary(max_size=6)),
+    ])
+    body = draw(st.binary(max_size=48))
+    lengths = st.sampled_from([str(len(body)).encode(),
+                               str(len(body) + 7).encode(), b"-1", b"abc",
+                               b"", b"+3", b"1_0", "\u0663".encode(),
+                               str(daemon_module.MAX_BODY_BYTES + 1).encode()])
+    headers = draw(st.lists(
+        st.tuples(st.sampled_from([b"Content-Length", b"content-length",
+                                   b"Host", b"X"]) | st.binary(max_size=8),
+                  lengths | st.binary(max_size=12)),
+        max_size=5))
+    headers += [(b"X", b"1")] * draw(st.sampled_from(
+        [0, daemon_module.MAX_HEADERS + 1]))
+    raw = eol.join([line, *(name + b": " + value for name, value in headers)])
+    raw += eol + eol + body
+    return raw[:draw(st.integers(min_value=0, max_value=len(raw)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=256) | near_valid_requests(),
+       limit=st.sampled_from([64, 2 ** 16]))
+def test_read_request_parses_or_answers_4xx(data, limit):
+    async def read():
+        # limit=64 drives lines past the stream limit without 64 KiB inputs.
+        reader = asyncio.StreamReader(limit=limit)
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await ServeDaemon()._read_request(reader)
+
+    try:
+        _method, _target, headers, body = asyncio.run(read())
+    except HttpError as exc:
+        assert 400 <= exc.status < 500
+    except asyncio.IncompleteReadError:
+        pass  # A truncated body: _handle_connection treats it as a hang-up.
+    else:
+        assert len(body) == int(headers.get("content-length") or "0")

@@ -255,3 +255,64 @@ def test_cell_round_trip(cell, duration_s, tick_slice):
     assert set(rendered) == {"cell", "duration_s", "tick_slice",
                              "trace_stride"}
     assert parse_manifest(rendered) == manifest
+
+
+# ----------------------------------------------------------------------
+# Fuzz: a manifest is outside input, so it parses or raises ManifestError
+# ----------------------------------------------------------------------
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=3)),
+    max_leaves=6,
+)
+
+_VALID_FIELDS = {
+    "controller": st.sampled_from(CONTROLLERS),
+    "workload": st.sampled_from(WORKLOADS),
+    "weather": st.sampled_from(WEATHERS),
+    "mean_w": st.floats(min_value=50.0, max_value=5000.0),
+    "seed": st.integers(min_value=0, max_value=2**31),
+    "initial_soc": st.floats(min_value=0.05, max_value=1.0),
+    # Parsing synthesises the day trace; coarse steps keep examples cheap.
+    "dt": st.sampled_from([1.0, 5.0, 60.0]),
+    "duration_s": st.floats(min_value=60.0, max_value=1e6),
+    "tick_slice": st.integers(min_value=1, max_value=10_000),
+    "trace_stride": st.integers(min_value=1, max_value=256),
+    "policies": st.lists(st.fixed_dictionaries({
+        "name": st.text(max_size=8),
+        "signal": _SIGNALS,
+        "governor": _GOVERNORS | st.text(max_size=16),
+        "control": _controls_for("insure"),
+        "interval_s": st.floats(min_value=5.0, max_value=7200.0),
+    }), max_size=2),
+    "cell": st.sampled_from(available_cell_ids()),
+}
+
+
+@st.composite
+def near_valid_manifests(draw):
+    """Either form, each field valid or any JSON value, some fields left
+    out, and sometimes a key the form does not allow."""
+    if draw(st.booleans()):
+        keys = ["cell", "duration_s", "tick_slice", "trace_stride"]
+    else:
+        keys = sorted(set(_VALID_FIELDS) - {"cell"})
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+    payload = {key: draw(_VALID_FIELDS[key] | _JSON_VALUES) for key in chosen}
+    if draw(st.booleans()):
+        payload[draw(st.sampled_from(sorted(_VALID_FIELDS)) | st.text(max_size=8))] = (
+            draw(_JSON_VALUES))
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON_VALUES, near_valid_manifests()))
+def test_parse_manifest_returns_a_manifest_or_raises_manifest_error(payload):
+    try:
+        manifest = parse_manifest(payload)
+    except ManifestError:
+        return
+    assert isinstance(manifest, SessionManifest)

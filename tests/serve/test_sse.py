@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.sse import (
     EventBuffer,
+    ParsedEvent,
     SSEParser,
     encode_comment,
     encode_event,
@@ -126,3 +129,43 @@ class TestSSEParser:
         events = parser.feed(wire)
         assert [e.id for e in events] == [5, 6]
         assert [e.data for e in events] == ["payload-4", "payload-5"]
+
+    def test_invalid_utf8_becomes_replacement_character(self):
+        parser = SSEParser()
+        assert parser.feed(b"data: a\x80b\n\n") == [ParsedEvent(data="a\ufffdb")]
+        # The stream goes on: the next event parses as usual.
+        assert parser.feed(encode_event("x", id=2)) == [ParsedEvent(data="x", id=2)]
+
+
+# ----------------------------------------------------------------------
+# Fuzz: the parser is the client's only view of a byte stream it does
+# not control.
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(chunks=st.lists(st.binary(max_size=64), max_size=16))
+@example(chunks=[b"\x80\n"])
+@example(chunks=[b"data: \xe2\x82", b"\n\n"])
+def test_feed_never_raises(chunks):
+    parser = SSEParser()
+    for chunk in chunks:
+        for event in parser.feed(chunk):
+            assert isinstance(event.data, str)
+
+
+_PAYLOADS = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\r"), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads=st.lists(_PAYLOADS, min_size=1, max_size=4),
+       cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=8))
+def test_valid_streams_decode_unchanged_at_any_split(payloads, cuts):
+    wire = b"".join(encode_event(data, event="e", id=i + 1)
+                    for i, data in enumerate(payloads))
+    bounds = sorted({0, len(wire), *(c for c in cuts if c < len(wire))})
+    parser = SSEParser()
+    events = []
+    for start, end in zip(bounds, bounds[1:]):
+        events.extend(parser.feed(wire[start:end]))
+    assert events == [ParsedEvent(data=data, event="e", id=i + 1)
+                      for i, data in enumerate(payloads)]

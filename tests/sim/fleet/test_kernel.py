@@ -5,13 +5,9 @@ import dataclasses
 
 import pytest
 
-import repro.sim.fleet as fleet_pkg
 from repro.sim.fleet import (
-    NUMPY_HINT,
     FleetUnsupported,
     SiteSpec,
-    numpy_available,
-    require_numpy,
     simulate_fleet,
 )
 from repro.sim.fleet.validator import spec_for_cell
@@ -108,21 +104,6 @@ class TestTrace:
         assert batch.trace[0].tolist() == list(shared[:120])
         assert batch.trace[2].tolist() == list(shared[:120])
         assert batch.trace[1].tolist() == list(short) + [0.0] * 70
-
-
-class TestNumpyGate:
-    def test_available_in_this_environment(self):
-        assert numpy_available()
-        require_numpy()  # must not raise
-
-    def test_hint_names_the_extra_and_the_fallback(self):
-        assert "repro[fleet]" in NUMPY_HINT
-        assert "pool|serial" in NUMPY_HINT
-
-    def test_require_numpy_raises_the_hint(self, monkeypatch):
-        monkeypatch.setattr(fleet_pkg, "numpy_available", lambda: False)
-        with pytest.raises(ImportError, match="repro"):
-            fleet_pkg.require_numpy()
 
 
 class TestGrouping:

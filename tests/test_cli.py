@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import pstats
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,15 +30,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["plan"])
 
-    def test_profile_requires_subcommand(self):
+    def test_report_requires_subcommand(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile"])
+            build_parser().parse_args(["report"])
 
-    def test_profile_run_defaults(self):
-        args = build_parser().parse_args(["profile", "run"])
+    def test_report_run_defaults(self):
+        args = build_parser().parse_args(["report", "run"])
         assert args.controller == "insure"
         assert args.stride == 16
         assert args.out is None and args.cprofile is None
+
+    def test_profile_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "run"])
 
     def test_validate_sweep_flags(self):
         args = build_parser().parse_args(
@@ -81,23 +87,46 @@ class TestCommands:
         assert "improvement" in out
 
 
-class TestProfileCommand:
-    def test_profile_run_prints_breakdown_and_writes_artifacts(
-            self, tmp_path, capsys):
-        out_dir = tmp_path / "prof"
+class TestReportCommand:
+    def test_report_run_writes_profile_and_artifacts(self, tmp_path, capsys):
+        out_dir = tmp_path / "flight"
+        dump = out_dir / "run.pstats"
         code = main([
-            "profile", "run", "--workload", "seismic", "--solar", "sunny",
+            "report", "run", "--workload", "seismic", "--solar", "sunny",
             "--mean-w", "900", "--seed", "3", "--duration-h", "0.5",
-            "--stride", "4", "--out", str(out_dir),
+            "--stride", "4", "--out", str(out_dir), "--cprofile", str(dump),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "per-component time breakdown" in out
-        assert "hottest sampled ticks" in out
-        assert "decision events" in out
-        for artifact in ("metrics.jsonl", "metrics.prom", "decisions.jsonl",
-                         "spans.folded", "breakdown.txt"):
+        for artifact in ("flight_report.md", "metrics.jsonl", "metrics.prom",
+                         "decisions.jsonl", "spans.folded", "ledger.json",
+                         "alerts.jsonl"):
             assert (out_dir / artifact).is_file()
+            assert artifact in out
+        text = (out_dir / "flight_report.md").read_text()
+        assert ("| span | calls | self ms | total ms | mean us | max us "
+                "| share |") in text
+        assert "### Hottest sampled ticks" in text
+        assert "## Decisions" in text
+        assert pstats.Stats(str(dump)).total_calls > 0
+
+
+class TestBadNumbers:
+    """A bad number is a usage error: status 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["day", "--mean-w", "1e308"],
+        ["day", "--mean-w", "nan"],
+        ["day", "--initial-soc", "1.5"],
+        ["compare", "--mean-w", "inf"],
+        ["report", "run", "--duration-h", "0.1", "--mean-w", "nan"],
+        ["fleet", "run", "--sites", "2", "--mean-w", "nan"],
+    ], ids=" ".join)
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "repro: error: " in capsys.readouterr().err
 
 
 class TestValidateSweep:
