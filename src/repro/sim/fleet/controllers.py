@@ -8,7 +8,7 @@ from the same `InsureParams` / `BaselineParams` (``batch.params``).  The
 control cadence is global — it depends only on dt — so it lives in plain
 Python counters on the batch; everything a site can diverge on (targets,
 holdoffs, trip latches, battery modes) is a `(n_sites,)` or
-`(n_sites, n_batteries)` array updated under boolean masks.
+`(n_batteries, n_sites)` array updated under boolean masks.
 
 Ordering contract: statements execute in the exact order of the scalar
 controller so that every sensed read (rack demand, SoC estimates, solar
@@ -50,12 +50,12 @@ def start(batch) -> None:
         new_mode = np.where(high, _STANDBY, _OFFLINE).astype(np.int8)
         new_bus = np.where(high, _BUS_LOAD, _BUS_OFFLINE).astype(np.int8)
     else:
-        online = batch.est.min(axis=1) >= batch.params.start_min_soc
+        online = batch.est.min(axis=0) >= batch.params.start_min_soc
         batch.buffer_online = online.copy()
-        cols = online[:, None] & np.ones((1, batch.b), dtype=bool)
-        new_mode = np.where(cols, _STANDBY, _CHARGING).astype(np.int8)
-        new_bus = np.where(cols, _BUS_LOAD, _BUS_CHARGE).astype(np.int8)
-    batch.switch_ops += (new_bus != batch.bus).sum(axis=1)
+        cells = online & np.ones((batch.b, 1), dtype=bool)
+        new_mode = np.where(cells, _STANDBY, _CHARGING).astype(np.int8)
+        new_bus = np.where(cells, _BUS_LOAD, _BUS_CHARGE).astype(np.int8)
+    batch.switch_ops += (new_bus != batch.bus).sum(axis=0)
     batch.mode = new_mode
     batch.bus = new_bus
 
@@ -78,7 +78,7 @@ def insure_step(batch, k: int) -> None:
 
 def _usable_count(batch, floor: float) -> np.ndarray:
     usable = batch._bank_view().online & (batch.est > floor)
-    return usable.sum(axis=1)
+    return usable.sum(axis=0)
 
 
 def _battery_needed(batch) -> np.ndarray:
@@ -101,7 +101,7 @@ def _checkpoint_and_stop(batch, mask: np.ndarray) -> None:
     batch._checkpoint_all(mask)
     batch._set_target(mask, np.zeros(batch.n, dtype=np.int64))
     # rack.graceful_stop_all: power_off any server reconcile left running.
-    cells = mask[:, None] & ((batch.sstate == _ON) | (batch.sstate == _BOOTING))
+    cells = mask & ((batch.sstate == _ON) | (batch.sstate == _BOOTING))
     batch.sstate = np.where(cells, _SAVING, batch.sstate)
     batch.stimer = np.where(cells, batch.server.save_s, batch.stimer)
 
@@ -124,14 +124,14 @@ def _insure_temporal(batch, t: float) -> None:
     _ensure_online_reserve(batch)
 
     online = batch._bank_view().online
-    n_online = online.sum(axis=1)
+    n_online = online.sum(axis=0)
     battery_needed = _battery_needed(batch)
 
     # TemporalPolicy.evaluate over sensed aggregates.
     total_dis = np.where(
         online, np.maximum(0.0, batch.sense_i), 0.0
-    ).sum(axis=1)
-    min_soc = np.where(online, batch.est, np.inf).min(axis=1)
+    ).sum(axis=0)
+    min_soc = np.where(online, batch.est, np.inf).min(axis=0)
     min_soc = np.where(n_online > 0, min_soc, 0.0)
     cap = p.temporal.cap_c_rate * batch.battery.capacity_ah * n_online
     act_ckpt = (n_online > 0) & battery_needed & (min_soc <= p.temporal.soc_floor)
@@ -142,20 +142,20 @@ def _insure_temporal(batch, t: float) -> None:
         & ((total_dis < cap * p.temporal.relax_fraction) | ~battery_needed)
     )
 
-    do_ckpt = act_ckpt & ~batch.protect.any(axis=1)
+    do_ckpt = act_ckpt & ~batch.protect.any(axis=0)
     if do_ckpt.any():
         _checkpoint_and_stop(batch, do_ckpt)
         batch.vm_target = np.where(do_ckpt, 0, batch.vm_target)
         # Cabinets stay on the load bus until the save completes.
-        batch.protect |= do_ckpt[:, None] & online
+        batch.protect |= do_ckpt & online
     _match_load(batch, ~act_ckpt, act_cap, act_relax)
     _drain_protect(batch)
 
     # Mode bookkeeping (transitions 3/6/7) on the *current* online set.
     bank = batch._bank_view()
-    batch._transition(bank.standby & battery_needed[:, None], _DISCHARGING)
+    batch._transition(bank.standby & battery_needed, _DISCHARGING)
     batch._transition(
-        bank.online & (batch.mode == _DISCHARGING) & ~battery_needed[:, None],
+        bank.online & (batch.mode == _DISCHARGING) & ~battery_needed,
         _STANDBY,
     )
     _maybe_restart(batch)
@@ -183,13 +183,14 @@ def _ensure_online_reserve(batch) -> None:
     )
     # Highest SoC first, stable (scalar sort(reverse=True) is stable too).
     key = np.where(candidates, -batch.est, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")
+    order = np.argsort(key, axis=0, kind="stable")
     rank = np.empty_like(order)
     np.put_along_axis(
-        rank, order, np.broadcast_to(np.arange(batch.b), order.shape), axis=1
+        rank, order, np.broadcast_to(np.arange(batch.b)[:, None], order.shape),
+        axis=0,
     )
     deficit = want - n_usable
-    take = need[:, None] & candidates & (rank < deficit[:, None])
+    take = need & candidates & (rank < deficit)
     was_charging = take & (batch.mode == _CHARGING)
     was_offline = take & (batch.mode == _OFFLINE)
     batch._transition(was_charging, _STANDBY)
@@ -275,15 +276,15 @@ def _match_load(batch, mask: np.ndarray, act_cap: np.ndarray,
 
 def _drain_protect(batch) -> None:
     """Deferred protective switch-outs once the servers are off."""
-    pending = batch.protect.any(axis=1)
+    pending = batch.protect.any(axis=0)
     if not pending.any():
         return
     ready = pending & ~batch._rack_view().active
     if not ready.any():
         return
-    cells = ready[:, None] & batch.protect & batch._bank_view().online
+    cells = ready & batch.protect & batch._bank_view().online
     batch._transition(cells, _OFFLINE)
-    batch.protect &= ~ready[:, None]
+    batch.protect &= ~ready
 
 
 def _maybe_restart(batch) -> None:
@@ -313,16 +314,16 @@ def _insure_spatial(batch, t: float, k: int) -> None:
     surplus = np.maximum(0.0, batch.ema - demand)
     usable_any = (
         batch._bank_view().online & (batch.est > p.temporal.soc_floor)
-    ).any(axis=1)
+    ).any(axis=0)
     starving = batch._backlog_at_control(k) & ~usable_any
 
     # SpatialPolicy.discharge_threshold over its BudgetRampGovernor.
     prorated = batch.budget.limit(t)
     threshold = prorated + batch.elastic_bonus
-    eligible = offline & (batch.sense_dis < threshold[:, None])
+    eligible = offline & (batch.sense_dis < threshold)
     overused = offline & ~eligible
     # Elastic relaxation: starved sites with only over-used cabinets.
-    relax = ~eligible.any(axis=1) & overused.any(axis=1) & starving & spatial.elastic
+    relax = ~eligible.any(axis=0) & overused.any(axis=0) & starving & spatial.elastic
     if relax.any():
         batch.elastic_bonus = np.where(
             relax,
@@ -330,7 +331,7 @@ def _insure_spatial(batch, t: float, k: int) -> None:
             batch.elastic_bonus,
         )
         threshold = np.where(relax, prorated + batch.elastic_bonus, threshold)
-        eligible = offline & (batch.sense_dis < threshold[:, None])
+        eligible = offline & (batch.sense_dis < threshold)
 
     with np.errstate(invalid="ignore"):
         n_batch = np.where(
@@ -341,16 +342,17 @@ def _insure_spatial(batch, t: float, k: int) -> None:
                 np.floor(surplus / spatial.peak_charge_power_w).astype(np.int64),
             ),
         )
-    slots = np.maximum(0, n_batch - charging.sum(axis=1))
+    slots = np.maximum(0, n_batch - charging.sum(axis=0))
     # Priority (lowest usage, then lowest SoC), stable like list.sort.
     key_soc = np.where(eligible, batch.est, np.inf)
     key_dis = np.where(eligible, batch.sense_dis, np.inf)
-    order = np.lexsort((key_soc, key_dis), axis=1)
+    order = np.lexsort((key_soc, key_dis), axis=0)
     rank = np.empty_like(order)
     np.put_along_axis(
-        rank, order, np.broadcast_to(np.arange(batch.b), order.shape), axis=1
+        rank, order, np.broadcast_to(np.arange(batch.b)[:, None], order.shape),
+        axis=0,
     )
-    picked = eligible & (rank < slots[:, None])
+    picked = eligible & (rank < slots)
     batch._transition(picked, _CHARGING)
     batch._transition(charging & (batch.est >= spatial.charge_to_soc), _STANDBY)
 
@@ -359,7 +361,7 @@ def _insure_spatial(batch, t: float, k: int) -> None:
     if sunset.any():
         floor = p.temporal.soc_floor + 2 * p.usable_margin
         batch._transition(
-            sunset[:, None] & (batch.mode == _CHARGING) & (batch.est > floor),
+            sunset & (batch.mode == _CHARGING) & (batch.est > floor),
             _STANDBY,
         )
 
@@ -399,7 +401,7 @@ def _baseline_online(batch, mask: np.ndarray) -> None:
     p = batch.params
     cutoff = batch.battery.voltage.v_cutoff + p.protect_margin_v
     unit_trip = (batch.sense_v <= cutoff) & (batch.sense_i > TRIP_AMPS)
-    tripping = unit_trip.any(axis=1) | (batch.est.min(axis=1) <= p.soc_floor)
+    tripping = unit_trip.any(axis=0) | (batch.est.min(axis=0) <= p.soc_floor)
     trip = mask & (tripping | batch.trip_pending)
     first = trip & ~batch.trip_pending
     if first.any():
@@ -410,7 +412,7 @@ def _baseline_online(batch, mask: np.ndarray) -> None:
     # bank goes offline then onto the charge bus — two relay ops per unit.
     pull = trip & ~batch._rack_view().active
     if pull.any():
-        cells = pull[:, None] & np.ones((1, batch.b), dtype=bool)
+        cells = pull & np.ones((batch.b, 1), dtype=bool)
         batch._transition(cells, _OFFLINE)
         batch._transition(cells, _CHARGING)
         batch.buffer_online &= ~pull
@@ -427,11 +429,11 @@ def _baseline_online(batch, mask: np.ndarray) -> None:
 
     battery_needed = _battery_needed(batch)
     batch._transition(
-        serve[:, None] & batch._bank_view().standby & battery_needed[:, None],
+        serve & batch._bank_view().standby & battery_needed,
         _DISCHARGING,
     )
     batch._transition(
-        serve[:, None] & (batch.mode == _DISCHARGING) & ~battery_needed[:, None],
+        serve & (batch.mode == _DISCHARGING) & ~battery_needed,
         _STANDBY,
     )
 
@@ -440,8 +442,8 @@ def _baseline_charging(batch, mask: np.ndarray) -> None:
     if not mask.any():
         return
     _baseline_retarget(batch, mask, np.zeros(batch.n, dtype=np.int64))
-    charged = mask & (batch.est >= batch.params.charge_to_soc).all(axis=1)
+    charged = mask & (batch.est >= batch.params.charge_to_soc).all(axis=0)
     if charged.any():
-        cells = charged[:, None] & np.ones((1, batch.b), dtype=bool)
+        cells = charged & np.ones((batch.b, 1), dtype=bool)
         batch._transition(cells, _STANDBY)
         batch.buffer_online |= charged

@@ -74,18 +74,18 @@ def snapshot_scalar(system) -> dict[str, Any]:
 def snapshot_batch(batch: _FleetBatch, i: int = 0) -> dict[str, Any]:
     snap: dict[str, Any] = {}
     for u in range(batch.b):
-        snap[f"y1[{u}]"] = float(batch.y1[i, u])
-        snap[f"y2[{u}]"] = float(batch.y2[i, u])
-        snap[f"mode[{u}]"] = _MODE_NAMES[int(batch.mode[i, u])]
-        snap[f"wear_dis[{u}]"] = float(batch.wear_dis[i, u])
-        snap[f"sense_v[{u}]"] = float(batch.sense_v[i, u])
-        snap[f"sense_i[{u}]"] = float(batch.sense_i[i, u])
-        snap[f"est[{u}]"] = float(batch.est[i, u])
-        snap[f"sense_dis[{u}]"] = float(batch.sense_dis[i, u])
+        snap[f"y1[{u}]"] = float(batch.y1[u, i])
+        snap[f"y2[{u}]"] = float(batch.y2[u, i])
+        snap[f"mode[{u}]"] = _MODE_NAMES[int(batch.mode[u, i])]
+        snap[f"wear_dis[{u}]"] = float(batch.wear_dis[u, i])
+        snap[f"sense_v[{u}]"] = float(batch.sense_v[u, i])
+        snap[f"sense_i[{u}]"] = float(batch.sense_i[u, i])
+        snap[f"est[{u}]"] = float(batch.est[u, i])
+        snap[f"sense_dis[{u}]"] = float(batch.sense_dis[u, i])
     for s in range(batch.s):
-        snap[f"sstate[{s}]"] = _SSTATE_NAMES[int(batch.sstate[i, s])]
+        snap[f"sstate[{s}]"] = _SSTATE_NAMES[int(batch.sstate[s, i])]
         snap[f"duty[{s}]"] = int(batch.duty_deci[i]) / DUTY_STEPS
-        snap[f"placed[{s}]"] = int(batch.placed[i, s])
+        snap[f"placed[{s}]"] = int(batch.placed[s, i])
     snap["on_off"] = int(batch.on_off[i])
     snap["alloc_target"] = int(batch.alloc_target[i])
     snap["vm_ops"] = int(batch.vm_ops[i])

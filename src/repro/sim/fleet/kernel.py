@@ -1,10 +1,18 @@
 """Structure-of-arrays batch kernel for fleets of in-situ sites.
 
 One :class:`_FleetBatch` holds the full plant state of N sites as numpy
-arrays — battery wells ``(N, B)``, server states ``(N, S)``, controller
-scalars ``(N,)`` — and replays the scalar engine's per-tick component
-order (source → controller → rack → plant → metrics) with one vectorized
-op per physical expression.
+arrays — battery wells ``(B, N)``, server states ``(S, N)``, controller
+scalars ``(N,)``, the solar trace ``(steps, N)`` — and replays the scalar
+engine's per-tick component order (source → controller → rack → plant →
+metrics) with one vectorized op per physical expression.
+
+The site axis always comes last.  A per-site ``(N,)`` vector then
+broadcasts over a bank or rack as it is, every reduction over the cells
+of a site runs along axis 0 over contiguous rows of N, and a tick reads
+its solar samples as one contiguous row.  numpy reduces a C-contiguous
+``(B, N)`` array over axis 0 row by row, ``((x0 + x1) + x2)``: the order
+its pairwise sum takes for fewer than 8 cells along a last axis, so the
+layout leaves every sum the scalar-matching order it had.
 
 Numerical contract: every arithmetic expression mirrors the scalar
 implementation operation-for-operation (same association order, same
@@ -20,7 +28,7 @@ water-filling) is handled with boolean masks, so the per-site axis N
 always stays vectorized.  The battery bank keeps one invariant: every
 cell takes exactly one KiBaM step per tick (discharge, charge or the idle
 leak), plus a trickle step when it floats.  The bus therefore gathers the
-tick's per-cell currents into one (N, B) array and integrates the bank
+tick's per-cell currents into one (B, N) array and integrates the bank
 once.  That is bit-identical to the scalar bus stepping cells one by one
 because the masks are disjoint, the step has no cross-cell term and every
 read of a cell precedes its write.  Two loops keep bank order, each
@@ -227,17 +235,17 @@ class _RackView(NamedTuple):
     running: np.ndarray     # running VMs, (n,)
     active: np.ndarray      # sites with a server not OFF, (n,)
     effective: np.ndarray   # power of the servers running VMs, (n,)
-    timed: np.ndarray       # BOOTING or SAVING servers, (n, s)
+    timed: np.ndarray       # BOOTING or SAVING servers, (s, n)
     any_timed: bool
 
 
 class _BankView(NamedTuple):
     """Relay masks derived from ``mode`` and ``bus``."""
 
-    on_load: np.ndarray       # cells on the load bus, (n, b)
-    on_charge: np.ndarray     # cells on the charge bus, (n, b)
-    online: np.ndarray        # STANDBY or DISCHARGING cells, (n, b)
-    standby: np.ndarray       # STANDBY cells, (n, b)
+    on_load: np.ndarray       # cells on the load bus, (b, n)
+    on_charge: np.ndarray     # cells on the charge bus, (b, n)
+    online: np.ndarray        # STANDBY or DISCHARGING cells, (b, n)
+    standby: np.ndarray       # STANDBY cells, (b, n)
     load_sites: np.ndarray    # sites with a cell on the load bus, (n,)
     charge_sites: np.ndarray  # sites with a cell on the charge bus, (n,)
     any_charge: bool
@@ -340,17 +348,19 @@ class _FleetBatch:
         self.sense_span = self.sense_hi - self.sense_lo
 
     def _init_trace(self) -> None:
-        trace = np.zeros((self.n, self.steps), dtype=np.float64)
+        # One row per tick, so a tick reads its samples contiguously.
+        trace = np.zeros((self.steps, self.n), dtype=np.float64)
         # Sites often share one trace tuple (and a frozen spec's tuple
         # never changes): convert each distinct one once, only its first
-        # ``steps`` samples.
-        rows: dict[int, np.ndarray] = {}
+        # ``steps`` samples, and write it into its site's column in place.
+        columns: dict[int, np.ndarray] = {}
         for i, spec in enumerate(self.specs):
             power = spec.trace_power_w
-            row = rows.get(id(power))
-            if row is None:
-                row = rows[id(power)] = np.asarray(power[:self.steps], dtype=np.float64)
-            trace[i, :row.shape[0]] = row
+            column = columns.get(id(power))
+            if column is None:
+                column = columns[id(power)] = np.asarray(
+                    power[:self.steps], dtype=np.float64)
+            trace[:column.shape[0], i] = column
         self.trace = trace
 
     def _init_battery(self) -> None:
@@ -358,19 +368,19 @@ class _FleetBatch:
         soc0 = np.array([s.initial_soc for s in self.specs], dtype=np.float64)
         # BatteryUnit.__init__: y1 = soc*c*cap, y2 = soc*(1-c)*cap
         cap, c = self.battery.capacity_ah, self.battery.kibam.c
-        self.y1 = np.repeat((soc0 * c * cap)[:, None], b, axis=1)
-        self.y2 = np.repeat((soc0 * (1.0 - c) * cap)[:, None], b, axis=1)
-        self.last_i = np.zeros((n, b), dtype=np.float64)
-        self.mode = np.full((n, b), _STANDBY, dtype=np.int8)
-        self.bus = np.full((n, b), _BUS_OFFLINE, dtype=np.int8)
-        self.wear_dis = np.zeros((n, b), dtype=np.float64)
-        self.wear_wt = np.zeros((n, b), dtype=np.float64)
+        self.y1 = np.repeat((soc0 * c * cap)[None, :], b, axis=0)
+        self.y2 = np.repeat((soc0 * (1.0 - c) * cap)[None, :], b, axis=0)
+        self.last_i = np.zeros((b, n), dtype=np.float64)
+        self.mode = np.full((b, n), _STANDBY, dtype=np.int8)
+        self.bus = np.full((b, n), _BUS_OFFLINE, dtype=np.int8)
+        self.wear_dis = np.zeros((b, n), dtype=np.float64)
+        self.wear_wt = np.zeros((b, n), dtype=np.float64)
         # Sensed state (repro.core.sensing.BatterySense)
-        self.sense_v = np.zeros((n, b), dtype=np.float64)
-        self.sense_i = np.zeros((n, b), dtype=np.float64)
-        self.est = np.repeat(soc0[:, None], b, axis=1)
-        self.sense_dis = np.zeros((n, b), dtype=np.float64)
-        self.rest_s = np.zeros((n, b), dtype=np.float64)
+        self.sense_v = np.zeros((b, n), dtype=np.float64)
+        self.sense_i = np.zeros((b, n), dtype=np.float64)
+        self.est = np.repeat(soc0[None, :], b, axis=0)
+        self.sense_dis = np.zeros((b, n), dtype=np.float64)
+        self.rest_s = np.zeros((b, n), dtype=np.float64)
         self._refresh_voltage()
 
     def _init_noise(self) -> None:
@@ -395,11 +405,11 @@ class _FleetBatch:
         mult = max(1, min(_MAX_REFILL_BLOCKS, _NOISE_BUDGET // (NOISE_BLOCK * cells)))
         self.noise_block = NOISE_BLOCK * mult
         # Stream-major: every stream refills one contiguous row in place,
-        # and a tick reads its (2, n, b) slot across the rows.
+        # and a tick reads its (2, b, n) slot across the rows.
         self._blk = np.empty(
-            (2, self.n, self.b, self.noise_block), dtype=np.float64
+            (2, self.b, self.n, self.noise_block), dtype=np.float64
         )
-        # Per-channel (block, n, b) views of the same buffer.
+        # Per-channel (block, b, n) views of the same buffer.
         self._blk_v, self._blk_i = np.moveaxis(self._blk, -1, 1)
 
     def _refill_noise(self) -> None:
@@ -407,14 +417,14 @@ class _FleetBatch:
         # one read per tick keeps blocks aligned to tick 0, 256, 512, ...
         for i in range(self.n):
             for unit in range(self.b):
-                self._gen_v[i][unit].standard_normal(out=self._blk[0, i, unit])
-                self._gen_i[i][unit].standard_normal(out=self._blk[1, i, unit])
+                self._gen_v[i][unit].standard_normal(out=self._blk[0, unit, i])
+                self._gen_i[i][unit].standard_normal(out=self._blk[1, unit, i])
 
     def _init_servers(self) -> None:
         n, s = self.n, self.s
-        self.sstate = np.full((n, s), _OFF, dtype=np.int8)
-        self.stimer = np.zeros((n, s), dtype=np.float64)
-        self.placed = np.zeros((n, s), dtype=np.int64)
+        self.sstate = np.full((s, n), _OFF, dtype=np.int8)
+        self.stimer = np.zeros((s, n), dtype=np.float64)
+        self.placed = np.zeros((s, n), dtype=np.int64)
         self.crashes = np.zeros(n, dtype=np.int64)
         self.on_off = np.zeros(n, dtype=np.int64)
         self.duty_deci = np.full(n, DUTY_STEPS, dtype=np.int64)  # duty = deci / steps
@@ -435,7 +445,7 @@ class _FleetBatch:
             self.since_batch = inf.copy()
             self.since_crash = inf.copy()
             self.seen_crashes = np.zeros(n, dtype=np.int64)
-            self.protect = np.zeros((n, self.b), dtype=bool)
+            self.protect = np.zeros((self.b, n), dtype=bool)
             self.elastic_bonus = np.zeros(n, dtype=np.float64)
             self._tpm_elapsed = float("inf")
             self._spm_elapsed = float("inf")
@@ -614,7 +624,7 @@ class _FleetBatch:
         """KiBaM Euler step of every cell; returns the new (y1, y2) and
         the Ah moved (signed), leaving the state untouched.
 
-        ``amps`` may be an (n, b) array or a python float (broadcast);
+        ``amps`` may be a (b, n) array or a python float (broadcast);
         either way each cell sees the exact scalar expression tree.
         """
         y1, y2 = self.y1, self.y2
@@ -706,20 +716,20 @@ class _FleetBatch:
 
     def _build_rack_view(self) -> _RackView:
         sstate, placed, srv = self.sstate, self.placed, self.server
-        duty = (self.duty_deci / DUTY_STEPS)[:, None]
+        duty = self.duty_deci / DUTY_STEPS
         on = sstate == _ON
         booting = sstate == _BOOTING
         saving = sstate == _SAVING
         # Server.power_w for every (site, server).
         util = np.minimum(1.0, self.cpu_share * placed * duty)
         p_on = srv.idle_w + (srv.peak_w - srv.idle_w) * util
-        power = np.zeros((self.n, self.s), dtype=np.float64)
+        power = np.zeros((self.s, self.n), dtype=np.float64)
         power = np.where(on, p_on, power)
         power = np.where(booting, srv.idle_w, power)
         power = np.where(saving, srv.power_at(SAVING_UTILISATION), power)
         # ServerRack.demand_w: per-server power plus PDU port overhead.
-        ports = (power > 0.0).sum(axis=1)
-        demand = power.sum(axis=1) + self.pdu.port_overhead_w * ports
+        ports = (power > 0.0).sum(axis=0)
+        demand = power.sum(axis=0) + self.pdu.port_overhead_w * ports
         demand_bus = self._converter_input(demand)
         running = placed * on
         timed = booting | saving
@@ -727,10 +737,10 @@ class _FleetBatch:
             demand=demand,
             demand_bus=demand_bus,
             shed_w=np.maximum(_UNSERVED_TOLERANCE_W, _UNSERVED_TOLERANCE_FRACTION * demand_bus),
-            compute=np.where(on, placed * duty * srv.relative_speed * self.dt, 0.0).sum(axis=1),
-            running=running.sum(axis=1),
-            active=(sstate != _OFF).any(axis=1),
-            effective=np.where(running > 0, power, 0.0).sum(axis=1),
+            compute=np.where(on, placed * duty * srv.relative_speed * self.dt, 0.0).sum(axis=0),
+            running=running.sum(axis=0),
+            active=(sstate != _OFF).any(axis=0),
+            effective=np.where(running > 0, power, 0.0).sum(axis=0),
             timed=timed,
             any_timed=bool(timed.any()),
         ))
@@ -748,7 +758,7 @@ class _FleetBatch:
                 self.sstate = np.where(
                     saved, _OFF, np.where(done, _ON, self.sstate)
                 )
-                self.on_off += saved.sum(axis=1)
+                self.on_off += saved.sum(axis=0)
                 rack = self._rack_view()
         # Compute seconds produced this tick (after stepping, like scalar).
         self.last_compute = rack.compute
@@ -762,41 +772,41 @@ class _FleetBatch:
         slots = self.server.vm_slots
         needed = np.where(target > 0, (target + slots - 1) // slots, 0)
         powered = (self.sstate == _ON) | (self.sstate == _BOOTING)
-        cum_p = np.cumsum(powered, axis=1) - powered
-        n_pow = powered.sum(axis=1, keepdims=True)
-        cum_u = np.cumsum(~powered, axis=1) - ~powered
+        cum_p = np.cumsum(powered, axis=0) - powered
+        n_pow = powered.sum(axis=0)
+        cum_u = np.cumsum(~powered, axis=0) - ~powered
         rank = np.where(powered, cum_p, n_pow + cum_u)
-        keep = rank < needed[:, None]
-        drop = mask[:, None] & ~keep
+        keep = rank < needed
+        drop = mask & ~keep
         # Drop pass: strip VMs (one op each), then graceful power-off.
         stripped = np.where(drop, self.placed, 0)
         power_off = drop & powered
         if stripped.any() or power_off.any():
-            self.vm_ops += stripped.sum(axis=1)
+            self.vm_ops += stripped.sum(axis=0)
             self.placed = np.where(drop, 0, self.placed)
             self.sstate = np.where(power_off, _SAVING, self.sstate)
             self.stimer = np.where(power_off, self.server.save_s, self.stimer)
         # Keep pass in keep-list order (powered first, then rack order).
-        order = np.argsort(rank, axis=1, kind="stable")
-        rows = np.arange(self.n)
+        order = np.argsort(rank, axis=0, kind="stable")
+        sites = np.arange(self.n)
         remaining = np.where(mask, target, 0).copy()
         wrote = False
         for pos in range(self.s):
-            col = order[:, pos]
+            server = order[pos]
             act = mask & (pos < needed)
-            st = self.sstate[rows, col]
+            st = self.sstate[server, sites]
             boot = act & (st == _OFF)
             if boot.any():
-                self.sstate[rows[boot], col[boot]] = _BOOTING
-                self.stimer[rows[boot], col[boot]] = self.server.boot_s
+                self.sstate[server[boot], sites[boot]] = _BOOTING
+                self.stimer[server[boot], sites[boot]] = self.server.boot_s
                 wrote = True
             fit = act & (st != _SAVING)
             want = np.minimum(slots, remaining)
-            old = self.placed[rows, col]
+            old = self.placed[server, sites]
             ops = np.where(fit, np.abs(want - old), 0)
             if ops.any():
                 self.vm_ops += ops
-                self.placed[rows, col] = np.where(fit, want, old)
+                self.placed[server, sites] = np.where(fit, want, old)
                 wrote = True
             remaining = np.where(fit, remaining - want, remaining)
         if wrote:
@@ -827,13 +837,13 @@ class _FleetBatch:
         on_load = bus == _BUS_LOAD
         on_charge = bus == _BUS_CHARGE
         standby = mode == _STANDBY
-        charge_sites = on_charge.any(axis=1)
+        charge_sites = on_charge.any(axis=0)
         return _read_only(_BankView(
             on_load=on_load,
             on_charge=on_charge,
             online=standby | (mode == _DISCHARGING),
             standby=standby,
-            load_sites=on_load.any(axis=1),
+            load_sites=on_load.any(axis=0),
             charge_sites=charge_sites,
             any_charge=bool(charge_sites.any()),
         ))
@@ -845,7 +855,7 @@ class _FleetBatch:
         if not change.any():
             return
         ops = change & (self.bus != bus_code)
-        self.switch_ops += ops.sum(axis=1)
+        self.switch_ops += ops.sum(axis=0)
         self.mode = np.where(change, mode_code, self.mode)
         self.bus = np.where(change, bus_code, self.bus)
 
@@ -928,32 +938,32 @@ class _FleetBatch:
         surplus = solar - solar_to_load
 
         # Cells no path claims idle (BatteryUnit.idle): leak, last_i 0.
-        amps = np.full((n, b), self.leak_amps)
-        last_i = np.zeros((n, b), dtype=np.float64)
+        amps = np.full((b, n), self.leak_amps)
+        last_i = np.zeros((b, n), dtype=np.float64)
 
         # Discharge path (PowerBus._discharge across the load bus).
         volts = self._tick_tv
-        discharging = np.zeros((n, b), dtype=bool)
+        discharging = np.zeros((b, n), dtype=bool)
         dis_sites = (deficit > 0.0) & bank.load_sites
-        members = bank.on_load & dis_sites[:, None]
+        members = bank.on_load & dis_sites
         if dis_sites.any():
             mdc = self._max_discharge_current()
             watts = mdc * volts
-            total = np.where(members, watts, 0.0).sum(axis=1)
+            total = np.where(members, watts, 0.0).sum(axis=0)
             feasible = dis_sites & (total > 0.0)
             target = np.minimum(deficit, total)
             safe_total = np.where(feasible, total, 1.0)
-            share_w = target[:, None] * (watts / safe_total[:, None])
+            share_w = target * (watts / safe_total)
             skip = (share_w <= 0.0) | (volts <= 0.0)
             safe_v = np.where(volts > 0.0, volts, 1.0)
             # Capped at max_discharge_current already, so this is also the
             # current BatteryUnit.apply_discharge allows.
             allowed = np.minimum(share_w / safe_v, mdc)
-            discharging = members & feasible[:, None] & ~skip & (allowed > 0.0)
+            discharging = members & feasible & ~skip & (allowed > 0.0)
             amps = np.where(discharging, allowed, amps)
 
         # Charge path (SolarCharger.step across the charge bus).
-        charging = np.zeros((n, b), dtype=bool)
+        charging = np.zeros((b, n), dtype=bool)
         charge_power = np.zeros(n, dtype=np.float64)
         if bank.any_charge:
             charge_power, charging = self._charger_step(
@@ -974,7 +984,7 @@ class _FleetBatch:
         battery_to_load = np.zeros(n, dtype=np.float64)
         if any_discharge:
             self._record_discharge_wear(discharging, got, soc_before)
-            battery_to_load = np.where(discharging, got * volts, 0.0).sum(axis=1)
+            battery_to_load = np.where(discharging, got * volts, 0.0).sum(axis=0)
         unserved = np.maximum(0.0, deficit - battery_to_load)
         curtailed, charge_power = self._float_pass(
             ~(members | bank.on_charge) & bank.standby, curtailed,
@@ -1009,15 +1019,15 @@ class _FleetBatch:
         )
         # No budget pays one string's overhead: payable is 0 at every site.
         if not (remaining >= overhead_w).any():
-            return np.zeros(n, dtype=np.float64), np.zeros((n, b), dtype=bool)
-        n_charging = on_charge.sum(axis=1)
+            return np.zeros(n, dtype=np.float64), np.zeros((b, n), dtype=bool)
+        n_charging = on_charge.sum(axis=0)
         payable = np.minimum(
             n_charging, (remaining // overhead_w).astype(np.int64)
         )
-        rank = np.cumsum(on_charge, axis=1) - on_charge
-        connected = on_charge & (rank < payable[:, None]) & charge_sites[:, None]
-        any_conn = connected.any(axis=1)
-        n_conn = connected.sum(axis=1)
+        rank = np.cumsum(on_charge, axis=0) - on_charge
+        connected = on_charge & (rank < payable) & charge_sites
+        any_conn = connected.any(axis=0)
+        n_conn = connected.sum(axis=0)
         overhead = overhead_w * n_conn
         remaining = np.where(any_conn, remaining - overhead, remaining)
         used = np.where(any_conn, overhead, 0.0)
@@ -1029,21 +1039,21 @@ class _FleetBatch:
         soc = (self.y1 + self.y2) / self.battery.capacity_ah
         max_current = self._acceptance_max_current(soc)
         ceiling = max_current * voltage
-        granted = np.zeros((n, b), dtype=np.float64)
+        granted = np.zeros((b, n), dtype=np.float64)
         active = connected
         for _ in range(FILL_ROUNDS):
-            n_act = active.sum(axis=1)
+            n_act = active.sum(axis=0)
             alive = any_conn & (remaining > GRANT_EPSILON_W) & (n_act > 0)
             if not alive.any():
                 break
             share = remaining / np.maximum(n_act, 1)
-            share = np.where(alive, share, 0.0)[:, None]
-            m = alive[:, None] & active
+            share = np.where(alive, share, 0.0)
+            m = alive & active
             headroom = np.maximum(0.0, ceiling - granted)
             grant = np.where(m, np.minimum(share, headroom), 0.0)
             granted = granted + grant
-            for col in range(b):
-                remaining = remaining - grant[:, col]
+            for cell in grant:
+                remaining = remaining - cell
             active = np.where(m, grant >= share - GRANT_EPSILON_W, active)
 
         # BatteryUnit.apply_charge on every string with a grant.
@@ -1057,8 +1067,8 @@ class _FleetBatch:
             where=landing & ~charging,
         )
         landed_w = np.where(landing, granted, 0.0)
-        for col in range(b):
-            used = used + landed_w[:, col]
+        for cell in landed_w:
+            used = used + cell
         return np.where(any_conn, used / chg.efficiency, 0.0), charging
 
     def _float_pass(
@@ -1075,19 +1085,19 @@ class _FleetBatch:
         only the drain runs in bank order, because battery 2 floats on
         what batteries 0-1 left over.  Returns (curtailed, charge_power).
         """
-        candidates = idle_standby & (curtailed > 1.0)[:, None]
+        candidates = idle_standby & (curtailed > 1.0)
         if not candidates.any():
             return curtailed, charge_power
         y1, y2, _ = self._kibam_step(-self.float_amps * FLOAT_FRACTION)
         tv = self._terminal_voltage(self._emf(y1), self.last_i)
         used = self.float_amps * tv / self.charger.efficiency
         floated = np.zeros_like(candidates)
-        for col in range(self.b):
-            floats = candidates[:, col] & (curtailed > 1.0)
-            take = np.minimum(used[:, col], curtailed)
+        for cell in range(self.b):
+            floats = candidates[cell] & (curtailed > 1.0)
+            take = np.minimum(used[cell], curtailed)
             curtailed = np.where(floats, curtailed - take, curtailed)
             charge_power = np.where(floats, charge_power + take, charge_power)
-            floated[:, col] = floats
+            floated[cell] = floats
         self.y1 = np.where(floated, y1, self.y1)
         self.y2 = np.where(floated, y2, self.y2)
         return curtailed, charge_power
@@ -1109,8 +1119,8 @@ class _FleetBatch:
 
     def _emergency_shed(self, shed: np.ndarray) -> None:
         """ServerRack.emergency_shed + Workload.on_crash."""
-        cells = shed[:, None] & (self.sstate != _OFF)
-        count = cells.sum(axis=1)
+        cells = shed & (self.sstate != _OFF)
+        count = cells.sum(axis=0)
         self.crashes += count
         self.on_off += count
         self.sstate = np.where(cells, _OFF, self.sstate)
@@ -1191,7 +1201,7 @@ class _FleetBatch:
             rack.running > 0, self.uptime_s + dt, self.uptime_s
         )
         stored = (self.y1 + self.y2) * self.battery.nominal_voltage
-        online_wh = np.where(self._bank_view().online, stored, 0.0).sum(axis=1)
+        online_wh = np.where(self._bank_view().online, stored, 0.0).sum(axis=0)
         self.stored_int = self.stored_int + online_wh * dt
         self.load_wh = self.load_wh + self._metrics_demand * dt_h
         self.eff_wh = self.eff_wh + rack.effective * dt_h
@@ -1202,11 +1212,11 @@ class _FleetBatch:
         self.curt_wh = self.curt_wh + self._rep_curtailed * dt_h
         self._refresh_voltage()
         tv = self._tick_tv
-        self.min_v = np.minimum(self.min_v, tv.min(axis=1))
+        self.min_v = np.minimum(self.min_v, tv.min(axis=0))
         self._since_vsample += dt
         if self._since_vsample >= VOLTAGE_SAMPLE_S:
             self._since_vsample = 0.0
-            self.vsamples.append(tv.sum(axis=1) / self.b)
+            self.vsamples.append(tv.sum(axis=0) / self.b)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -1223,7 +1233,7 @@ class _FleetBatch:
     def step_tick(self, k: int) -> None:
         from repro.sim.fleet import controllers
 
-        solar = self.trace[:, k]
+        solar = self.trace[k]
         # Component order mirrors the engine: source (solar column),
         # controller, rack, plant coupler, metrics.
         self._sense(k)
@@ -1258,10 +1268,10 @@ class _FleetBatch:
                 np.minimum(shelf, wear.lifetime_ah / np.where(rate > 0, rate, 1.0)),
                 shelf,
             )
-        life = days.mean(axis=1)
+        life = days.mean(axis=0)
         discharge_ah = np.zeros(n, dtype=np.float64)
-        for col in range(self.b):
-            discharge_ah = discharge_ah + self.wear_dis[:, col]
+        for cell in self.wear_dis:
+            discharge_ah = discharge_ah + cell
         perf_per_ah = np.where(
             discharge_ah > 0.0,
             self.processed / np.where(discharge_ah > 0.0, discharge_ah, 1.0),
@@ -1269,8 +1279,8 @@ class _FleetBatch:
         )
         tv = self._tick_tv
         end_v = np.zeros(n, dtype=np.float64)
-        for col in range(self.b):
-            end_v = end_v + tv[:, col]
+        for cell in tv:
+            end_v = end_v + cell
         end_v = end_v / self.b
         if len(self.vsamples) > 1:
             samples = np.stack(self.vsamples)
@@ -1278,7 +1288,7 @@ class _FleetBatch:
             sigma = np.sqrt(((samples - mean) ** 2).mean(axis=0))
         else:
             sigma = np.zeros(n, dtype=np.float64)
-        imbalance = self.wear_dis.max(axis=1) - self.wear_dis.min(axis=1)
+        imbalance = self.wear_dis.max(axis=0) - self.wear_dis.min(axis=0)
         miss_rate = np.where(
             self.dl_total > 0,
             self.dl_miss / np.where(self.dl_total > 0, self.dl_total, 1),

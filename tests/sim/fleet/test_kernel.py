@@ -92,18 +92,19 @@ class TestSiteSpec:
 
 class TestTrace:
     def test_shared_and_short_traces_fill_their_rows(self):
-        # Sites sharing one trace tuple convert it once; a trace shorter
-        # than the horizon leaves the rest of its row at zero.
+        # One row per tick, one column per site.  Sites sharing one trace
+        # tuple convert it once; a trace shorter than the horizon leaves
+        # the rest of its column at zero.
         from repro.sim.fleet.kernel import _FleetBatch
 
         shared = tuple(float(i) for i in range(200))
         short = tuple(float(-i) for i in range(50))
         batch = _FleetBatch([_spec(trace_power_w=trace, duration_s=600.0)
                              for trace in (shared, short, shared)])
-        assert batch.trace.shape == (3, 120)
-        assert batch.trace[0].tolist() == list(shared[:120])
-        assert batch.trace[2].tolist() == list(shared[:120])
-        assert batch.trace[1].tolist() == list(short) + [0.0] * 70
+        assert batch.trace.shape == (120, 3)
+        assert batch.trace[:, 0].tolist() == list(shared[:120])
+        assert batch.trace[:, 2].tolist() == list(shared[:120])
+        assert batch.trace[:, 1].tolist() == list(short) + [0.0] * 70
 
 
 class TestGrouping:
@@ -133,11 +134,11 @@ class TestGrouping:
         other = dataclasses.replace(spec, seed=spec.seed + 1)
         batch = _FleetBatch([spec, other])
         batch._refill_noise()  # blocks are lazily filled on tick 0
-        assert not np.array_equal(batch._blk_v[:, 0, :], batch._blk_v[:, 1, :])
+        assert not np.array_equal(batch._blk_v[..., 0], batch._blk_v[..., 1])
         # Same seed twice must reproduce the identical stream.
         twin = _FleetBatch([spec, spec])
         twin._refill_noise()
-        assert np.array_equal(twin._blk_v[:, 0, :], twin._blk_v[:, 1, :])
+        assert np.array_equal(twin._blk_v[..., 0], twin._blk_v[..., 1])
 
     def test_summary_has_the_run_summary_fields(self):
         from repro.telemetry.metrics import RunSummary

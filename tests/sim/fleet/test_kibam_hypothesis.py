@@ -58,16 +58,16 @@ def test_single_cell_matches_scalar_bitwise(y1, y2, amps):
     batch = _batch(1)
     batch.y1[:] = y1
     batch.y2[:] = y2
-    moved = batch._kibam_apply(np.ones((1, batch.b), dtype=bool),
-                               np.full((1, batch.b), amps))
+    moved = batch._kibam_apply(np.ones((batch.b, 1), dtype=bool),
+                               np.full((batch.b, 1), amps))
 
     scalar = _scalar(y1, y2)
     expected_moved = scalar.apply_current(amps, DT_S)
 
-    for col in range(batch.b):
-        assert float(moved[0, col]) == expected_moved
-        assert float(batch.y1[0, col]) == scalar.y1
-        assert float(batch.y2[0, col]) == scalar.y2
+    for cell in range(batch.b):
+        assert float(moved[cell, 0]) == expected_moved
+        assert float(batch.y1[cell, 0]) == scalar.y1
+        assert float(batch.y2[cell, 0]) == scalar.y2
 
 
 @given(
@@ -77,21 +77,21 @@ def test_single_cell_matches_scalar_bitwise(y1, y2, amps):
 @settings(max_examples=50, deadline=None)
 def test_batched_sites_are_elementwise_independent(states):
     # N sites stepped together must equal each site stepped alone: the
-    # vectorization adds no cross-site coupling.
+    # vectorization adds no cross-site coupling.  Site i is column i.
     batch = _batch(len(states))
-    amps = np.zeros((len(states), batch.b))
+    amps = np.zeros((batch.b, len(states)))
     for i, (y1, y2, a) in enumerate(states):
-        batch.y1[i, :] = y1
-        batch.y2[i, :] = y2
-        amps[i, :] = a
+        batch.y1[:, i] = y1
+        batch.y2[:, i] = y2
+        amps[:, i] = a
     moved = batch._kibam_apply(np.ones_like(amps, dtype=bool), amps)
 
     for i, (y1, y2, a) in enumerate(states):
         scalar = _scalar(y1, y2)
         expected = scalar.apply_current(a, DT_S)
-        assert float(moved[i, 0]) == expected
-        assert float(batch.y1[i, 0]) == scalar.y1
-        assert float(batch.y2[i, 0]) == scalar.y2
+        assert float(moved[0, i]) == expected
+        assert float(batch.y1[0, i]) == scalar.y1
+        assert float(batch.y2[0, i]) == scalar.y2
 
 
 @given(y1=wells_y1, y2=wells_y2)
@@ -100,7 +100,7 @@ def test_wells_stay_physical(y1, y2):
     batch = _batch(1)
     batch.y1[:] = y1
     batch.y2[:] = y2
-    batch._kibam_apply(np.ones((1, batch.b), dtype=bool),
-                       np.full((1, batch.b), 200.0))
+    batch._kibam_apply(np.ones((batch.b, 1), dtype=bool),
+                       np.full((batch.b, 1), 200.0))
     assert (batch.y1 >= 0.0).all() and (batch.y1 <= batch.y1_cap).all()
     assert (batch.y2 >= 0.0).all() and (batch.y2 <= batch.y2_cap).all()
