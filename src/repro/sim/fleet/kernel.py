@@ -588,7 +588,10 @@ class _FleetBatch:
         self.used_wh = np.zeros(n, dtype=np.float64)
         self.curt_wh = np.zeros(n, dtype=np.float64)
         self.min_v = np.full(n, np.inf, dtype=np.float64)
+        # Bank-mean voltage samples and their running sum, added in
+        # sample order.
         self.vsamples: list[np.ndarray] = []
+        self._vsum = np.zeros(n, dtype=np.float64)
         self._since_vsample = float("inf")
         self._elapsed = 0.0
         # Per-tick scratch written by the plant step for the metrics step.
@@ -1216,7 +1219,9 @@ class _FleetBatch:
         self._since_vsample += dt
         if self._since_vsample >= VOLTAGE_SAMPLE_S:
             self._since_vsample = 0.0
-            self.vsamples.append(tv.sum(axis=0) / self.b)
+            sample = tv.sum(axis=0) / self.b
+            self.vsamples.append(sample)
+            self._vsum = self._vsum + sample
 
     # ------------------------------------------------------------------
     # Run loop
@@ -1282,12 +1287,16 @@ class _FleetBatch:
         for cell in tv:
             end_v = end_v + cell
         end_v = end_v / self.b
-        if len(self.vsamples) > 1:
-            samples = np.stack(self.vsamples)
-            mean = samples.mean(axis=0)
-            sigma = np.sqrt(((samples - mean) ** 2).mean(axis=0))
-        else:
-            sigma = np.zeros(n, dtype=np.float64)
+        # Population sigma with both sums taken in sample order, so a
+        # site's sigma does not depend on its batch mates: numpy would sum
+        # a one-site stack of samples pairwise, a wider one row by row.
+        count = len(self.vsamples)
+        sigma = np.zeros(n, dtype=np.float64)
+        if count > 1:
+            mean = self._vsum / count
+            for sample in self.vsamples:
+                sigma = sigma + (sample - mean) ** 2
+            sigma = np.sqrt(sigma / count)
         imbalance = self.wear_dis.max(axis=0) - self.wear_dis.min(axis=0)
         miss_rate = np.where(
             self.dl_total > 0,

@@ -140,6 +140,18 @@ class TestGrouping:
         twin._refill_noise()
         assert np.array_equal(twin._blk_v[..., 0], twin._blk_v[..., 1])
 
+    @pytest.mark.parametrize("battery_count", [3, 5])
+    def test_a_site_does_not_depend_on_its_batch_mates(self, battery_count):
+        # One site alone and the same site first in a two-site batch: every
+        # summary field must match exactly.  The voltage sigma averages
+        # 120 samples, which numpy would sum pairwise for one site but row
+        # by row for two.
+        spec = dataclasses.replace(spec_for_cell("insure", "video", "sunny"),
+                                   duration_s=2 * 3600.0,
+                                   battery_count=battery_count)
+        mate = dataclasses.replace(spec, seed=spec.seed + 1)
+        assert simulate_fleet([spec]) == simulate_fleet([spec, mate])[:1]
+
     def test_summary_has_the_run_summary_fields(self):
         from repro.telemetry.metrics import RunSummary
 
