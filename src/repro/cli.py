@@ -122,7 +122,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         gains = efficiency_gains(rows)
         print("  gains:", {k: round(v, 1) for k, v in gains.items()})
     else:
-        raise SystemExit(f"table {args.number} not available (use 2, 3, 6 or 7)")
+        raise ValueError(f"table {args.number} not available (use 2, 3, 6 or 7)")
     return 0
 
 
@@ -163,10 +163,7 @@ def _parse_cells(specs):
         return None
     from repro.validate.golden import parse_cell_id
 
-    try:
-        return [parse_cell_id(spec) for spec in specs]
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    return [parse_cell_id(spec) for spec in specs]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -214,7 +211,7 @@ def _run_sweep(args: argparse.Namespace, cells, count: int) -> int:
 
     hours = args.sweep_hours
     if hours <= 0:
-        raise SystemExit(f"--sweep-hours must be positive, got {hours}")
+        raise ValueError(f"--sweep-hours must be positive, got {hours}")
     print(f"invariant sweep: {count} cell(s) over {hours:g} h …")
     verdicts = golden.invariant_sweep(hours * 3600.0, cells=cells,
                                      max_workers=args.jobs)
@@ -253,7 +250,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
         if args.scenario not in scenario_names():
             listing = "\n  ".join(scenario_names())
-            raise SystemExit(
+            raise ValueError(
                 f"unknown scenario {args.scenario!r}; available scenarios:\n"
                 f"  {listing}"
             )
@@ -293,7 +290,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.solar.traces import make_day_trace
 
     if args.sites < 1 or args.seeds < 1:
-        raise SystemExit("--sites and --seeds must be at least 1")
+        raise ValueError("--sites and --seeds must be at least 1")
 
     cells = [
         dict(
@@ -331,7 +328,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _print_fleet_percentiles(summaries) -> None:
     """Per-site distribution table over the fleet's run summaries."""
-    from repro.experiments.montecarlo import PERCENTILES, percentile
+    import numpy as np
+
+    from repro.experiments.montecarlo import PERCENTILES
 
     metrics = (
         ("uptime %", [s.uptime_fraction * 100.0 for s in summaries], "7.1f"),
@@ -346,8 +345,8 @@ def _print_fleet_percentiles(summaries) -> None:
     print(header)
     print("-" * len(header))
     for label, values, fmt in metrics:
-        row = "".join(f" {percentile(values, p):>8{fmt[1:]}}"
-                      for p in PERCENTILES)
+        row = "".join(f" {value:>8{fmt[1:]}}"
+                      for value in np.percentile(values, PERCENTILES))
         print(f"{label:16s}{row}")
 
 
@@ -389,10 +388,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             for policy in build_policies(name, scenario_seed(name)):
                 print(f"  - {policy.describe()}")
         return 0
-    try:
-        spec = get_scenario(args.name)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = get_scenario(args.name)
     summary = run_scenario_cell(args.name, use_cache=not args.no_cache)
     print(f"scenario {args.name} — {spec.controller} / {spec.workload} / "
           f"{spec.weather} (seed {scenario_seed(args.name)})")

@@ -13,25 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.experiments.provisioning import run_provisioning_cell
 from repro.experiments.runner import derive_seed, run_cells
 
 #: Percentiles reported for every metric envelope.
 PERCENTILES = (5, 25, 50, 75, 95)
-
-
-def percentile(values: list[float], pct: float) -> float:
-    """Linear-interpolation percentile (numpy 'linear'), pure Python."""
-    if not values:
-        raise ValueError("need at least one value")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 @dataclass(frozen=True)
@@ -92,6 +80,8 @@ def run_monte_carlo(
     one SoA batch per battery count; unsupported environments degrade to
     the process pool transparently.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     cells = monte_carlo_cells(battery_counts, solar_scale, samples,
                               base_seed, mean_w, use_cache)
     summaries = run_cells(run_provisioning_cell, cells,
@@ -99,16 +89,20 @@ def run_monte_carlo(
     points = []
     for i, count in enumerate(battery_counts):
         block = summaries[i * samples:(i + 1) * samples]
-        uptimes = [s.uptime_fraction for s in block]
-        processed = [s.processed_gb for s in block]
-        min_v = [s.min_battery_voltage for s in block]
+        metrics = [[s.uptime_fraction for s in block],
+                   [s.processed_gb for s in block],
+                   [s.min_battery_voltage for s in block]]
+        uptime, processed, min_v = (
+            dict(zip(PERCENTILES, row))
+            for row in np.percentile(metrics, PERCENTILES, axis=1).T.tolist()
+        )
         points.append(MonteCarloPoint(
             battery_count=count,
             solar_scale=solar_scale,
             samples=samples,
-            uptime_pct={p: percentile(uptimes, p) for p in PERCENTILES},
-            processed_pct={p: percentile(processed, p) for p in PERCENTILES},
-            min_voltage_pct={p: percentile(min_v, p) for p in PERCENTILES},
+            uptime_pct=uptime,
+            processed_pct=processed,
+            min_voltage_pct=min_v,
         ))
     return points
 

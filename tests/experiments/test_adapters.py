@@ -7,7 +7,6 @@ from repro.experiments.montecarlo import (
     PERCENTILES,
     format_monte_carlo,
     monte_carlo_cells,
-    percentile,
 )
 from repro.experiments.runner import (
     BACKENDS,
@@ -135,26 +134,6 @@ class TestCellFailureNaming:
         # The pool-infrastructure fallback catches RuntimeError; a named
         # cell failure must propagate, not trigger a serial re-run.
         assert not issubclass(CellExecutionError, RuntimeError)
-
-
-class TestPercentiles:
-    def test_median_of_odd_list(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
-
-    def test_linear_interpolation_matches_numpy_convention(self):
-        np = pytest.importorskip("numpy")
-        values = [0.0, 1.0, 2.0, 10.0]
-        for pct in PERCENTILES:
-            assert percentile(values, pct) == pytest.approx(
-                float(np.percentile(values, pct)))
-
-    def test_single_value_is_every_percentile(self):
-        assert percentile([4.2], 5) == 4.2
-        assert percentile([4.2], 95) == 4.2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
 
 
 class TestMonteCarloCells:

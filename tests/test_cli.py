@@ -129,6 +129,29 @@ class TestBadNumbers:
         assert "repro: error: " in capsys.readouterr().err
 
 
+class TestBadInputs:
+    """Any other bad input is a usage error too: status 2, no traceback."""
+
+    CASES = [
+        (["validate", "--sweep-hours", "0"], "--sweep-hours must be positive"),
+        (["report", "run", "--scenario", "bogus"], "unknown scenario 'bogus'"),
+        (["fleet", "run", "--sites", "0"], "--sites and --seeds must be at least 1"),
+        (["fleet", "run", "--seeds", "0"], "--sites and --seeds must be at least 1"),
+        (["scenario", "bogus"], "unknown scenario 'bogus'"),
+        (["fleet", "mc", "--samples", "0"], "samples must be at least 1"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", CASES,
+                             ids=[" ".join(argv) for argv, _ in CASES])
+    def test_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"repro: error: {message}" in err
+
+
 class TestValidateSweep:
     def test_sweep_single_cell_clean(self, tmp_path, capsys):
         report = tmp_path / "sweep.json"

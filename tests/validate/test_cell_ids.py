@@ -27,13 +27,14 @@ def test_unknown_id_lists_every_cell(cell_id):
         assert known in message
 
 
-def test_cli_and_manifest_report_the_same_listing():
+def test_cli_and_manifest_report_the_same_listing(capsys):
     with pytest.raises(ValueError) as parsed:
         golden.parse_cell_id("bogus")
     with pytest.raises(SystemExit) as cli:
         main(["validate", "--cell", "bogus"])
-    # A string exit code is printed to stderr and exits with status 1.
-    assert cli.value.code == str(parsed.value)
+    # A usage error: status 2, the listing on stderr after the usage line.
+    assert cli.value.code == 2
+    assert f"repro: error: {parsed.value}\n" in capsys.readouterr().err
     with pytest.raises(ManifestError) as manifest:
         parse_manifest({"cell": "bogus"})
     assert str(manifest.value) == str(parsed.value)
