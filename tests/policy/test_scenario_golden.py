@@ -79,7 +79,6 @@ def test_scenario_ledger_closes_and_preserves_digests(scenario):
 
 
 def test_fleet_kernel_matches_scenario_goldens():
-    pytest.importorskip("numpy")
     from repro.sim.fleet.validator import FleetValidator
 
     validator = FleetValidator()

@@ -9,9 +9,7 @@ Full-day runs — golden-marked alongside the scalar regression suite.
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.sim.fleet.validator import (  # noqa: E402
+from repro.sim.fleet.validator import (
     EXACT_VARS,
     CellVerdict,
     FleetValidator,

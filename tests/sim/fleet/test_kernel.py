@@ -3,6 +3,7 @@ cached views."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.sim.fleet import (
@@ -11,8 +12,6 @@ from repro.sim.fleet import (
     simulate_fleet,
 )
 from repro.sim.fleet.validator import spec_for_cell
-
-np = pytest.importorskip("numpy")
 
 
 def _spec(**overrides) -> SiteSpec:

@@ -8,16 +8,13 @@ arithmetic is deterministic elementwise, so the batch result must equal
 the scalar result to the last bit — not approximately.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.battery.kibam import KiBaM
 from repro.battery.params import KiBaMParams
-
-np = pytest.importorskip("numpy")
-
-from repro.sim.fleet.kernel import _FleetBatch, SiteSpec  # noqa: E402
+from repro.sim.fleet.kernel import _FleetBatch, SiteSpec
 
 CAPACITY_AH = 35.0
 C = 0.62

@@ -9,18 +9,15 @@ float branches.  Policies write the rack off the controller cadence, so
 at least one drawn site must have a policy lower its duty or VM target.
 """
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.core.system import build_system  # noqa: E402
-from repro.experiments.scenarios import build_policies  # noqa: E402
-from repro.sim.fleet.debug import step_lockstep  # noqa: E402
-from repro.sim.fleet.kernel import SiteSpec, _FleetBatch  # noqa: E402
-from repro.solar.traces import make_day_trace  # noqa: E402
-from repro.workloads import make_workload  # noqa: E402
+from repro.core.system import build_system
+from repro.experiments.scenarios import build_policies
+from repro.sim.fleet.debug import step_lockstep
+from repro.sim.fleet.kernel import SiteSpec, _FleetBatch
+from repro.solar.traces import make_day_trace
+from repro.workloads import make_workload
 
 DT_S = 5.0
 TICKS = 720
