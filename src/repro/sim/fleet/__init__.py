@@ -1,12 +1,12 @@
 """Vectorized fleet kernel: batch-simulate many in-situ sites per op.
 
-The scalar engine steps one site at a time at ~21k ticks/s; provisioning
-sweeps and Monte Carlo studies need thousands of sites.  This package
-holds a structure-of-arrays kernel that steps N independent systems per
-numpy op — batched trace irradiance, KiBaM two-well Euler updates,
-charger/bus balance, server power and SoC/wear/LVD state — with per-site
-RNG streams seeded identically to the scalar path and divergent control
-branches handled via boolean masks.
+The scalar engine steps one site at a time; provisioning sweeps and
+Monte Carlo studies need thousands of sites.  This package holds a
+structure-of-arrays kernel that steps N independent systems per numpy
+op — batched trace irradiance, KiBaM two-well Euler updates, charger/bus
+balance, server power and SoC/wear/LVD state — with per-site RNG streams
+seeded identically to the scalar path and divergent control branches
+handled via boolean masks.
 
 The scalar engine stays the bit-exact reference: the
 :class:`FleetValidator` gates the vectorized path against golden-matrix

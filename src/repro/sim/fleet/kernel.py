@@ -588,10 +588,7 @@ class _FleetBatch:
         self.used_wh = np.zeros(n, dtype=np.float64)
         self.curt_wh = np.zeros(n, dtype=np.float64)
         self.min_v = np.full(n, np.inf, dtype=np.float64)
-        # Bank-mean voltage samples and their running sum, added in
-        # sample order.
         self.vsamples: list[np.ndarray] = []
-        self._vsum = np.zeros(n, dtype=np.float64)
         self._since_vsample = float("inf")
         self._elapsed = 0.0
         # Per-tick scratch written by the plant step for the metrics step.
@@ -723,7 +720,7 @@ class _FleetBatch:
         on = sstate == _ON
         booting = sstate == _BOOTING
         saving = sstate == _SAVING
-        # Server.power_w for every (site, server).
+        # Server.power_w for every (server, site).
         util = np.minimum(1.0, self.cpu_share * placed * duty)
         p_on = srv.idle_w + (srv.peak_w - srv.idle_w) * util
         power = np.zeros((self.s, self.n), dtype=np.float64)
@@ -1219,9 +1216,7 @@ class _FleetBatch:
         self._since_vsample += dt
         if self._since_vsample >= VOLTAGE_SAMPLE_S:
             self._since_vsample = 0.0
-            sample = tv.sum(axis=0) / self.b
-            self.vsamples.append(sample)
-            self._vsum = self._vsum + sample
+            self.vsamples.append(tv.sum(axis=0) / self.b)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -1239,7 +1234,7 @@ class _FleetBatch:
         from repro.sim.fleet import controllers
 
         solar = self.trace[k]
-        # Component order mirrors the engine: source (solar column),
+        # Component order mirrors the engine: source (solar row),
         # controller, rack, plant coupler, metrics.
         self._sense(k)
         self._update_ema(solar)
@@ -1293,7 +1288,10 @@ class _FleetBatch:
         count = len(self.vsamples)
         sigma = np.zeros(n, dtype=np.float64)
         if count > 1:
-            mean = self._vsum / count
+            mean = np.zeros(n, dtype=np.float64)
+            for sample in self.vsamples:
+                mean = mean + sample
+            mean = mean / count
             for sample in self.vsamples:
                 sigma = sigma + (sample - mean) ** 2
             sigma = np.sqrt(sigma / count)
