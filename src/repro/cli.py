@@ -23,6 +23,8 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.system import build_day_system
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
@@ -328,8 +330,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _print_fleet_percentiles(summaries) -> None:
     """Per-site distribution table over the fleet's run summaries."""
-    import numpy as np
-
     from repro.experiments.montecarlo import PERCENTILES
 
     metrics = (
