@@ -24,8 +24,8 @@ def test_fig5_unified_buffer_switchout(benchmark):
     # charge bus (the save itself takes ~4 minutes).
     stop_t = result.switch_out_times[0]
     pulled = {
-        e.source
-        for e in result.system.events.of_kind("buffer.mode")
-        if e.data.get("to") == "charging" and stop_t <= e.t <= stop_t + 600.0
+        d.source
+        for d in result.system.decisions.of_kind("buffer.mode")
+        if d.data["to_mode"] == "charging" and stop_t <= d.t <= stop_t + 600.0
     }
     assert len(pulled) == len(result.system.bank)

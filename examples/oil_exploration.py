@@ -36,13 +36,13 @@ def run_day(controller: str, mean_w: float, seed: int = 7):
 def print_timeline(system, label: str) -> None:
     print(f"\n  {label} operating timeline:")
     interesting = ("load.checkpoint_stop", "load.restart", "buffer.online",
-                   "power.unserved")
+                   "power.shed")
     shown = 0
-    for event in system.events:
-        if event.kind in interesting and shown < 8:
-            hour = 7.0 + event.t / 3600.0
-            detail = ", ".join(f"{k}={v}" for k, v in event.data.items())
-            print(f"    {hour:5.2f}h  {event.kind:22s} {detail}")
+    for decision in system.decisions:
+        if decision.kind in interesting and shown < 8:
+            hour = 7.0 + decision.t / 3600.0
+            detail = ", ".join(f"{k}={v}" for k, v in decision.data.items())
+            print(f"    {hour:5.2f}h  {decision.kind:22s} {detail}")
             shown += 1
     if shown == 0:
         print("    (uninterrupted operation)")

@@ -160,7 +160,6 @@ NOT_PORTED: dict[str, str] = {
     "BatteryUnit._tv_value": "terminal-voltage memo; fleet recomputes per tick",
     "BatteryUnit._mdc_key": "max-discharge-current memo",
     "BatteryUnit._mdc_value": "max-discharge-current memo",
-    "WearModel.charge_ah": "not consumed by RunSummary",
     "ServerRack._vm_counter": "VM identity naming only",
     "VideoSurveillance._accumulated_s": "arrival schedule precomputed (n_by_tick)",
     "VideoSurveillance._chunk_counter": "arrival schedule precomputed (n_by_tick)",
@@ -189,9 +188,6 @@ NOT_PORTED: dict[str, str] = {
     "Transducer._noise_pos": "slot derived from tick index % noise_block",
     "BatteryTelemetry.gain": "fault injection; faulted cells are not batchable",
     "BaselineController.checkpoint_stops": "not a RunSummary field",
-    "SpatialPolicy.unused_budget_ah": (
-        "daily rollover credit; single-day fleet horizons never observe it"
-    ),
     "PlantCoupler.last_report": "scratch mirrored by the _rep_* arrays",
     "InSituSystem._steps_done": "sliced-run host bookkeeping",
     "InSituSystem._total_steps": "sliced-run host bookkeeping",

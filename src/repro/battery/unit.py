@@ -155,7 +155,6 @@ class BatteryUnit:
             return 0.0
         moved_ah = self.kibam.apply_current(-effective, dt_seconds)
         stored = -moved_ah * 3600.0 / dt_seconds  # positive amps actually stored
-        self.wear.record(-stored, self.soc, dt_seconds)
         self.last_current = -stored
         self.gassing_ah += (amps - stored) * dt_seconds / 3600.0
         return stored

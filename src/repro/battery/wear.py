@@ -30,8 +30,6 @@ class WearModel:
         self.params = params
         #: Raw discharge throughput (Ah) — the SPM's AhT[i] usage statistic.
         self.discharge_ah = 0.0
-        #: Raw charge throughput (Ah).
-        self.charge_ah = 0.0
         #: Stress-weighted throughput (Ah-equivalent) for life projection.
         self.weighted_ah = 0.0
 
@@ -49,15 +47,17 @@ class WearModel:
         return factor
 
     def record(self, amps: float, soc: float, dt_seconds: float) -> None:
-        """Account one integration step at signed current ``amps``."""
+        """Account one integration step at signed current ``amps``.
+
+        Only discharge wears the battery here; a charging step (negative
+        ``amps``) records nothing.
+        """
         if dt_seconds <= 0:
             raise ValueError("dt_seconds must be positive")
         ah = abs(amps) * dt_seconds / _SECONDS_PER_HOUR
         if amps > 0.0:
             self.discharge_ah += ah
             self.weighted_ah += ah * self.stress_factor(amps, soc)
-        elif amps < 0.0:
-            self.charge_ah += ah
 
     # ------------------------------------------------------------------
     # Life projection
@@ -80,14 +80,3 @@ class WearModel:
         elapsed_days = elapsed_seconds / 86400.0
         rate_per_day = self.weighted_ah / elapsed_days
         return min(shelf_cap, self.params.lifetime_ah / rate_per_day)
-
-    def discharge_budget(self, elapsed_seconds: float, unused_carryover: float = 0.0) -> float:
-        """Eq. 1 of the paper: cumulative discharge allowance at time ``T``.
-
-        delta_D = D_U + D_L * T / T_L — the unused budget from the previous
-        control period plus the lifetime throughput prorated over the
-        desired lifetime.
-        """
-        p = self.params
-        elapsed_days = elapsed_seconds / 86400.0
-        return unused_carryover + p.lifetime_ah * elapsed_days / p.design_life_days

@@ -2,9 +2,9 @@
 
 Aggregates servers into one schedulable unit: total demand for the power
 bus, total compute-seconds for the workload, and rack-wide actuation
-(duty cycles, emergency shedding).  Emits ``server.on``, ``server.off``,
-``server.crash`` and ``vm.ctrl`` events so Table 6's operation counters
-fall straight out of the event log.
+(duty cycles, emergency shedding).  Table 6's on/off cycles and crashes
+are the servers' own counters (``Server.on_off_cycles``,
+``Server.crashes``).
 
 The figures a tick reads (PDU demand, running VMs, effective and
 transition power, compute seconds) live in one read-only
@@ -23,7 +23,6 @@ from repro.cluster.vm import VirtualMachine
 from repro.power.converters import PowerDistributionUnit
 from repro.sim.clock import Clock
 from repro.sim.component import Component
-from repro.sim.events import EventLog
 
 
 class RackRecord(NamedTuple):
@@ -46,7 +45,6 @@ class ServerRack(Component):
         server_count: int = 4,
         profile: ServerProfile | None = None,
         pdu: PowerDistributionUnit | None = None,
-        events: EventLog | None = None,
     ) -> None:
         super().__init__(name)
         if server_count <= 0:
@@ -55,9 +53,6 @@ class ServerRack(Component):
         self.servers = [Server(f"{name}.pm{i + 1}", self.profile, self._drop_record)
                         for i in range(server_count)]
         self.pdu = pdu or PowerDistributionUnit(ports=max(8, server_count))
-        # Note: an empty EventLog is falsy (it has __len__), so an 'or'
-        # default would silently discard a shared log.
-        self.events = events if events is not None else EventLog()
         self._vm_counter = 0
         self._last_compute_seconds = 0.0
         #: Tick length the record's compute seconds are for (the latest step's).
@@ -130,34 +125,26 @@ class ServerRack(Component):
         self._vm_counter += 1
         return VirtualMachine(f"{self.name}.vm{self._vm_counter}", cpu_share)
 
-    def set_duty(self, duty: float, t: float = 0.0) -> None:
+    def set_duty(self, duty: float) -> None:
         """Apply a DVFS duty cycle rack-wide (batch-job power capping)."""
-        changed = False
         for server in self.servers:
             if abs(server.duty - duty) > 1e-9:
                 server.set_duty(duty)
-                changed = True
-        if changed:
-            self.events.emit(t, "power.duty", self.name, duty=duty)
 
-    def emergency_shed(self, t: float = 0.0) -> int:
+    def emergency_shed(self) -> int:
         """Uncontrolled power loss on every powered server."""
         count = 0
         for server in self.servers:
             if server.emergency_off():
                 count += 1
-                self.events.emit(t, "server.crash", server.name)
         return count
 
-    def graceful_stop_all(self, t: float = 0.0) -> int:
+    def graceful_stop_all(self) -> int:
         """Checkpoint and shut down every powered server."""
         count = 0
         for server in self.servers:
             if server.power_off():
                 count += 1
-                self.events.emit(t, "server.off", server.name)
-                self.events.emit(t, "vm.ctrl", server.name, op="checkpoint",
-                                 vms=len(server.vms))
         return count
 
     # ------------------------------------------------------------------

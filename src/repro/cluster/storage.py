@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.events import EventLog
-
 
 @dataclass(frozen=True)
 class StorageReport:
@@ -50,8 +48,6 @@ class StorageArray:
         capacity_gb: float = 2000.0,
         idle_w: float = 24.0,
         active_w: float = 40.0,
-        events: EventLog | None = None,
-        name: str = "storage",
     ) -> None:
         if capacity_gb <= 0:
             raise ValueError("capacity_gb must be positive")
@@ -60,8 +56,6 @@ class StorageArray:
         self.capacity_gb = capacity_gb
         self.idle_w = idle_w
         self.active_w = active_w
-        self.events = events
-        self.name = name
         self.used_gb = 0.0
         self.dropped_gb = 0.0
         self._streaming = False
@@ -69,7 +63,7 @@ class StorageArray:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def ingest(self, gb: float, t: float = 0.0) -> float:
+    def ingest(self, gb: float) -> float:
         """Store ``gb`` of newly arrived raw data.
 
         Returns the GB *dropped* to make room (overwrite-oldest), zero
@@ -83,8 +77,6 @@ class StorageArray:
         if overflow > 0:
             self.used_gb = self.capacity_gb
             self.dropped_gb += overflow
-            if self.events is not None:
-                self.events.emit(t, "storage.overflow", self.name, gb=overflow)
         return overflow
 
     def drain(self, gb: float) -> float:

@@ -78,7 +78,7 @@ class BaselineController(PowerManager):
             self._since_upscale = 0.0
         if target != self.vm_target:
             self.vm_target = target
-            self.allocator.set_target(target, t)
+            self.allocator.set_target(target)
             self.decisions.record(t, "vm.target", self.name, target=target,
                                   reason="renewable-tracking")
 
@@ -91,7 +91,7 @@ class BaselineController(PowerManager):
         bus = "load" if self.buffer_online else "charge"
         for unit in self.bank:
             unit.set_mode(mode)
-            self.switchnet.attach(unit.name, bus, clock.t)
+            self.switchnet.attach(unit.name, bus)
 
     def step(self, clock: Clock) -> None:
         tracer = self.tracer
@@ -113,7 +113,7 @@ class BaselineController(PowerManager):
             else:
                 self._charging_period(clock)
         if not self.allocator.running_matches_target():
-            self.allocator.sync(clock.t)
+            self.allocator.sync()
 
     # ------------------------------------------------------------------
     # Bank online: serve the load, watch the protection threshold
@@ -182,6 +182,5 @@ class BaselineController(PowerManager):
             for unit in self.bank:
                 self.transition(unit, BatteryMode.STANDBY, "capacity-goal", t)
             self.buffer_online = True
-            self.events.emit(t, "buffer.online", self.name, reason="charged")
             self.decisions.record(t, "buffer.online", self.name,
                                   reason="charged")

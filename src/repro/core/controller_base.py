@@ -17,12 +17,11 @@ from repro.cluster.allocator import NodeAllocator
 from repro.cluster.rack import ServerRack
 from repro.core.modes import ModeTransition, bus_for_mode
 from repro.core.sensing import BatteryTelemetry
-from repro.obs.decisions import NULL_DECISIONS
+from repro.obs.decisions import DecisionLog
 from repro.obs.spans import NULL_TRACER
 from repro.power.relays import SwitchNetwork
 from repro.sim.clock import Clock
 from repro.sim.component import Component
-from repro.sim.events import EventLog
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # imported for annotations only; avoids a runtime cycle
@@ -55,8 +54,9 @@ class PowerManager(Component):
         The load side.
     source:
         Object exposing ``available_power_w`` (solar field or trace player).
-    events:
-        Event log shared with the rest of the system.
+    decisions:
+        The system's decision log; every mode change, retarget, duty
+        change, stop and restart is recorded there.
     """
 
     def __init__(
@@ -69,7 +69,7 @@ class PowerManager(Component):
         allocator: NodeAllocator,
         workload: Workload,
         source: PowerSource,
-        events: EventLog,
+        decisions: DecisionLog,
         per_vm_w: float,
     ) -> None:
         super().__init__(name)
@@ -80,20 +80,18 @@ class PowerManager(Component):
         self.allocator = allocator
         self.workload = workload
         self.source = source
-        self.events = events
+        self.decisions = decisions
         self.per_vm_w = per_vm_w
         self.solar_ema_w = 0.0
         #: Slow EMA used for sizing decisions (minutes-scale commitment).
         self.solar_ema_slow_w = 0.0
-        self.mode_transitions: list[ModeTransition] = []
         #: Optional PLC-resident switch program (Fig. 12's bottom tier);
         #: when set, mode changes are *requested* through PLC registers
         #: and applied by the scan cycle under its safety interlocks.
         self.plc_program = None
-        #: Decision-event sink and span tracer; no-op singletons unless an
-        #: Observability bundle replaces them.  Both only record — they
-        #: never feed back into control decisions.
-        self.decisions = NULL_DECISIONS
+        #: Span tracer; a no-op unless an Observability bundle replaces
+        #: it.  Like the decision log it only records — neither feeds
+        #: back into control decisions.
         self.tracer = NULL_TRACER
         #: Attached :class:`repro.policy.policy.Policy` overlays, stepped
         #: once per tick after the controller's own logic.  Empty by
@@ -145,7 +143,11 @@ class PowerManager(Component):
     def transition(self, unit: BatteryUnit, to_mode: BatteryMode, reason: str,
                    t: float) -> bool:
         """Validated mode change: updates the unit and drives the relays
-        (directly, or as a request to the PLC switch program)."""
+        (directly, or as a request to the PLC switch program).
+
+        Constructing the :class:`ModeTransition` checks the change against
+        the legal transitions (it raises on an illegal one).
+        """
         if unit.mode is to_mode:
             return False
         change = ModeTransition(unit.name, unit.mode, to_mode, reason)
@@ -154,10 +156,7 @@ class PowerManager(Component):
             self.plc_program.request(self.telemetry.plc, unit.name,
                                      bus_for_mode(to_mode))
         else:
-            self.switchnet.attach(unit.name, bus_for_mode(to_mode), t)
-        self.mode_transitions.append(change)
-        self.events.emit(t, "buffer.mode", unit.name,
-                         to=to_mode.value, reason=reason)
+            self.switchnet.attach(unit.name, bus_for_mode(to_mode))
         self.decisions.record(t, "buffer.mode", unit.name,
                               from_mode=change.from_mode.value,
                               to_mode=to_mode.value, reason=reason)
@@ -166,9 +165,8 @@ class PowerManager(Component):
     def checkpoint_and_stop(self, t: float, reason: str) -> None:
         """Graceful load shedding: durable checkpoint, then power down."""
         self.workload.checkpoint_all()
-        self.allocator.set_target(0, t)
-        self.rack.graceful_stop_all(t)
-        self.events.emit(t, "load.checkpoint_stop", self.name, reason=reason)
+        self.allocator.set_target(0)
+        self.rack.graceful_stop_all()
         self.decisions.record(t, "load.checkpoint_stop", self.name, reason=reason)
 
     def supportable_vms(self, battery_power_w: float, preferred: int) -> int:

@@ -100,10 +100,10 @@ class InsureController(PowerManager):
             sense = self.telemetry.sense(unit.name)
             if sense.soc_estimate >= self.params.spatial.charge_to_soc:
                 unit.set_mode(BatteryMode.STANDBY)
-                self.switchnet.attach(unit.name, "load", clock.t)
+                self.switchnet.attach(unit.name, "load")
             else:
                 unit.set_mode(BatteryMode.OFFLINE)
-                self.switchnet.attach(unit.name, "offline", clock.t)
+                self.switchnet.attach(unit.name, "offline")
 
     def step(self, clock: Clock) -> None:
         tracer = self.tracer
@@ -142,7 +142,7 @@ class InsureController(PowerManager):
             self._seen_crashes = crashes
             self._since_crash = 0.0
             self.vm_target = 0
-            self.allocator.set_target(0, t)
+            self.allocator.set_target(0)
             self.decisions.record(t, "vm.target", self.name, target=0,
                                   reason="crash-backoff")
         self._ensure_online_reserve(t)
@@ -173,7 +173,7 @@ class InsureController(PowerManager):
         self._maybe_restart(t)
         # Keep allocation converging after saves/boots complete.
         if not self.allocator.running_matches_target():
-            self.allocator.sync(t)
+            self.allocator.sync()
 
     def _drain_protect(self, t: float) -> None:
         """Complete deferred protective switch-outs once servers are off."""
@@ -255,7 +255,7 @@ class InsureController(PowerManager):
                                       from_duty=self.duty, to_duty=new_duty,
                                       action=action.name.lower())
                 self.duty = new_duty
-                self.rack.set_duty(new_duty, t)
+                self.rack.set_duty(new_duty)
             if (
                 action is TemporalAction.RELAX
                 and self.duty >= 1.0
@@ -264,7 +264,7 @@ class InsureController(PowerManager):
             ):
                 self._since_batch_reconfig = 0.0
                 self.vm_target = cap_target
-                self.allocator.set_target(cap_target, t)
+                self.allocator.set_target(cap_target)
                 self.decisions.record(t, "vm.target", self.name,
                                       target=cap_target,
                                       reason="batch-upscale")
@@ -278,7 +278,7 @@ class InsureController(PowerManager):
                 # shed a machine (checkpointing its VMs) instead of dying.
                 self._since_batch_reconfig = 0.0
                 self.vm_target -= self.params.temporal.vm_step
-                self.allocator.set_target(self.vm_target, t)
+                self.allocator.set_target(self.vm_target)
                 self.decisions.record(t, "vm.target", self.name,
                                       target=self.vm_target,
                                       reason="duty-floor-shed")
@@ -303,7 +303,7 @@ class InsureController(PowerManager):
                 reason = ("safety-cap" if action is TemporalAction.CAP
                           else "sizing")
                 self.vm_target = new_target
-                self.allocator.set_target(new_target, t)
+                self.allocator.set_target(new_target)
                 self.decisions.record(t, "vm.target", self.name,
                                       target=new_target, reason=reason)
 
@@ -332,9 +332,8 @@ class InsureController(PowerManager):
         if target >= self.params.min_restart_vms:
             self.vm_target = target
             self.duty = 1.0
-            self.rack.set_duty(1.0, t)
-            self.allocator.set_target(target, t)
-            self.events.emit(t, "load.restart", self.name, vms=target)
+            self.rack.set_duty(1.0)
+            self.allocator.set_target(target)
             self.decisions.record(t, "load.restart", self.name, vms=target)
 
     # ------------------------------------------------------------------

@@ -16,19 +16,12 @@ model compound degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # circular at runtime: repro.core.system imports this
     from repro.core.system import InSituSystem
 
 _BUSES = ("offline", "charge", "load")
-
-
-@runtime_checkable
-class SystemFault(Protocol):
-    """Anything that can be injected into a freshly built system."""
-
-    def apply(self, system: "InSituSystem") -> None: ...
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,11 @@ class BatterySwitchProgram:
 
             # Break-before-make: bus-to-bus moves pass through offline.
             if target != "offline" and current_bus != "offline":
-                self.switchnet.attach(name, "offline", clock.t)
+                self.switchnet.attach(name, "offline")
                 self._pending[name] = target
                 continue
 
-            self.switchnet.attach(name, target, clock.t)
+            self.switchnet.attach(name, target)
             self._pending.pop(name, None)
 
     def _sensed_voltage(self, plc: ProgrammableLogicController,

@@ -58,18 +58,18 @@ class SpatialDecision:
 
 
 class SpatialPolicy:
-    """Stateful SPM: tracks the unused budget carry-over D_U.
+    """Stateful SPM: Eq. 1's threshold plus the elastic relaxation.
 
     Eq. 1's prorated term is a
     :class:`~repro.policy.governors.BudgetRampGovernor` over elapsed
-    time; only the carried-over unused budget and the elastic bonus are
-    SPM state.  The composed expression keeps the monolith's exact float
-    association order, so the golden digests are unchanged.
+    time; only the elastic bonus is SPM state.  The carry-over D_U is
+    implicit: each cabinet's cumulative discharge is compared with a
+    budget prorated over all elapsed time, so budget a cabinet left
+    unused on earlier days is still there.
     """
 
     def __init__(self, params: SpatialParams | None = None) -> None:
         self.params = params or SpatialParams()
-        self.unused_budget_ah = 0.0
         self._elastic_bonus = 0.0
         self.budget_governor = BudgetRampGovernor(
             self.params.lifetime_ah, self.params.design_life_days
@@ -79,11 +79,15 @@ class SpatialPolicy:
     # Eq. 1
     # ------------------------------------------------------------------
     def discharge_threshold(self, elapsed_seconds: float) -> float:
-        """delta_D = D_U + D_L * T / T_L, plus any elastic relaxation."""
+        """delta_D = D_U + D_L * T / T_L, plus any elastic relaxation.
+
+        D_U needs no term of its own: the prorated budget already covers
+        all elapsed time (see the class docstring).
+        """
         if elapsed_seconds < 0:
             raise ValueError("elapsed_seconds must be non-negative")
         prorated = self.budget_governor.limit(elapsed_seconds)
-        return self.unused_budget_ah + prorated + self._elastic_bonus
+        return prorated + self._elastic_bonus
 
     def daily_budget_ah(self) -> float:
         """One day's worth of lifetime discharge budget."""
@@ -156,11 +160,3 @@ class SpatialPolicy:
             s.name for s in charging if s.soc_estimate >= self.params.charge_to_soc
         ]
         return decision
-
-    def roll_budget(self, spent_ah_per_unit: float) -> None:
-        """End-of-day bookkeeping: carry unused budget D_U forward."""
-        if spent_ah_per_unit < 0:
-            raise ValueError("spent_ah_per_unit must be non-negative")
-        remaining = self.daily_budget_ah() - spent_ah_per_unit
-        self.unused_budget_ah = max(0.0, self.unused_budget_ah + remaining)
-        self._elastic_bonus = 0.0

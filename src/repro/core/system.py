@@ -15,6 +15,10 @@ The :class:`PlantCoupler` is the physical glue: each tick it resolves the
 power bus and, when the online cabinets cannot cover the demand, emulates
 the power loss (emergency shed + workload crash rollback) before feeding
 the surviving compute-seconds to the workload.
+
+Every system keeps one :class:`~repro.obs.decisions.DecisionLog`,
+``system.decisions``: the record of what the controller and the plant
+decided during the run, kept whether or not the run is instrumented.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.core.baseline import BaselineController, BaselineParams
 from repro.core.controller_base import PowerManager
 from repro.core.energy_manager import InsureController, InsureParams
 from repro.core.sensing import BatteryTelemetry
-from repro.obs.decisions import NULL_DECISIONS
+from repro.obs.decisions import DecisionLog
 from repro.obs.hub import Observability
 from repro.obs.spans import NULL_TRACER
 from repro.power.bus import BusReport, PowerBus
@@ -41,7 +45,6 @@ from repro.power.relays import SwitchNetwork
 from repro.sim.clock import Clock
 from repro.sim.component import Component
 from repro.sim.engine import Engine
-from repro.sim.events import EventLog
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
 from repro.solar import traces as solar_traces
@@ -69,19 +72,17 @@ class PlantCoupler(Component):
         bus: PowerBus,
         rack: ServerRack,
         workload: Workload,
-        events: EventLog,
+        decisions: DecisionLog,
     ) -> None:
         super().__init__(name)
         self.source = source
         self.bus = bus
         self.rack = rack
         self.workload = workload
-        self.events = events
+        self.decisions = decisions
         self.last_report: BusReport | None = None
         self.shed_events = 0
-        #: Decision-event sink and span tracer (no-ops unless
-        #: observability is attached).
-        self.decisions = NULL_DECISIONS
+        #: Span tracer (a no-op unless observability is attached).
         self.tracer = NULL_TRACER
 
     def step(self, clock: Clock) -> None:
@@ -94,11 +95,9 @@ class PlantCoupler(Component):
                              _UNSERVED_TOLERANCE_FRACTION * report.demand_w)
         if report.unserved_w > shed_threshold:
             # Power collapse: every powered server browns out at once.
-            self.rack.emergency_shed(clock.t)
+            self.rack.emergency_shed()
             self.workload.on_crash()
             self.shed_events += 1
-            self.events.emit(clock.t, "power.unserved", self.name,
-                             watts=report.unserved_w)
             self.decisions.record(clock.t, "power.shed", self.name,
                                   unserved_w=report.unserved_w,
                                   demand_w=report.demand_w)
@@ -123,7 +122,9 @@ class InSituSystem:
     plant: PlantCoupler
     metrics: MetricsCollector
     recorder: TraceRecorder
-    events: EventLog
+    #: What the controller and the plant decided, in order; the
+    #: observability bundle's log when built with one.
+    decisions: DecisionLog
     #: Physics-invariant observer; None unless built with ``invariants=True``.
     checker: InvariantChecker | None = None
     #: Observability bundle; None unless built with ``observability=...``.
@@ -245,10 +246,11 @@ def build_system(
         fully wired system before it is returned.
     observability:
         Attach an :class:`~repro.obs.hub.Observability` bundle (metrics
-        registry, sampled span tracer, decision-event log); ``True``
-        builds a default bundle.  Off by default; the instruments only
-        read plant state and time the loop, so attaching them never
-        changes a run's trajectory (same-seed traces stay bit-identical).
+        registry, sampled span tracer, ledger, alerts); ``True`` builds a
+        default bundle.  Off by default; the instruments only read plant
+        state and time the loop, so attaching them never changes a run's
+        trajectory (same-seed traces stay bit-identical).  The system
+        records its decisions into the bundle's decision log.
     policies:
         :class:`~repro.policy.policy.Policy` overlays (signal × governor ×
         control method) attached to the controller and stepped every tick
@@ -264,7 +266,11 @@ def build_system(
     else:
         start_hour = trace.start_hour if trace is not None else 7.0
     engine = Engine(dt=dt, start_hour=start_hour)
-    events = EventLog()
+    obs: Observability | None = None
+    if observability:
+        obs = observability if isinstance(observability, Observability) \
+            else Observability()
+    decisions = obs.decisions if obs is not None else DecisionLog()
     streams = RandomStreams(seed)
 
     bank = BatteryBank.build(count=battery_count, params=battery_params,
@@ -274,10 +280,9 @@ def build_system(
             raise ValueError("initial_socs length must match battery_count")
         for unit, soc in zip(bank, initial_socs, strict=True):
             unit.kibam.set_soc(soc)
-    switchnet = SwitchNetwork([u.name for u in bank], events)
+    switchnet = SwitchNetwork([u.name for u in bank])
     telemetry = BatteryTelemetry(bank, streams=streams)
-    rack = ServerRack("rack", server_count=server_count, profile=server_profile,
-                      events=events)
+    rack = ServerRack("rack", server_count=server_count, profile=server_profile)
     check_vm_capacity(server_count, rack.profile.vm_slots, workload.preferred_vms)
     allocator = NodeAllocator(rack, cpu_share=workload.cpu_share)
     bus = PowerBus(bank, charger=SolarCharger(), switchnet=switchnet)
@@ -292,8 +297,8 @@ def build_system(
 
     common = dict(
         bank=bank, switchnet=switchnet, telemetry=telemetry, rack=rack,
-        allocator=allocator, workload=workload, source=source, events=events,
-        per_vm_w=per_vm_w,
+        allocator=allocator, workload=workload, source=source,
+        decisions=decisions, per_vm_w=per_vm_w,
     )
     if controller == "insure":
         manager: PowerManager = InsureController(
@@ -312,8 +317,7 @@ def build_system(
     if storage_gb is not None:
         from repro.cluster.storage import StorageArray
 
-        workload.attach_storage(StorageArray(capacity_gb=storage_gb,
-                                             events=events))
+        workload.attach_storage(StorageArray(capacity_gb=storage_gb))
 
     if plc_interlocks:
         from repro.core.plc_program import BatterySwitchProgram
@@ -325,7 +329,7 @@ def build_system(
         telemetry.plc.set_program(program)
         manager.plc_program = program
 
-    plant = PlantCoupler("plant", source, bus, rack, workload, events)
+    plant = PlantCoupler("plant", source, bus, rack, workload, decisions)
     metrics = MetricsCollector("metrics", bank, rack, workload, manager, plant)
 
     recorder = TraceRecorder(every=trace_every)
@@ -356,13 +360,11 @@ def build_system(
         engine=engine, source=source, bank=bank, switchnet=switchnet,
         telemetry=telemetry, rack=rack, allocator=allocator, workload=workload,
         controller=manager, plant=plant, metrics=metrics, recorder=recorder,
-        events=events, checker=checker,
+        decisions=decisions, checker=checker,
     )
     for fault in faults or ():
         fault.apply(system)
-    if observability:
-        obs = observability if isinstance(observability, Observability) \
-            else Observability()
+    if obs is not None:
         system.obs = obs.attach(system)
     return system
 

@@ -44,7 +44,7 @@ def run_fig5_unified_switchout(seed: int = 3, hours: float = 4.0) -> Fig5Result:
     system = build_system(trace, SeismicAnalysis(), controller="baseline",
                           seed=seed, initial_soc=0.6)
     system.run(hours * 3600.0)
-    stops = [e.t for e in system.events.of_kind("load.checkpoint_stop")]
+    stops = [d.t for d in system.decisions.of_kind("load.checkpoint_stop")]
     rec = system.recorder
     demand = rec["demand_w"]
     t = rec["t"]
@@ -82,13 +82,13 @@ def run_fig14a_prioritisation(seed: int = 2) -> Fig14aResult:
                           seed=seed, initial_socs=initial)
     system.run(6 * 3600.0)
     order: list[str] = []
-    for event in system.events.of_kind("buffer.mode"):
+    for decision in system.decisions.of_kind("buffer.mode"):
         picked_by_spm = (
-            event.data.get("to") == "charging"
-            and event.data.get("reason") == "spm-select"
+            decision.data["to_mode"] == "charging"
+            and decision.data["reason"] == "spm-select"
         )
-        if picked_by_spm and event.source not in order:
-            order.append(event.source)
+        if picked_by_spm and decision.source not in order:
+            order.append(decision.source)
     socs = {u.name: s for u, s in zip(system.bank, initial, strict=True)}
     return Fig14aResult(system=system, charge_order=order, initial_socs=socs)
 
@@ -148,13 +148,13 @@ def run_fig16_fullday(seed: int = 4) -> Fig16Result:
     # Region A: cabinets enter charging during the first third of the day.
     first_third_s = (13 * 3600.0) / 3.0
     had_morning_charging = any(
-        e.data.get("to") == "charging" and e.t <= first_third_s
-        for e in system.events.of_kind("buffer.mode")
+        d.data["to_mode"] == "charging" and d.t <= first_third_s
+        for d in system.decisions.of_kind("buffer.mode")
     )
     # Region C: temporal control — duty capping, or the stronger form,
     # VM checkpointing with server shutdown (the paper's Region C case).
-    capping = system.events.count("power.duty")
-    stops = len(system.events.of_kind("load.checkpoint_stop"))
+    capping = len(system.decisions.of_kind("dvfs.duty"))
+    stops = len(system.decisions.of_kind("load.checkpoint_stop"))
     # Region D: abundant solar (solar exceeds demand).
     abundant = float(np.mean(solar > demand))
     # Region B/E: tracking ripple of the MPPT output.

@@ -20,7 +20,6 @@ from repro.cluster.allocator import NodeAllocator
 from repro.cluster.rack import ServerRack
 from repro.power.bus import PowerBus
 from repro.sim.clock import Clock
-from repro.sim.events import EventLog
 from repro.workloads.base import Workload
 
 #: Default experiment energy budget (Tables 2 and 3).
@@ -64,8 +63,7 @@ def run_fixed_config(
         unit.set_mode(BatteryMode.DISCHARGING)
     bus = PowerBus(bank, charger=SolarCharger())
 
-    events = EventLog()
-    rack = ServerRack("rack", server_count=4, events=events)
+    rack = ServerRack("rack", server_count=4)
     allocator = NodeAllocator(rack, cpu_share=workload.cpu_share)
     allocator.set_target(vm_count)
 
@@ -84,7 +82,7 @@ def run_fixed_config(
 
         compute = rack.last_compute_seconds
         if report.unserved_w > 5.0:
-            rack.emergency_shed(clock.t)
+            rack.emergency_shed()
             workload.on_crash()
             compute = 0.0
         workload.step(clock.t, dt, compute)
@@ -97,8 +95,8 @@ def run_fixed_config(
         if not resting and min_loaded_v <= cutoff + 0.1 and demand > solar_w:
             # Protection: checkpoint, rest, wait for recovery.
             workload.checkpoint_all()
-            allocator.set_target(0, clock.t)
-            rack.graceful_stop_all(clock.t)
+            allocator.set_target(0)
+            rack.graceful_stop_all()
             protection_stops += 1
             resting = True
             rest_elapsed = 0.0
@@ -114,7 +112,7 @@ def run_fixed_config(
             rest_elapsed += dt
             rested_v = min(u.open_circuit_voltage for u in bank)
             if rested_v >= cutoff + 0.8:
-                allocator.set_target(vm_count, clock.t)
+                allocator.set_target(vm_count)
                 resting = False
             elif rest_elapsed > 2700.0 or bank.mean_soc < 0.12:
                 # Recovery has plateaued below the restart threshold: the
@@ -162,8 +160,7 @@ def run_energy_window(
     for unit in bank:
         unit.set_mode(BatteryMode.DISCHARGING)
     bus = PowerBus(bank, charger=SolarCharger())
-    events = EventLog()
-    rack = ServerRack("rack", server_count=4, events=events)
+    rack = ServerRack("rack", server_count=4)
     allocator = NodeAllocator(rack, cpu_share=workload.cpu_share)
     allocator.set_target(vm_count)
 
@@ -179,7 +176,7 @@ def run_energy_window(
         report = bus.resolve(0.0, demand, dt)
         compute = rack.last_compute_seconds
         if report.unserved_w > 5.0:
-            rack.emergency_shed(clock.t)
+            rack.emergency_shed()
             workload.on_crash()
             compute = 0.0
         # Warm start: data only begins arriving once the cluster serves,

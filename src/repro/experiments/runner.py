@@ -31,11 +31,11 @@ from repro.obs.registry import global_registry
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_BACKEND = "REPRO_BACKEND"
 
-#: run_cells execution backends.  ``auto`` is the historical behaviour
-#: (process pool, degrading to serial); ``fleet`` routes the whole cell
-#: batch through the vectorized SoA kernel when an adapter exists for the
-#: cell function, falling back to pool/serial otherwise.
-BACKENDS = ("auto", "fleet", "pool", "serial")
+#: run_cells execution backends.  ``pool`` is the default (process pool,
+#: degrading to serial); ``fleet`` routes the whole cell batch through
+#: the vectorized SoA kernel when an adapter exists for the cell
+#: function, falling back to pool/serial otherwise.
+BACKENDS = ("fleet", "pool", "serial")
 
 
 def _cell_label(index: int, cell: Mapping[str, Any]) -> str:
@@ -229,7 +229,7 @@ def run_cells(
         results are identical by construction.
     backend:
         One of :data:`BACKENDS`; ``None`` reads ``REPRO_BACKEND`` and
-        defaults to ``auto`` (pool with serial fallback).  ``fleet``
+        defaults to ``pool`` (pool with serial fallback).  ``fleet``
         batches every cell through the vectorized SoA kernel when the
         cell function has a registered adapter, and degrades to the
         pool/serial path when any cell is unsupported.  ``serial``
@@ -239,7 +239,7 @@ def run_cells(
     if not cells:
         return []
     if backend is None:
-        backend = os.environ.get(ENV_BACKEND, "").strip() or "auto"
+        backend = os.environ.get(ENV_BACKEND, "").strip() or "pool"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r} (expected one of {BACKENDS})"

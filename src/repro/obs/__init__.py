@@ -40,7 +40,7 @@ from repro.obs.alerts import (
     WearImbalanceRule,
     default_rules,
 )
-from repro.obs.decisions import NULL_DECISIONS, Decision, DecisionLog, NullDecisionLog
+from repro.obs.decisions import Decision, DecisionLog
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, EnergyLedger, LedgerClosure
 from repro.obs.registry import (
@@ -70,9 +70,7 @@ __all__ = [
     "LedgerClosure",
     "LvdProximityRule",
     "MetricsRegistry",
-    "NULL_DECISIONS",
     "NULL_TRACER",
-    "NullDecisionLog",
     "NullTracer",
     "Observability",
     "SocDroopRule",

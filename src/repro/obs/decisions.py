@@ -8,10 +8,15 @@ events with a free-form payload and exports them as JSONL so
 :func:`repro.telemetry.analyzer.join_decisions` can join them against the
 recorded trace channels.
 
-Controllers always call ``self.decisions.record(...)``; by default that is
-the shared :data:`NULL_DECISIONS` no-op, so an uninstrumented run pays one
-attribute load plus a vacuous call per (rare) decision and the same-seed
-trajectory is untouched either way.
+The log is always on and is the one record of what a run did:
+:func:`repro.core.system.build_system` creates one per system, hands it
+to the controller (whose policy overlays record through it) and the
+plant coupler, and exposes it as ``system.decisions``.  When the build
+is given an :class:`~repro.obs.hub.Observability` bundle, the system uses
+the bundle's log instead, so ``system.decisions is system.obs.decisions``
+and the alert engine's ``alert.*`` records land in the same stream.
+Decisions are rare (tens to hundreds per simulated day) and nothing reads
+the log back into the simulation, so it never changes a trajectory.
 """
 
 from __future__ import annotations
@@ -69,20 +74,6 @@ class Decision:
         return json.dumps(payload, sort_keys=True)
 
 
-class NullDecisionLog:
-    """Do-nothing sink wired into controllers by default."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def record(self, t: float, kind: str, source: str, **data: Any) -> None:
-        return None
-
-
-NULL_DECISIONS = NullDecisionLog()
-
-
 class DecisionLog:
     """Append-only decision store with JSONL round-tripping.
 
@@ -92,8 +83,6 @@ class DecisionLog:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when given,
         every record increments a ``decisions_total{kind=...}`` counter.
     """
-
-    enabled = True
 
     def __init__(self, registry=None) -> None:
         self._decisions: list[Decision] = []

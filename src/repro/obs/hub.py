@@ -6,7 +6,9 @@ assembled :class:`~repro.core.system.InSituSystem`:
 
 * the tracer is handed to the engine (sampled tick-loop spans) and the
   controller (sense/decide sub-spans);
-* the decision log replaces the controllers' no-op sink;
+* the decision log is the system's own: ``build_system`` constructs the
+  controller and the plant coupler with it, so ``attach`` has nothing
+  to rewire for decisions;
 * gauges for every component's interesting state — battery SoC/voltage,
   rack demand, workload backlog, PLC scan count, controller duty and VM
   target — are registered as *collection-time* callables, so the tick
@@ -74,11 +76,14 @@ class Observability:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, system) -> "Observability":
-        """Instrument an assembled system in place; returns self."""
+        """Instrument an assembled system in place; returns self.
+
+        ``build_system(..., observability=...)`` calls this on a system
+        it built around :attr:`decisions`, the log its controller and
+        plant coupler already record into.
+        """
         system.engine.tracer = self.tracer
         system.controller.tracer = self.tracer
-        system.controller.decisions = self.decisions
-        system.plant.decisions = self.decisions
         system.plant.tracer = self.tracer
         self.tracer.bind_registry(self.registry)
         self._register_system_gauges(system)
@@ -138,7 +143,6 @@ class Observability:
         plc = system.telemetry.plc
         gauge("plc.scan_count").set_function(lambda: plc.scan_count)
         gauge("plant.shed_events").set_function(lambda: system.plant.shed_events)
-        gauge("events.emitted").set_function(lambda: len(system.events))
 
         mppt = getattr(source, "mppt", None)
         if mppt is not None:

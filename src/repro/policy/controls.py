@@ -142,7 +142,7 @@ class DutyCapControl(ControlMethod):
                                  from_duty=manager.duty, to_duty=cap,
                                  action="policy-cap")
         manager.duty = cap
-        manager.rack.set_duty(cap, t)
+        manager.rack.set_duty(cap)
         return True
 
 
@@ -163,7 +163,7 @@ class VmRetargetControl(ControlMethod):
         if manager.vm_target <= cap:
             return False
         manager.vm_target = cap
-        manager.allocator.set_target(cap, t)
+        manager.allocator.set_target(cap)
         manager.decisions.record(t, "vm.target", self.source,
                                  target=cap, reason="policy-cap")
         return True

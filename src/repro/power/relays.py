@@ -9,8 +9,6 @@ is never simultaneously on the charge and discharge bus.
 
 from __future__ import annotations
 
-from repro.sim.events import EventLog
-
 
 class RelayError(RuntimeError):
     """Raised on electrically unsafe switching requests."""
@@ -107,18 +105,17 @@ class SwitchNetwork:
     """All relay pairs plus actuation accounting.
 
     The network is the PLC's actuator: controllers request per-cabinet bus
-    attachments and the network performs (and counts) the relay actuations,
-    emitting ``relay.switch`` events used for Table 6's "Power Ctrl. Times".
+    attachments and the network performs (and counts) the relay actuations;
+    ``switch_operations`` is Table 6's "Power Ctrl. Times".
 
     :meth:`on_bus` hands out name tuples scanned from the contacts once and
     kept until :meth:`attach` moves a contact, the only way they move.
     """
 
-    def __init__(self, battery_names: list[str], events: EventLog | None = None) -> None:
+    def __init__(self, battery_names: list[str]) -> None:
         if not battery_names:
             raise ValueError("need at least one battery")
         self.pairs = {name: RelayPair(name) for name in battery_names}
-        self.events = events
         self.total_actuations = 0
         #: Number of controller-visible switching operations (a mode change
         #: for one cabinet counts once, however many contacts moved).
@@ -126,7 +123,7 @@ class SwitchNetwork:
         #: bus -> names of the cabinets on it; None once a contact moved.
         self._buses: dict[str, tuple[str, ...]] | None = None
 
-    def attach(self, battery_name: str, bus: str, t: float = 0.0) -> int:
+    def attach(self, battery_name: str, bus: str) -> int:
         """Attach ``battery_name`` to ``bus`` in {"offline","charge","load"}.
 
         Returns the number of relay actuations performed.
@@ -147,9 +144,6 @@ class SwitchNetwork:
         if actuations:
             self.total_actuations += actuations
             self.switch_operations += 1
-            if self.events is not None:
-                self.events.emit(t, "relay.switch", battery_name, bus=bus,
-                                 actuations=actuations)
         return actuations
 
     def state_of(self, battery_name: str) -> str:

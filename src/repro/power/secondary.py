@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.sim.clock import Clock
 from repro.sim.component import Component
-from repro.sim.events import EventLog
 
 
 class DieselGenerator(Component):
@@ -38,7 +37,6 @@ class DieselGenerator(Component):
         startup_s: float = 20.0,
         min_runtime_s: float = 900.0,
         litres_per_kwh: float = 0.45,
-        events: EventLog | None = None,
     ) -> None:
         super().__init__(name)
         if rated_w <= 0:
@@ -51,7 +49,6 @@ class DieselGenerator(Component):
         self.startup_s = startup_s
         self.min_runtime_s = min_runtime_s
         self.litres_per_kwh = litres_per_kwh
-        self.events = events
         self.running = False
         self.requested = False
         self._since_start = 0.0
@@ -61,15 +58,13 @@ class DieselGenerator(Component):
         self.runtime_s = 0.0
         self.starts = 0
 
-    def request(self, on: bool, t: float = 0.0) -> None:
+    def request(self, on: bool) -> None:
         """Ask the genset to run (or stop); honoured per its constraints."""
         if on and not self.requested:
             self.requested = True
             if not self.running:
                 self._starting_left = self.startup_s
                 self.starts += 1
-                if self.events is not None:
-                    self.events.emit(t, "genset.start", self.name)
         elif not on:
             self.requested = False
 
@@ -84,8 +79,6 @@ class DieselGenerator(Component):
             self._since_start += dt
             if not self.requested and self._since_start >= self.min_runtime_s:
                 self.running = False
-                if self.events is not None:
-                    self.events.emit(clock.t, "genset.stop", self.name)
 
         self.output_w = self.rated_w if self.running else 0.0
         if self.running:
@@ -131,8 +124,8 @@ class HybridSource(Component):
         self.primary.step(clock)
         solar = self.primary.available_power_w
         if solar < self.start_below_w:
-            self.generator.request(True, clock.t)
+            self.generator.request(True)
         elif solar > self.stop_above_w:
-            self.generator.request(False, clock.t)
+            self.generator.request(False)
         self.generator.step(clock)
         self.available_power_w = solar + self.generator.output_w

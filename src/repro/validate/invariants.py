@@ -133,8 +133,7 @@ class InvariantChecker:
         self._checked_seconds = 0.0
         #: Per-unit wear counters from the previous check window.
         self._wear_marks = {
-            unit.name: (unit.wear.discharge_ah, unit.wear.charge_ah,
-                        unit.wear.weighted_ah)
+            unit.name: (unit.wear.discharge_ah, unit.wear.weighted_ah)
             for unit in bank
         }
 
@@ -238,10 +237,9 @@ class InvariantChecker:
 
             marks = self._wear_marks[unit.name]
             wear = unit.wear
-            now = (wear.discharge_ah, wear.charge_ah, wear.weighted_ah)
+            now = (wear.discharge_ah, wear.weighted_ah)
             for label, before, after in zip(
-                ("discharge_ah", "charge_ah", "weighted_ah"), marks, now,
-                strict=True,
+                ("discharge_ah", "weighted_ah"), marks, now, strict=True,
             ):
                 if after < before - 1e-12:
                     self._record(tick, t, "wear_monotone",

@@ -201,7 +201,7 @@ class Workload:
         self._generate(t, dt)
         if self.storage is not None:
             arrived = sum(job.size_gb for job in self.queue.pending[n_before:])
-            overflow = self.storage.ingest(arrived, t)
+            overflow = self.storage.ingest(arrived)
             if overflow > 0.0:
                 self._drop_oldest(overflow)
 

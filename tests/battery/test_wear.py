@@ -1,4 +1,4 @@
-"""Ah-throughput wear model and Eq. 1 budgets."""
+"""Ah-throughput wear model."""
 
 import pytest
 
@@ -17,11 +17,9 @@ class TestThroughputCounting:
     def test_discharge_counted(self, wear):
         wear.record(10.0, 0.8, 3600.0)
         assert wear.discharge_ah == pytest.approx(10.0)
-        assert wear.charge_ah == 0.0
 
     def test_charge_counted_separately(self, wear):
         wear.record(-5.0, 0.5, 3600.0)
-        assert wear.charge_ah == pytest.approx(5.0)
         assert wear.discharge_ah == 0.0
 
     def test_idle_records_nothing(self, wear):
@@ -70,18 +68,3 @@ class TestLifeProjection:
         with pytest.raises(ValueError):
             wear.projected_life_days(0.0)
 
-
-class TestEq1Budget:
-    def test_budget_prorated_over_design_life(self, wear):
-        budget = wear.discharge_budget(DAY)
-        expected = wear.params.lifetime_ah / wear.params.design_life_days
-        assert budget == pytest.approx(expected)
-
-    def test_carryover_added(self, wear):
-        base = wear.discharge_budget(DAY)
-        assert wear.discharge_budget(DAY, unused_carryover=3.0) == pytest.approx(base + 3.0)
-
-    def test_budget_scales_linearly_in_time(self, wear):
-        assert wear.discharge_budget(2 * DAY) == pytest.approx(
-            2 * wear.discharge_budget(DAY)
-        )

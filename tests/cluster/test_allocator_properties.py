@@ -20,11 +20,11 @@ def test_allocator_invariants(targets, settle_minutes):
     clock = Clock(dt=60.0)
 
     for target in targets:
-        allocator.set_target(target, clock.t)
+        allocator.set_target(target)
         for _ in range(settle_minutes):
             rack.step(clock)
             clock.advance()
-        allocator.sync(clock.t)
+        allocator.sync()
 
         # Invariants that must hold at every instant:
         # 1. Placement never exceeds slot capacity.
@@ -39,11 +39,11 @@ def test_allocator_invariants(targets, settle_minutes):
 
     # After a long settle, the final target is met exactly.
     final = targets[-1]
-    allocator.sync(clock.t)
+    allocator.sync()
     for _ in range(40):
         rack.step(clock)
         clock.advance()
-    allocator.sync(clock.t)
+    allocator.sync()
     for _ in range(40):
         rack.step(clock)
         clock.advance()
@@ -59,14 +59,9 @@ def test_vm_ctrl_ops_count_only_changes(targets):
         1 for previous, current in zip([0] + targets, targets, strict=False)
         if previous != current
     )
-    for target in targets:
-        allocator.set_target(target)
-    # Retarget operations counted exactly once per actual change (other
-    # vm_ctrl ops come from placements, counted separately).
-    retargets = sum(
-        1 for event in rack.events.of_kind("vm.ctrl")
-        if event.data.get("op") == "retarget"
-    )
+    # A retarget counts exactly once per actual change (other vm_ctrl
+    # ops come from placements, counted separately).
+    retargets = sum(allocator.set_target(target) for target in targets)
     assert retargets == distinct_changes
 
 
@@ -93,15 +88,15 @@ def test_rack_record_equals_a_fresh_build(ops):
         server.on_change = lambda: (rack._drop_record(), rack.record)
     for op, arg in ops:
         if op == "set_target":
-            allocator.set_target(arg, clock.t)
+            allocator.set_target(arg)
         elif op == "sync":
-            allocator.sync(clock.t)
+            allocator.sync()
         elif op == "step":
             for _ in range(arg):
                 rack.step(clock)
                 clock.advance()
         elif op == "set_duty":
-            rack.set_duty(arg, clock.t)
+            rack.set_duty(arg)
         else:
-            getattr(rack, op)(clock.t)
+            getattr(rack, op)()
         assert rack.record == rack._build_record()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.storage import StorageArray
-from repro.sim.events import EventLog
 from repro.workloads import VideoSurveillance
 
 
@@ -21,13 +20,6 @@ class TestStorageArray:
         assert dropped == pytest.approx(30.0)
         assert array.used_gb == 50.0
         assert array.dropped_gb == pytest.approx(30.0)
-
-    def test_overflow_event(self):
-        events = EventLog()
-        array = StorageArray(capacity_gb=10.0, events=events)
-        array.ingest(15.0, t=4.0)
-        assert events.count("storage.overflow") == 1
-        assert events.last("storage.overflow").data["gb"] == pytest.approx(5.0)
 
     def test_drain_bounded_by_content(self):
         array = StorageArray(capacity_gb=100.0)

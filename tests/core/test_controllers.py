@@ -3,6 +3,7 @@
 import pytest
 
 from repro.battery.unit import BatteryMode
+from repro.core.modes import legal_transitions
 from repro.core.system import build_system
 from repro.solar.field import ConstantSource
 from repro.workloads import SeismicAnalysis, VideoSurveillance
@@ -46,12 +47,15 @@ class TestInsure:
         system.run(3 * HOUR)
         assert system.bank.stored_energy_wh > start
 
-    def test_mode_transitions_validated(self):
+    def test_mode_changes_validated(self):
         system = constant_system("insure", 900.0, initial_soc=0.5)
         system.run(2 * HOUR)
-        # Every recorded transition passed the FSM's validation.
-        assert all(t.paper_numbers is not None for t in
-                   system.controller.mode_transitions)
+        # Every recorded mode change is a legal Figure 8 transition.
+        changes = system.decisions.of_kind("buffer.mode")
+        assert changes
+        for change in changes:
+            from_mode = BatteryMode(change.data["from_mode"])
+            assert BatteryMode(change.data["to_mode"]) in legal_transitions(from_mode)
 
     def test_duty_workload_uses_dvfs(self):
         system = constant_system(

@@ -23,23 +23,9 @@ class TestEq1:
         expected = p.lifetime_ah / p.design_life_days
         assert policy.discharge_threshold(DAY) == pytest.approx(expected)
 
-    def test_carryover_increases_threshold(self, policy):
-        base = policy.discharge_threshold(DAY)
-        policy.unused_budget_ah = 2.0
-        assert policy.discharge_threshold(DAY) == pytest.approx(base + 2.0)
-
     def test_negative_time_rejected(self, policy):
         with pytest.raises(ValueError):
             policy.discharge_threshold(-1.0)
-
-    def test_roll_budget_carries_unused(self, policy):
-        daily = policy.daily_budget_ah()
-        policy.roll_budget(spent_ah_per_unit=daily / 2)
-        assert policy.unused_budget_ah == pytest.approx(daily / 2)
-
-    def test_roll_budget_never_negative(self, policy):
-        policy.roll_budget(spent_ah_per_unit=policy.daily_budget_ah() * 3)
-        assert policy.unused_budget_ah == 0.0
 
 
 class TestBatchSizing:
@@ -117,13 +103,3 @@ class TestElastic:
         decision = policy.evaluate(offline, [], surplus_w=300.0,
                                    elapsed_seconds=DAY, demand_pressure=True)
         assert decision.to_charging == []
-
-    def test_elastic_bonus_reset_on_roll(self):
-        policy = SpatialPolicy(SpatialParams(elastic=True))
-        offline = [sense("b1", soc=0.2, discharge_ah=policy.daily_budget_ah() + 1.0)]
-        policy.evaluate(offline, [], 300.0, DAY, demand_pressure=True)
-        relaxed = policy.discharge_threshold(DAY)
-        # Roll with the whole day's budget spent: no carryover, and the
-        # elastic bonus must be cleared.
-        policy.roll_budget(policy.daily_budget_ah())
-        assert policy.discharge_threshold(DAY) < relaxed

@@ -35,9 +35,8 @@ class TestAssembly:
 
     def test_shared_event_log(self):
         system = sys_with()
-        assert system.rack.events is system.events
-        assert system.switchnet.events is system.events
-        assert system.plant.events is system.events
+        assert system.controller.decisions is system.decisions
+        assert system.plant.decisions is system.decisions
 
     def test_bus_bound_to_relays(self):
         system = sys_with()

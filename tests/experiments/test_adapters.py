@@ -88,7 +88,7 @@ class TestFleetCacheSeparation:
 
 class TestBackendSelection:
     def test_backend_names_are_pinned(self):
-        assert BACKENDS == ("auto", "fleet", "pool", "serial")
+        assert BACKENDS == ("fleet", "pool", "serial")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -46,7 +46,7 @@ class TestFullDayRun:
     def test_events_logged(self):
         system = day_system(seed=2)
         system.run(3 * HOUR)
-        assert len(system.events) > 0
+        assert len(system.decisions) > 0
 
 
 class TestDeterminism:
@@ -106,8 +106,8 @@ class TestBatchWorkloadIntegration:
     def test_duty_cycling_recorded_for_batch(self):
         system = day_system(workload=SeismicAnalysis(), seed=3, mean_w=500.0)
         system.run()
-        # Batch runs actuate DVFS (power.duty events) or checkpoint stops.
+        # Batch runs actuate DVFS (dvfs.duty decisions) or checkpoint stops.
         assert (
-            system.events.count("power.duty") > 0
-            or system.events.count("load.checkpoint_stop") > 0
+            len(system.decisions.of_kind("dvfs.duty")) > 0
+            or len(system.decisions.of_kind("load.checkpoint_stop")) > 0
         )

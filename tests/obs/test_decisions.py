@@ -2,14 +2,9 @@
 
 import numpy as np
 
-from repro.obs.decisions import NULL_DECISIONS, DecisionLog
+from repro.obs.decisions import DecisionLog
 from repro.obs.registry import MetricsRegistry
 from repro.telemetry.analyzer import join_decisions
-
-
-def test_null_log_is_inert():
-    assert NULL_DECISIONS.enabled is False
-    assert NULL_DECISIONS.record(0.0, "buffer.mode", "b1", x=1) is None
 
 
 def test_record_and_counts():

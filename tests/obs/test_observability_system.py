@@ -1,7 +1,8 @@
 """Observability on a full system: read-only guarantee and wiring.
 
-The central contract: attaching the metrics registry, span tracer and
-decision log never perturbs the same-seed trajectory.  The short-horizon
+The central contract: attaching the metrics registry, span tracer,
+ledger and alerts never perturbs the same-seed trajectory, and a plain
+run records the same decisions as an observed one.  The short-horizon
 tests prove digest equality directly; the golden-marked test runs a full
 day with observability ON against the pinned digests (which were produced
 with observability OFF).
@@ -16,14 +17,18 @@ from repro.validate import golden
 from repro.workloads import SeismicAnalysis, VideoSurveillance
 
 SHORT_S = 2 * 3600.0
+#: Long enough for both controllers to checkpoint (insure/seismic at
+#: 2.1 h, baseline/video at 1.25 h).
+CHECKPOINT_S = 3 * 3600.0
 
 
-def _run(controller, workload_cls, obs, weather="cloudy", seed=11):
+def _run(controller, workload_cls, obs, weather="cloudy", seed=11,
+         duration_s=SHORT_S):
     trace = make_day_trace(weather, dt_seconds=5.0, seed=seed, target_mean_w=850.0)
     system = build_system(trace, workload_cls(), controller=controller,
                           seed=seed, initial_soc=0.55, dt=5.0,
                           observability=obs)
-    summary = system.run(SHORT_S)
+    summary = system.run(duration_s)
     return system, summary
 
 
@@ -67,16 +72,33 @@ def test_attach_wires_all_three_instruments():
     assert 0.0 <= samples["bank.mean_soc"]["value"] <= 1.0
 
 
-def test_decision_log_matches_mode_transitions():
-    obs = Observability()
-    system, _ = _run("insure", SeismicAnalysis, obs=obs)
-    recorded = obs.decisions.of_kind("buffer.mode")
-    assert len(recorded) == len(system.controller.mode_transitions)
-    for decision, change in zip(recorded, system.controller.mode_transitions, strict=True):
-        assert decision.source == change.battery
-        assert decision.data["from_mode"] == change.from_mode.value
-        assert decision.data["to_mode"] == change.to_mode.value
-        assert decision.data["reason"] == change.reason
+@pytest.mark.parametrize("controller,workload_cls", [
+    ("insure", SeismicAnalysis),
+    ("baseline", VideoSurveillance),
+])
+def test_mode_decisions_chain_to_the_final_modes(controller, workload_cls):
+    """The decision log holds every mode change of a plain run: per
+    cabinet, each ``buffer.mode`` decision starts in the mode the previous
+    one ended in, and the last one ends in the cabinet's final mode."""
+    system, _ = _run(controller, workload_cls, obs=None, duration_s=CHECKPOINT_S)
+    assert system.decisions.of_kind("load.checkpoint_stop")
+    for unit in system.bank:
+        changes = [d.data for d in system.decisions.of_kind("buffer.mode")
+                   if d.source == unit.name]
+        assert changes
+        for before, after in zip(changes, changes[1:], strict=False):
+            assert after["from_mode"] == before["to_mode"]
+        assert changes[-1]["to_mode"] == unit.mode.value
+
+
+def test_plain_run_records_the_observed_decision_stream():
+    plain, _ = _run("insure", SeismicAnalysis, obs=None, duration_s=CHECKPOINT_S)
+    observed, _ = _run("insure", SeismicAnalysis, obs=True, duration_s=CHECKPOINT_S)
+    assert observed.decisions is observed.obs.decisions
+    assert len(plain.decisions) > 0
+    assert list(plain.decisions) == [
+        d for d in observed.decisions if not d.kind.startswith("alert.")
+    ]
 
 
 def test_export_writes_all_artifacts(tmp_path):

@@ -27,7 +27,6 @@ their decision kind to :data:`CONTROL_EVENT_KINDS`.
 from __future__ import annotations
 
 from repro.core.system import build_day_system
-from repro.obs.decisions import DecisionLog
 from repro.policy.registry import make_control
 
 #: Decision kind each built-in control emits when it actuates state.
@@ -52,7 +51,7 @@ FULL_RANGE_RAMP = (
 
 
 def build_plant(controller: str = "insure"):
-    """A small real plant with a recording DecisionLog attached.
+    """A small real plant; its decision log records what each control did.
 
     Caps can only *lower* actuated state, so the load side starts fully
     up (duty 1.0, VM target at the workload's preferred count) to give
@@ -61,11 +60,10 @@ def build_plant(controller: str = "insure"):
     system = build_day_system(controller, "seismic", "sunny", mean_w=800.0,
                               seed=7, initial_soc=0.6, dt=5.0)
     manager = system.controller
-    manager.decisions = DecisionLog()
     if hasattr(manager, "duty"):
         manager.duty = 1.0
     manager.vm_target = manager.workload.preferred_vms
-    manager.allocator.set_target(manager.vm_target, 0.0)
+    manager.allocator.set_target(manager.vm_target)
     return system
 
 

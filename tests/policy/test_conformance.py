@@ -118,8 +118,6 @@ def test_spm_threshold_is_budget_ramp_composition():
     gov = spm.budget_governor
     assert spm.discharge_threshold(0.0) == 0.0
     assert spm.discharge_threshold(86400.0) == gov.daily()
-    spm.unused_budget_ah = 2.5
-    assert spm.discharge_threshold(86400.0) == 2.5 + gov.daily()
 
 
 def test_charge_cap_requires_charger():

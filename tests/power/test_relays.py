@@ -3,7 +3,6 @@
 import pytest
 
 from repro.power.relays import Relay, RelayError, RelayPair, SwitchNetwork
-from repro.sim.events import EventLog
 
 
 class TestRelay:
@@ -88,13 +87,6 @@ class TestSwitchNetwork:
         net.attach("b1", "load")  # no-op
         assert net.switch_operations == 2
         assert net.total_actuations == 3
-
-    def test_events_emitted(self):
-        events = EventLog()
-        net = SwitchNetwork(["b1"], events)
-        net.attach("b1", "charge", t=5.0)
-        assert events.count("relay.switch") == 1
-        assert events.last("relay.switch").data["bus"] == "charge"
 
     def test_unknown_battery(self):
         net = SwitchNetwork(["b1"])

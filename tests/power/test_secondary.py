@@ -4,7 +4,6 @@ import pytest
 
 from repro.power.secondary import DieselGenerator, HybridSource
 from repro.sim.clock import Clock
-from repro.sim.events import EventLog
 from repro.solar.field import ConstantSource
 
 
@@ -49,12 +48,6 @@ class TestGenerator:
         genset.request(True)
         genset.request(True)
         assert genset.starts == 1
-
-    def test_events_emitted(self):
-        events = EventLog()
-        genset = DieselGenerator(startup_s=0.0, min_runtime_s=0.0, events=events)
-        genset.request(True, t=1.0)
-        assert events.count("genset.start") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
