@@ -33,7 +33,7 @@ from repro.battery.params import BatteryParams
 from repro.cluster.allocator import NodeAllocator, check_vm_capacity
 from repro.cluster.profiles import ServerProfile
 from repro.cluster.rack import ServerRack
-from repro.core.baseline import BaselineController, BaselineParams
+from repro.core.baseline import BaselineController
 from repro.core.controller_base import PowerManager
 from repro.core.energy_manager import InsureController, InsureParams
 from repro.core.sensing import BatteryTelemetry
@@ -192,7 +192,6 @@ def build_system(
     server_count: int = 4,
     server_profile: ServerProfile | None = None,
     insure_params: InsureParams | None = None,
-    baseline_params: BaselineParams | None = None,
     dt: float = 5.0,
     seed: int = 0,
     trace_every: int = 12,
@@ -305,9 +304,7 @@ def build_system(
             "insure", params=insure_params, **common
         )
     elif controller == "baseline":
-        manager = BaselineController(
-            "baseline", params=baseline_params, **common
-        )
+        manager = BaselineController("baseline", **common)
     else:
         raise ValueError(f"unknown controller {controller!r}")
 

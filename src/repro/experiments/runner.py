@@ -20,13 +20,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 import warnings
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
-
-from repro.obs.ledger import SIGNED_EDGES
-from repro.obs.registry import global_registry
 
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_BACKEND = "REPRO_BACKEND"
@@ -70,13 +66,8 @@ class CellExecutionError(Exception):
             f"{type(cause).__name__}: {cause}"
         )
 
-#: Histogram buckets for cell runtimes (sub-second replays to minutes).
-_CELL_SECONDS_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-                         30.0, 60.0, 120.0, 300.0)
-
 #: Emit the pool-unavailable warning once per process, not once per batch
-#: (a matrix run dispatches many batches; the ``runner.pool_fallbacks_total``
-#: counter still tracks every occurrence).
+#: (a matrix run dispatches many batches).
 _POOL_WARNING_EMITTED = False
 
 
@@ -107,26 +98,8 @@ def default_workers(cells: int | None = None) -> int:
 
 
 def _run_serial(fn: Callable[..., Any], cells: Sequence[Mapping[str, Any]]) -> list[Any]:
-    """Serial loop with per-cell runtime rollups into the global registry."""
-    registry = global_registry()
-    cell_seconds = registry.histogram("runner.cell_seconds",
-                                      "wall time per experiment cell",
-                                      buckets=_CELL_SECONDS_BUCKETS)
-    cells_total = registry.counter("runner.cells_total",
-                                   "experiment cells executed")
-    failures = registry.counter("runner.cell_failures_total",
-                                "experiment cells that raised")
-    results = []
-    for cell in cells:
-        t0 = time.perf_counter()
-        try:
-            results.append(fn(**cell))
-        except Exception:
-            failures.inc()
-            raise
-        cell_seconds.observe(time.perf_counter() - t0)
-        cells_total.inc()
-    return results
+    """The in-process loop every other path degrades to."""
+    return [fn(**cell) for cell in cells]
 
 
 def _fall_back_to_serial(fn, cells, exc: BaseException) -> list[Any]:
@@ -140,38 +113,7 @@ def _fall_back_to_serial(fn, cells, exc: BaseException) -> list[Any]:
             RuntimeWarning,
             stacklevel=3,
         )
-    global_registry().counter("runner.pool_fallbacks_total",
-                              "times the process pool was unavailable").inc()
     return _run_serial(fn, cells)
-
-
-def _roll_up_obs(results: Sequence[Any]) -> None:
-    """Fold per-cell observability payloads into the global registry.
-
-    Cells that return a mapping with ``ledger_edges`` (edge → Wh) and/or
-    ``alert_counts`` (rule → count) contribute to the fleet totals
-    ``runner.ledger_wh_total{edge=...}`` and ``runner.alerts_total{rule=...}``.
-    Signed balance edges (Δstored, residuals) are accounting checks, not
-    flows, and are excluded — as is any negative value (counters only go up).
-    """
-    registry = global_registry()
-    for result in results:
-        if not isinstance(result, Mapping):
-            continue
-        edges = result.get("ledger_edges")
-        if isinstance(edges, Mapping):
-            for edge, wh in edges.items():
-                if edge not in SIGNED_EDGES and wh > 0.0:
-                    registry.counter("runner.ledger_wh_total",
-                                     "fleet-total energy per flow edge",
-                                     edge=edge).inc(float(wh))
-        alerts = result.get("alert_counts")
-        if isinstance(alerts, Mapping):
-            for rule, count in alerts.items():
-                if count > 0:
-                    registry.counter("runner.alerts_total",
-                                     "fleet-total alerts per rule",
-                                     rule=rule).inc(int(count))
 
 
 def _try_fleet_backend(
@@ -181,15 +123,9 @@ def _try_fleet_backend(
     from repro.experiments.adapters import run_cells_fleet
     from repro.sim.fleet import FleetUnsupported
 
-    registry = global_registry()
-    t0 = time.perf_counter()
     try:
-        results = run_cells_fleet(fn, cells)
+        return run_cells_fleet(fn, cells)
     except FleetUnsupported as exc:
-        registry.counter(
-            "runner.fleet_fallbacks_total",
-            "cell batches the fleet backend routed back to pool/serial",
-        ).inc()
         warnings.warn(
             f"fleet backend unavailable for {len(cells)} cell(s) "
             f"({type(exc).__name__}: {exc}); using pool/serial",
@@ -197,16 +133,6 @@ def _try_fleet_backend(
             stacklevel=3,
         )
         return None
-    registry.histogram("runner.batch_seconds",
-                       "wall time per parallel cell batch",
-                       buckets=_CELL_SECONDS_BUCKETS).observe(
-        time.perf_counter() - t0)
-    registry.counter("runner.cells_total",
-                     "experiment cells executed").inc(len(cells))
-    registry.counter("runner.fleet_cells_total",
-                     "experiment cells executed by the fleet backend").inc(
-        len(cells))
-    return results
 
 
 def run_cells(
@@ -247,27 +173,19 @@ def run_cells(
     if backend == "fleet":
         results = _try_fleet_backend(fn, cells)
         if results is not None:
-            _roll_up_obs(results)
             return results
     if backend == "serial":
-        results = _run_serial(fn, cells)
-        _roll_up_obs(results)
-        return results
+        return _run_serial(fn, cells)
     workers = default_workers(len(cells)) if max_workers is None else max_workers
     workers = min(max(1, int(workers)), len(cells))
     if workers <= 1:
-        results = _run_serial(fn, cells)
-        _roll_up_obs(results)
-        return results
+        return _run_serial(fn, cells)
 
     try:
         from concurrent.futures import ProcessPoolExecutor
     except ImportError as exc:  # pragma: no cover - stdlib always has it
-        results = _fall_back_to_serial(fn, cells, exc)
-        _roll_up_obs(results)
-        return results
+        return _fall_back_to_serial(fn, cells, exc)
 
-    registry = global_registry()
     try:
         from concurrent.futures.process import BrokenProcessPool
 
@@ -278,7 +196,6 @@ def run_cells(
         # the in-pool wrapper below to report genuine per-cell bugs.
         pickle.dumps(fn)
 
-        t0 = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, **cell) for cell in cells]
             results = []
@@ -293,17 +210,7 @@ def run_cells(
                     # The cell itself raised.  Re-raise named so a big
                     # sweep reports which cell failed, and skip the
                     # pointless serial re-run of the whole batch.
-                    registry.counter(
-                        "runner.cell_failures_total",
-                        "experiment cells that raised").inc()
                     raise CellExecutionError(index, cells[index], exc) from exc
-        registry.histogram("runner.batch_seconds",
-                           "wall time per parallel cell batch",
-                           buckets=_CELL_SECONDS_BUCKETS).observe(
-            time.perf_counter() - t0)
-        registry.counter("runner.cells_total",
-                         "experiment cells executed").inc(len(cells))
-        _roll_up_obs(results)
         return results
     except (OSError, ValueError, RuntimeError, NotImplementedError,
             ImportError, AttributeError, pickle.PicklingError) as exc:
@@ -311,6 +218,4 @@ def run_cells(
         # (e.g. a sandboxed /dev/shm breaking multiprocessing locks), or
         # unpicklable work (lambdas, closures) degrade to the serial
         # path, whose results are identical by construction.
-        results = _fall_back_to_serial(fn, cells, exc)
-        _roll_up_obs(results)
-        return results
+        return _fall_back_to_serial(fn, cells, exc)

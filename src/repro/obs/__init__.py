@@ -2,8 +2,8 @@
 
 Three instruments, one bundle (:class:`Observability`):
 
-* :mod:`repro.obs.registry` — zero-dependency counters, gauges and
-  fixed-bucket histograms with JSONL and Prometheus-text export;
+* :mod:`repro.obs.registry` — zero-dependency counters and gauges with
+  JSONL and Prometheus-text export;
 * :mod:`repro.obs.spans` — sampled span tracing of the tick loop with
   per-component wall-time attribution and hottest-tick capture;
 * :mod:`repro.obs.decisions` — structured controller decision events
@@ -13,9 +13,10 @@ Three instruments, one bundle (:class:`Observability`):
 Two higher-level consumers ride on those instruments:
 
 * :mod:`repro.obs.ledger` — joule-level energy-flow ledger over the
-  component accumulators, with a conservation closure check;
-* :mod:`repro.obs.alerts` — streaming rule engine emitting structured
-  alerts into the decision log.
+  component accumulators, with a conservation closure check shared with
+  the invariant checker;
+* :mod:`repro.obs.alerts` — streaming rule engine that records each
+  alert once, as an ``alert.<rule>`` decision.
 
 Observability is strictly read-only with respect to the simulation: a run
 with it attached produces bit-identical same-seed traces (enforced by the
@@ -29,7 +30,6 @@ ledger of one run.
 """
 
 from repro.obs.alerts import (
-    Alert,
     AlertEngine,
     AlertRule,
     CheckpointStormRule,
@@ -43,19 +43,11 @@ from repro.obs.alerts import (
 from repro.obs.decisions import Decision, DecisionLog
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, EnergyLedger, LedgerClosure
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-    reset_global_registry,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, NullTracer, SpanStats, SpanTracer
 from repro.obs.stream import DEFAULT_GAUGES, StreamTap
 
 __all__ = [
-    "Alert",
     "AlertEngine",
     "AlertRule",
     "CheckpointStormRule",
@@ -66,7 +58,6 @@ __all__ = [
     "EDGE_NAMES",
     "EnergyLedger",
     "Gauge",
-    "Histogram",
     "LedgerClosure",
     "LvdProximityRule",
     "MetricsRegistry",
@@ -81,6 +72,4 @@ __all__ = [
     "SustainedCurtailmentRule",
     "WearImbalanceRule",
     "default_rules",
-    "global_registry",
-    "reset_global_registry",
 ]

@@ -3,16 +3,18 @@
 An :class:`AlertEngine` is an engine *observer* (registered via
 :meth:`repro.sim.engine.Engine.observe`, like the invariant checker): once
 every ``stride`` ticks it evaluates a set of :class:`AlertRule` objects
-against the running system and emits structured :class:`Alert` records for
-the conditions an operator would page on — SoC draining too fast, wear
-concentrating on one cabinet, discharge current brushing the temporal cap,
-terminal voltage approaching the low-voltage disconnect, checkpoint-stop
-storms, and solar energy curtailed for a sustained stretch.
+against the running system and fires an alert for each condition an
+operator would page on — SoC draining too fast, wear concentrating on one
+cabinet, discharge current brushing the temporal cap, terminal voltage
+approaching the low-voltage disconnect, checkpoint-stop storms, and solar
+energy curtailed for a sustained stretch.
 
-Every alert is also recorded into the decision-event pipeline as kind
-``alert.<rule>`` so :func:`repro.telemetry.analyzer.join_decisions` can
-join alerts against the recorded trace channels, and counted in an
-``alerts_total{rule=...}`` registry counter.
+An alert is recorded once, as an ``alert.<rule>`` decision carrying its
+``severity``, ``message`` and the rule's data, so
+:func:`repro.telemetry.analyzer.join_decisions` joins alerts against the
+recorded trace channels and ``decisions_total{kind="alert.<rule>"}``
+counts them.  :meth:`AlertEngine.counts` and :meth:`AlertEngine.to_jsonl`
+are views of those decisions.
 
 Rules are edge-triggered with hysteresis: each fires when its condition
 is entered and re-arms only after the condition clears (or, for episodic
@@ -27,30 +29,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.obs.decisions import DecisionLog
 
-@dataclass(frozen=True)
-class Alert:
-    """One fired alert."""
-
-    t: float
-    rule: str
-    severity: str
-    message: str
-    data: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "t": self.t,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            **self.data,
-        }
-        return json.dumps(payload, sort_keys=True)
+#: Decision-kind prefix of every alert; the rule name follows it.
+ALERT_KIND = "alert."
 
 
 class AlertRule:
@@ -263,27 +248,22 @@ class AlertEngine:
 
     Parameters
     ----------
+    decisions:
+        The run's :class:`~repro.obs.decisions.DecisionLog`; each fired
+        alert is recorded there as an ``alert.<rule>`` decision.
     rules:
         Rule instances to evaluate (default: :func:`default_rules`).
     stride:
         Evaluate once every ``stride`` ticks — the default samples every
         simulated minute at the standard ``dt=5`` step.
-    decisions:
-        Optional :class:`~repro.obs.decisions.DecisionLog`; fired alerts
-        are recorded there as ``alert.<rule>`` decision events.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; fired
-        alerts increment ``alerts_total{rule=...}``.
     """
 
-    def __init__(self, rules=None, stride: int = 12, decisions=None, registry=None) -> None:
+    def __init__(self, decisions: DecisionLog, rules=None, stride: int = 12) -> None:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
+        self.decisions = decisions
         self.rules = list(rules) if rules is not None else default_rules()
         self.stride = int(stride)
-        self.alerts: list[Alert] = []
-        self._decisions = decisions
-        self._registry = registry
         self._system = None
 
     def attach(self, system, observe: bool = True) -> "AlertEngine":
@@ -305,34 +285,33 @@ class AlertEngine:
             fired = rule.evaluate(t, system)
             if fired is not None:
                 message, data = fired
-                self._emit(t, rule, message, data)
-
-    def _emit(self, t: float, rule: AlertRule, message: str, data: dict[str, Any]) -> None:
-        self.alerts.append(
-            Alert(t=t, rule=rule.name, severity=rule.severity, message=message, data=data)
-        )
-        if self._decisions is not None:
-            self._decisions.record(
-                t, f"alert.{rule.name}", "alerts", severity=rule.severity, message=message
-            )
-        if self._registry is not None:
-            self._registry.counter("alerts_total", "alerts fired per rule", rule=rule.name).inc()
+                self.decisions.record(
+                    t,
+                    ALERT_KIND + rule.name,
+                    "alerts",
+                    severity=rule.severity,
+                    message=message,
+                    **data,
+                )
 
     # ------------------------------------------------------------------
-    # Reporting
+    # Reporting: views of the alert decisions
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.alerts)
-
     def counts(self) -> dict[str, int]:
         """Alert totals per rule, rule-sorted."""
-        totals: dict[str, int] = {}
-        for alert in self.alerts:
-            totals[alert.rule] = totals.get(alert.rule, 0) + 1
-        return dict(sorted(totals.items()))
+        return {
+            kind.removeprefix(ALERT_KIND): count
+            for kind, count in self.decisions.counts().items()
+            if kind.startswith(ALERT_KIND)
+        }
 
     def to_jsonl(self) -> str:
-        return "".join(alert.to_json() + "\n" for alert in self.alerts)
+        """One line per alert: ``t``, ``rule`` and the decision's payload."""
+        lines = []
+        for d in self.decisions.of_kind("alert"):
+            payload = {"t": d.t, "rule": d.kind.removeprefix(ALERT_KIND), **d.data}
+            lines.append(json.dumps(payload, sort_keys=True) + "\n")
+        return "".join(lines)
 
     def write_jsonl(self, path) -> Path:
         path = Path(path)

@@ -16,7 +16,8 @@ assembled :class:`~repro.core.system.InSituSystem`:
 * an :class:`~repro.obs.ledger.EnergyLedger` snapshots the component
   energy accumulators at attach time (joule-level flow edges + closure);
 * an :class:`~repro.obs.alerts.AlertEngine` observer streams rule
-  evaluations over live plant state, feeding the decision log.
+  evaluations over live plant state and records each alert in the
+  decision log.
 
 Everything here only reads simulation state.  Attaching observability to
 a run never changes its same-seed trajectory (proven bit-identical in the
@@ -35,42 +36,23 @@ from repro.obs.spans import DEFAULT_STRIDE, SpanTracer
 
 
 class Observability:
-    """Per-run observability bundle.
+    """Per-run observability bundle: a fresh registry, tracer, decision
+    log, energy ledger and alert engine.
 
     Parameters
     ----------
-    registry / tracer / decisions:
-        Pre-built instruments to use; fresh ones are created by default.
     trace_stride:
-        Tick sampling stride for the default tracer.
-    ledger:
-        Attach the energy-flow ledger (``False`` skips it).
-    alerts:
-        Attach the streaming alert engine: ``True`` for the default rule
-        set, a pre-built :class:`~repro.obs.alerts.AlertEngine` to
-        customise rules/stride, ``False`` to skip.
+        Tick sampling stride of the span tracer.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: SpanTracer | None = None,
-        decisions: DecisionLog | None = None,
-        trace_stride: int = DEFAULT_STRIDE,
-        ledger: bool = True,
-        alerts: "AlertEngine | bool" = True,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else SpanTracer(stride=trace_stride)
-        self.decisions = decisions if decisions is not None else DecisionLog(registry=self.registry)
-        #: Energy ledger; bound to a system by :meth:`attach` (None if off).
-        self.ledger: EnergyLedger | None = EnergyLedger(registry=self.registry) if ledger else None
-        if alerts is True:
-            alerts = AlertEngine(decisions=self.decisions, registry=self.registry)
-        #: Alert engine; registered as an engine observer by :meth:`attach`
-        #: (None if off).  isinstance, not truthiness: an engine with no
-        #: fired alerts has len() == 0 and would read as False.
-        self.alerts: AlertEngine | None = alerts if isinstance(alerts, AlertEngine) else None
+    def __init__(self, trace_stride: int = DEFAULT_STRIDE) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = SpanTracer(stride=trace_stride)
+        self.decisions = DecisionLog(registry=self.registry)
+        #: Energy ledger; bound to a system by :meth:`attach`.
+        self.ledger = EnergyLedger(registry=self.registry)
+        #: Alert engine; registered as an engine observer by :meth:`attach`.
+        self.alerts = AlertEngine(self.decisions)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -87,10 +69,8 @@ class Observability:
         system.plant.tracer = self.tracer
         self.tracer.bind_registry(self.registry)
         self._register_system_gauges(system)
-        if self.ledger is not None:
-            self.ledger.attach(system)
-        if self.alerts is not None:
-            self.alerts.attach(system)
+        self.ledger.attach(system)
+        self.alerts.attach(system)
         return self
 
     def _register_system_gauges(self, system) -> None:
@@ -162,14 +142,13 @@ class Observability:
             "metrics_prom": out / "metrics.prom",
             "decisions_jsonl": out / "decisions.jsonl",
             "spans_folded": out / "spans.folded",
+            "ledger_json": out / "ledger.json",
+            "alerts_jsonl": out / "alerts.jsonl",
         }
         self.registry.write_jsonl(paths["metrics_jsonl"])
         paths["metrics_prom"].write_text(self.registry.to_prometheus(), encoding="utf-8")
         self.decisions.write_jsonl(paths["decisions_jsonl"])
         paths["spans_folded"].write_text(self.tracer.to_folded(), encoding="utf-8")
-        if self.ledger is not None and self.ledger.attached:
-            paths["ledger_json"] = out / "ledger.json"
-            paths["ledger_json"].write_text(self.ledger.to_json(), encoding="utf-8")
-        if self.alerts is not None:
-            paths["alerts_jsonl"] = self.alerts.write_jsonl(out / "alerts.jsonl")
+        paths["ledger_json"].write_text(self.ledger.to_json(), encoding="utf-8")
+        self.alerts.write_jsonl(paths["alerts_jsonl"])
         return paths

@@ -22,12 +22,15 @@ Closure: the two per-tick bus identities
 * ``solar = solar_to_load + charge + curtailed``
 * ``demand_bus = solar_to_load + battery_to_load + unserved``
 
-are integrated in Wh and must each stay within the invariant checker's
-accumulated energy tolerance (:data:`~repro.validate.invariants.ACC_TOL_FLOOR_WH`
-plus :data:`~repro.validate.invariants.ACC_TOL_WH_PER_H` per simulated
-hour).  The battery-side account (terminal in − out − losses − Δstored) is
-reported as a *residual* edge but not gated: stored energy is approximated
-at nominal voltage, so voltage sag legitimately shows up there.
+are integrated in Wh and must each stay within the integrated-energy
+tolerance (:data:`~repro.validate.invariants.ACC_TOL_FLOOR_WH` plus
+:data:`~repro.validate.invariants.ACC_TOL_WH_PER_H` per simulated hour).
+:func:`~repro.validate.invariants.bus_closure` owns that account, and the
+invariant checker's ``bus.accumulated`` check calls it on the same
+integrals.  The battery-side account (terminal in − out − losses −
+Δstored) is reported as a *residual* edge but not gated: stored energy is
+approximated at nominal voltage, so voltage sag legitimately shows up
+there.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.validate.invariants import ACC_TOL_FLOOR_WH, ACC_TOL_WH_PER_H
+from repro.validate.invariants import bus_closure, bus_integrals
 
 if TYPE_CHECKING:  # annotations only; a runtime import would be cyclic
     from repro.core.system import InSituSystem
@@ -67,7 +70,7 @@ EDGE_NAMES = (
 )
 
 #: Edges whose value is a signed balance, not a physical flow — excluded
-#: from non-negativity expectations and fleet-total rollups.
+#: from non-negativity expectations and from the share-of-harvest column.
 SIGNED_EDGES = frozenset(
     {
         "battery.delta_stored",
@@ -135,10 +138,6 @@ class EnergyLedger:
             self._register_gauges()
         return self
 
-    @property
-    def attached(self) -> bool:
-        return self._system is not None
-
     def _register_gauges(self) -> None:
         gauge = self._registry.gauge
         for name in EDGE_NAMES:
@@ -161,20 +160,11 @@ class EnergyLedger:
     def _raw_totals(self) -> dict[str, float]:
         """Raw cumulative counters underlying the edges."""
         system = self._system
-        bus = self._bus
         bank = system.bank
         collector = system.metrics
         nominal_v = [unit.params.nominal_voltage for unit in bank]
         return {
-            "solar": bus.e_solar_wh,
-            "solar_to_load": bus.e_solar_to_load_wh,
-            "battery_to_load": bus.e_battery_to_load_wh,
-            "unserved": bus.e_unserved_wh,
-            "charge_bus": bus.e_charge_bus_wh,
-            "charge_terminal": bus.e_charge_terminal_wh,
-            "curtailed": bus.e_curtailed_wh,
-            "demand_bus": bus.e_demand_bus_wh,
-            "server_wall": bus.e_server_wall_wh,
+            **bus_integrals(self._bus),
             "mppt_loss": getattr(system.source, "e_mppt_loss_wh", 0.0),
             "gassing": sum(u.gassing_ah * v for u, v in zip(bank, nominal_v, strict=True)),
             "self_discharge": sum(u.self_discharge_ah * v for u, v in zip(bank, nominal_v, strict=True)),
@@ -224,15 +214,14 @@ class EnergyLedger:
         }
 
     def closure(self) -> LedgerClosure:
-        """Check the integrated bus identities against the invariant
-        checker's accumulated energy tolerance."""
+        """Close the integrated bus identities with
+        :func:`~repro.validate.invariants.bus_closure`, the account the
+        invariant checker shares."""
         if self._system is None:
             raise RuntimeError("ledger is not attached to a system")
         d = self._deltas()
-        residual_solar = d["solar"] - (d["solar_to_load"] + d["charge_bus"] + d["curtailed"])
-        residual_load = d["demand_bus"] - (
-            d["solar_to_load"] + d["battery_to_load"] + d["unserved"]
-        )
+        hours = max(0.0, (self._system.engine.clock.t - self._attach_t) / 3600.0)
+        residual_solar, residual_load, tolerance = bus_closure(d, hours)
         battery_residual = (
             d["charge_terminal"]
             - d["battery_to_load"]
@@ -240,8 +229,6 @@ class EnergyLedger:
             - d["self_discharge"]
             - d["stored"]
         )
-        hours = max(0.0, (self._system.engine.clock.t - self._attach_t) / 3600.0)
-        tolerance = max(ACC_TOL_FLOOR_WH, ACC_TOL_WH_PER_H * hours)
         ok = abs(residual_solar) <= tolerance and abs(residual_load) <= tolerance
         return LedgerClosure(
             ok=ok,

@@ -1,23 +1,22 @@
 """Zero-dependency metrics registry.
 
-Counters, gauges and histograms that simulation components register into.
-The design follows the usual pull-model conventions (Prometheus client
+Counters and gauges that simulation components register into.  The
+design follows the usual pull-model conventions (Prometheus client
 libraries) but stays import-light and allocation-light so the registry can
 live inside the tick loop's blast radius without perturbing it:
 
 * **Counters** are monotonically increasing totals (relay operations,
-  decision events, cells executed).
+  decision events, sessions served).
 * **Gauges** hold a point-in-time value.  A gauge may instead be bound to
   a zero-argument callable (:meth:`Gauge.set_function`), in which case the
   live value is read *at collection time* — instrumented components pay
   nothing per tick for such metrics.
-* **Histograms** bucket observations into fixed upper bounds and expose
-  count/sum plus quantile estimates interpolated from the cumulative
-  bucket counts (tick wall-times, per-cell runtimes).
 
-Snapshots export as JSONL (one metric sample per line, greppable and
-joinable against the decision-event log) and as the Prometheus text
-exposition format.
+Every registry belongs to one owner: a run's
+:class:`~repro.obs.hub.Observability` bundle or the serve daemon's
+session manager; there is no process-wide registry.  Snapshots export as
+JSONL (one metric sample per line, greppable and joinable against the
+decision-event log) and as the Prometheus text exposition format.
 """
 
 from __future__ import annotations
@@ -25,30 +24,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from typing import Any
-
-#: Default histogram buckets for wall-clock durations in seconds; spans
-#: tick times from microseconds to a full second of stall.
-DEFAULT_TIME_BUCKETS_S = (
-    1e-05,
-    2.5e-05,
-    5e-05,
-    0.0001,
-    0.00025,
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-)
 
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -164,100 +141,13 @@ class Gauge(Metric):
         }
 
 
-class Histogram(Metric):
-    """Fixed-bucket histogram with interpolated quantile estimates."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Mapping[str, str] | None = None,
-        buckets: Iterable[float] = DEFAULT_TIME_BUCKETS_S,
-    ) -> None:
-        super().__init__(name, help, labels)
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError("histogram bucket bounds must be unique")
-        self.bounds: tuple[float, ...] = tuple(bounds)
-        #: Per-bucket observation counts; the implicit +Inf bucket is last.
-        self._counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self._counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q`` quantile by interpolating the buckets.
-
-        The estimate is exact at bucket boundaries and linear within a
-        bucket; observations beyond the last finite bound clamp to the
-        maximum value seen.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        lower = min(self._min, self.bounds[0])
-        for bound, bucket_count in zip(self.bounds, self._counts, strict=False):
-            if cumulative + bucket_count >= rank and bucket_count > 0:
-                fraction = (rank - cumulative) / bucket_count
-                return lower + fraction * (bound - lower)
-            cumulative += bucket_count
-            lower = bound
-        return self._max
-
-    def cumulative_counts(self) -> list[tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, ending with +Inf."""
-        pairs: list[tuple[float, int]] = []
-        running = 0
-        for bound, bucket_count in zip(self.bounds, self._counts, strict=False):
-            running += bucket_count
-            pairs.append((bound, running))
-        pairs.append((math.inf, self.count))
-        return pairs
-
-    def sample(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "labels": self.labels,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self._min if self.count else 0.0,
-            "max": self._max if self.count else 0.0,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
-            "buckets": {_prom_float(b): c for b, c in self.cumulative_counts()},
-        }
-
-
 class MetricsRegistry:
     """Get-or-create metric store shared by the instrumented components."""
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Metric] = {}
 
-    def _get_or_create(self, cls: type, name: str, help: str, labels: dict[str, str], **kwargs):
+    def _get_or_create(self, cls: type, name: str, help: str, labels: dict[str, str]):
         key = (name, tuple(sorted(labels.items())))
         existing = self._metrics.get(key)
         if existing is not None:
@@ -266,7 +156,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind}, not {cls.kind}"
                 )
             return existing
-        metric = cls(name, help=help, labels=labels, **kwargs)
+        metric = cls(name, help=help, labels=labels)
         self._metrics[key] = metric
         return metric
 
@@ -275,15 +165,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         return self._get_or_create(Gauge, name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Iterable[float] = DEFAULT_TIME_BUCKETS_S,
-        **labels: str,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -337,31 +218,5 @@ class MetricsRegistry:
                 if help_text:
                     lines.append(f"# HELP {name} {_prom_escape_help(help_text)}")
                 lines.append(f"# TYPE {name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for bound, cumulative in metric.cumulative_counts():
-                    labels = dict(metric.labels)
-                    labels["le"] = _prom_float(bound)
-                    lines.append(f"{name}_bucket{_prom_labels(labels)} {cumulative}")
-                suffix = _prom_labels(metric.labels)
-                lines.append(f"{name}_sum{suffix} {_prom_float(metric.sum)}")
-                lines.append(f"{name}_count{suffix} {metric.count}")
-            else:
-                lines.append(f"{name}{_prom_labels(metric.labels)} {_prom_float(metric.value)}")
+            lines.append(f"{name}{_prom_labels(metric.labels)} {_prom_float(metric.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-#: Process-wide registry for cross-cutting infrastructure counters (the
-#: experiment runner's per-cell rollups land here).  System-scoped metrics
-#: should use a per-run :class:`MetricsRegistry` via ``Observability``.
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    return _GLOBAL_REGISTRY
-
-
-def reset_global_registry() -> MetricsRegistry:
-    """Replace the process-wide registry (test isolation helper)."""
-    global _GLOBAL_REGISTRY
-    _GLOBAL_REGISTRY = MetricsRegistry()
-    return _GLOBAL_REGISTRY

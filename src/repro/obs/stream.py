@@ -90,8 +90,6 @@ class StreamTap:
 
     def _ledger_event(self, t: float) -> dict[str, Any] | None:
         ledger = self.obs.ledger
-        if ledger is None or not ledger.attached:
-            return None
         edges = ledger.edges()
         moved = {
             name: round(wh - self._last_edges.get(name, 0.0), 9)

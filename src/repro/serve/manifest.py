@@ -108,9 +108,13 @@ def _number(payload: Mapping[str, Any], key: str, default: float) -> float:
     value = payload.get(key, default)
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{key} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     # JSON's Infinity/NaN tokens parse to floats no run can be sized by.
     _require(math.isfinite(value), f"{key} must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 def _integer(payload: Mapping[str, Any], key: str, default: int) -> int:

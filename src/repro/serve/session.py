@@ -38,11 +38,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from dataclasses import asdict
 from typing import Any
 
 from repro.obs.stream import StreamTap
 from repro.serve.manifest import (
+    ManifestError,
     SessionManifest,
+    _number,
     build_session_system,
     golden_verdict,
     render_manifest,
@@ -198,6 +201,15 @@ class Session:
         attached = [p.name for p in self._manager().policies]
         raise SessionError(f"no attached policy {name!r}; attached: {attached}")
 
+    @staticmethod
+    def _limit(payload: Mapping[str, Any]) -> float:
+        """The injected ``limit``, held to the manifest's rule for numbers:
+        a finite int or float."""
+        try:
+            return _number(payload, "limit", None)
+        except ManifestError as exc:
+            raise SessionError(str(exc)) from None
+
     def _record(self, kind: str, **data: Any) -> None:
         self.obs.decisions.record(self.clock_t, kind, "serve", **data)
 
@@ -230,10 +242,7 @@ class Session:
 
     def _inject_limit(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         policy = self._find_policy(payload.get("policy"))
-        limit = payload.get("limit")
-        if not isinstance(limit, (int, float)) or isinstance(limit, bool):
-            raise SessionError(f"limit must be a number, got {limit!r}")
-        limit = float(limit)
+        limit = self._limit(payload)
         self._record("inject.limit", policy=policy.name, limit=limit)
         changed = policy.control.apply(limit, self.clock_t)
         return {"policy": policy.name, "limit": limit, "changed": bool(changed)}
@@ -259,9 +268,7 @@ class Session:
         from repro.policy.registry import make_control
 
         name = payload.get("control")
-        limit = payload.get("limit")
-        if not isinstance(limit, (int, float)) or isinstance(limit, bool):
-            raise SessionError(f"limit must be a number, got {limit!r}")
+        limit = self._limit(payload)
         try:
             control = make_control(name)
         except ValueError as exc:
@@ -269,7 +276,6 @@ class Session:
         self._check_control_pairing(name)
         control.bind(self._manager(), self._charger())
         control.source = f"serve:{self.id}"
-        limit = float(limit)
         self._record("inject.control", control=name, limit=limit)
         changed = control.apply(limit, self.clock_t)
         return {"control": name, "limit": limit, "changed": bool(changed)}
@@ -297,10 +303,6 @@ class Session:
         summary_dict = {
             name: value for name, value in vars(summary).items()
         }
-        from dataclasses import asdict
-
-        closure = asdict(self.obs.ledger.closure()) \
-            if self.obs.ledger is not None and self.obs.ledger.attached else None
         verdict = None
         if self.injections == 0:
             cell_verdict = golden_verdict(self.manifest, summary_dict)
@@ -317,9 +319,9 @@ class Session:
         self.summary_payload = {
             "session": self.id,
             "summary": summary_dict,
-            "closure": closure,
+            "closure": asdict(self.obs.ledger.closure()),
             "decision_counts": self.obs.decisions.counts(),
-            "alert_counts": self.obs.alerts.counts() if self.obs.alerts else {},
+            "alert_counts": self.obs.alerts.counts(),
             "injected": self.injections > 0,
             "golden": verdict,
         }

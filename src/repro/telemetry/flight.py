@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.system import build_day_system
+from repro.obs.alerts import ALERT_KIND
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, SIGNED_EDGES
 from repro.telemetry.metrics import RunSummary
@@ -76,7 +77,8 @@ class FlightReport:
 
     @property
     def alerts(self) -> list:
-        return list(self.obs.alerts.alerts) if self.obs.alerts else []
+        """The run's alerts: its ``alert.<rule>`` decisions, in order."""
+        return self.obs.decisions.of_kind("alert")
 
 
 def _fly(controller: str, workload: str, weather: str, mean_w: float,
@@ -171,6 +173,15 @@ def _fmt_wh(wh: float) -> str:
 def _hhmm(t: float) -> str:
     minutes = int(round(t / 60.0))
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
+
+
+def _alert_rows(report: FlightReport) -> list[list[str]]:
+    """(time, rule, severity, message) per alert decision, in order."""
+    return [
+        [_hhmm(alert.t), alert.kind.removeprefix(ALERT_KIND),
+         alert.data["severity"], alert.data["message"]]
+        for alert in report.alerts
+    ]
 
 
 def _ledger_rows(edges: dict[str, float]) -> list[tuple[str, str, str]]:
@@ -269,14 +280,11 @@ def render_markdown(report: FlightReport) -> str:
     lines += ["", f"Closure: {closure}", ""]
 
     lines += ["## Alerts", ""]
-    alerts = report.alerts
+    alerts = _alert_rows(report)
     if not alerts:
         lines += ["No alerts fired.", ""]
     else:
-        lines += ["| time | rule | severity | message |", "|---|---|---|---|"]
-        for alert in alerts:
-            lines.append(f"| {_hhmm(alert.t)} | {alert.rule} | "
-                         f"{alert.severity} | {alert.message} |")
+        lines += _md_table(["time", "rule", "severity", "message"], alerts)
         lines.append("")
 
     lines += ["## Decisions", ""]
@@ -379,15 +387,14 @@ def render_html(report: FlightReport) -> str:
     parts.append(f"<p>Closure: {_html.escape(str(closure))}</p>")
 
     parts.append("<h2>Alerts</h2>")
-    alerts = report.alerts
+    alerts = _alert_rows(report)
     if not alerts:
         parts.append("<p>No alerts fired.</p>")
     else:
         parts += _html_table(
-            ["time", "rule", "severity", "message"],
-            [[_hhmm(a.t), a.rule, a.severity, a.message] for a in alerts],
-            row_classes=["critical" if a.severity == "critical" else ""
-                         for a in alerts],
+            ["time", "rule", "severity", "message"], alerts,
+            row_classes=["critical" if severity == "critical" else ""
+                         for _, _, severity, _ in alerts],
         )
 
     parts.append("<h2>Decisions</h2>")

@@ -95,9 +95,7 @@ class MetricsCollector(Component):
         self._load_energy_wh = 0.0
         self._effective_energy_wh = 0.0
         self._checkpoint_energy_wh = 0.0
-        self._solar_energy_wh = 0.0
         self._solar_used_wh = 0.0
-        self._curtailed_wh = 0.0
         self._min_voltage = float("inf")
         self._voltage_samples: list[float] = []
         self._since_voltage_sample = float("inf")
@@ -128,9 +126,7 @@ class MetricsCollector(Component):
 
         report = self.plant.last_report
         if report is not None:
-            self._solar_energy_wh += report.solar_available_w * dt_h
             self._solar_used_wh += (report.solar_to_load_w + report.charge_power_w) * dt_h
-            self._curtailed_wh += report.curtailed_w * dt_h
 
         min_v = self._min_voltage
         for u in self.bank.units:
@@ -179,6 +175,8 @@ class MetricsCollector(Component):
             if len(self._voltage_samples) > 1
             else 0.0
         )
+        # The harvest and curtailment totals are the bus's own integrals.
+        bus = self.plant.bus
         return RunSummary(
             elapsed_s=elapsed,
             uptime_fraction=self._uptime_s / elapsed,
@@ -190,9 +188,9 @@ class MetricsCollector(Component):
             perf_per_ah_gb=(stats.processed_gb / discharge_ah) if discharge_ah > 0 else 0.0,
             load_energy_kwh=self._load_energy_wh / 1000.0,
             effective_energy_kwh=self._effective_energy_wh / 1000.0,
-            solar_energy_kwh=self._solar_energy_wh / 1000.0,
+            solar_energy_kwh=bus.e_solar_wh / 1000.0,
             solar_used_kwh=self._solar_used_wh / 1000.0,
-            curtailed_kwh=self._curtailed_wh / 1000.0,
+            curtailed_kwh=bus.e_curtailed_wh / 1000.0,
             min_battery_voltage=self._min_voltage,
             end_battery_voltage=self.bank.mean_voltage,
             battery_voltage_sigma=sigma,

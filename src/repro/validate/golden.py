@@ -199,7 +199,6 @@ def compute_cell(
     controller: str | None = None,
     workload: str | None = None,
     weather: str | None = None,
-    check_invariants: bool = True,
     stride: int = CHECK_STRIDE,
     duration_s: float = DURATION_S,
     scenario: str | None = None,
@@ -221,8 +220,7 @@ def compute_cell(
     system = build_day_system(
         cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
         seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-        policies=cell.policies(), invariants=check_invariants,
-        invariant_stride=stride,
+        policies=cell.policies(), invariants=True, invariant_stride=stride,
     )
     summary = system.run(duration_s)
     config: dict[str, Any] = {
@@ -237,21 +235,19 @@ def compute_cell(
     }
     if cell.scenario is not None:
         config["scenario"] = cell.scenario
-    record: dict[str, Any] = {
+    checker = system.checker
+    return {
         "cell": cell.name,
         "config": config,
         "signals": trace_digests(system.recorder),
         "summary": summary_fingerprint(summary),
-    }
-    if check_invariants:
-        checker = system.checker
-        record["invariants"] = {
+        "invariants": {
             "checks_run": checker.checks_run,
             "stride": stride,
             "violations": len(checker.violations),
             "first_violations": [str(v) for v in checker.violations[:10]],
-        }
-    return record
+        },
+    }
 
 
 def compute_ledger_cell(
@@ -266,9 +262,8 @@ def compute_ledger_cell(
     Returns the cell's trace digests (so callers can prove the ledger and
     alert engine never perturbed the trajectory), the summary energy
     scalars, every ledger flow edge, the closure verdict, and the alert
-    counts.  Module-level and JSON-compatible so the matrix fans out via
-    :func:`~repro.experiments.runner.run_cells` — whose rollup folds the
-    ``ledger_edges`` / ``alert_counts`` keys into the global registry.
+    counts read from the decision log.  Module-level and JSON-compatible
+    so the matrix fans out via :func:`~repro.experiments.runner.run_cells`.
     """
     from dataclasses import asdict
 

@@ -8,7 +8,9 @@ laws the reproduction's credibility rests on:
 * **DC-bus energy conservation** — the solar budget splits exactly into
   direct load service, charging power and curtailment, and the served load
   splits exactly into solar, battery and unserved shares (tight relative
-  tolerance, with accumulated-error accounting over the whole run).
+  tolerance per tick, and the same two identities over the bus's
+  every-tick energy integrals, which :func:`bus_closure` also closes for
+  the energy ledger).
 * **KiBaM well and SoC bounds** — both wells stay inside their physical
   capacity and total state of charge stays in [0, 1].
 * **Charge acceptance** — no cabinet absorbs more current than its
@@ -30,6 +32,7 @@ Tolerances are documented with their rationale in ``docs/validation.md``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.battery.bank import BatteryBank
@@ -42,13 +45,14 @@ from repro.sim.clock import Clock
 REL_TOL = 1e-6
 #: Absolute floor (watts) for bus-identity checks near zero power.
 ABS_TOL_W = 1e-3
-#: Floor (Wh) of the accumulated-residual account, so short runs cannot
-#: trip on a handful of rounding residuals.
+#: Floor (Wh) of the integrated bus account, so short runs cannot trip
+#: on a handful of rounding residuals.
 ACC_TOL_FLOOR_WH = 1e-3
-#: Accumulated slack per simulated hour: half the per-tick absolute
-#: tolerance, sustained.  Rounding residuals cancel (observed ~1e-14 Wh
-#: per simulated day); a systematic leak — even one individually below
-#: the per-tick gate — integrates linearly and trips this account.
+#: Integrated slack per simulated hour: half the per-tick absolute
+#: tolerance, sustained.  Rounding residuals do not drift (below 1e-9 Wh
+#: per simulated day on the bus integrals); a systematic leak — even one
+#: individually below the per-tick gate — integrates linearly and trips
+#: this account.
 ACC_TOL_WH_PER_H = 0.5 * ABS_TOL_W
 #: Relative slack on the charge-acceptance ceiling: the ceiling is
 #: evaluated at the post-step SoC, one tick after the charger clamped
@@ -58,6 +62,42 @@ ACCEPTANCE_REL_TOL = 1e-3
 ACCEPTANCE_ABS_TOL_A = 1e-6
 #: Slack on SoC / normalised well-head bounds (dimensionless).
 BOUNDS_TOL = 1e-9
+
+
+def bus_integrals(bus) -> dict[str, float]:
+    """A :class:`~repro.power.bus.PowerBus`'s cumulative flows (Wh), by name."""
+    return {
+        "solar": bus.e_solar_wh,
+        "solar_to_load": bus.e_solar_to_load_wh,
+        "battery_to_load": bus.e_battery_to_load_wh,
+        "unserved": bus.e_unserved_wh,
+        "charge_bus": bus.e_charge_bus_wh,
+        "charge_terminal": bus.e_charge_terminal_wh,
+        "curtailed": bus.e_curtailed_wh,
+        "demand_bus": bus.e_demand_bus_wh,
+        "server_wall": bus.e_server_wall_wh,
+    }
+
+
+def bus_closure(flows: Mapping[str, float], hours: float) -> tuple[float, float, float]:
+    """The one energy account of the bus: both identities, integrated.
+
+    ``flows`` holds :func:`bus_integrals`-named Wh totals over ``hours``
+    simulated hours.  Returns the residuals of
+
+    * ``solar = solar_to_load + charge_bus + curtailed`` and
+    * ``demand_bus = solar_to_load + battery_to_load + unserved``,
+
+    and the tolerance both must stay within (all in Wh).
+    """
+    residual_solar = flows["solar"] - (
+        flows["solar_to_load"] + flows["charge_bus"] + flows["curtailed"]
+    )
+    residual_load = flows["demand_bus"] - (
+        flows["solar_to_load"] + flows["battery_to_load"] + flows["unserved"]
+    )
+    tolerance = max(ACC_TOL_FLOOR_WH, ACC_TOL_WH_PER_H * hours)
+    return residual_solar, residual_load, tolerance
 
 
 class InvariantError(RuntimeError):
@@ -95,7 +135,8 @@ class InvariantChecker:
     ----------
     bank / switchnet / plant:
         The assembled plant pieces to watch (see
-        :func:`repro.core.system.build_system`).
+        :func:`repro.core.system.build_system`); the bus checks read the
+        plant's ``last_report`` and the energy integrals of its ``bus``.
     stride:
         Check once every ``stride`` ticks.  1 checks every tick; the
         default keeps full-run overhead low while still sampling every
@@ -128,9 +169,6 @@ class InvariantChecker:
         self.max_violations = max_violations
         self.violations: list[InvariantViolation] = []
         self.checks_run = 0
-        #: Signed accumulated bus residual (Wh), solar side of the identity.
-        self.accumulated_residual_wh = 0.0
-        self._checked_seconds = 0.0
         #: Per-unit wear counters from the previous check window.
         self._wear_marks = {
             unit.name: (unit.wear.discharge_ah, unit.wear.weighted_ah)
@@ -144,7 +182,6 @@ class InvariantChecker:
         if clock.step_index % self.stride:
             return
         self.checks_run += 1
-        self._checked_seconds += clock.dt * self.stride
         tick = clock.step_index
         t = clock.t
         self._check_bus(tick, t, clock.dt)
@@ -173,9 +210,7 @@ class InvariantChecker:
         solar_split = (report.solar_to_load_w + report.charge_power_w
                        + report.curtailed_w)
         tol = max(ABS_TOL_W, REL_TOL * max(solar, 1.0))
-        residual = solar - solar_split
-        self.accumulated_residual_wh += residual * dt * self.stride / 3600.0
-        if abs(residual) > tol:
+        if abs(solar - solar_split) > tol:
             self._record(tick, t, "energy_conservation", "bus.solar",
                          observed=solar_split, expected=solar,
                          message="PV input != load + charge + curtailment")
@@ -194,12 +229,15 @@ class InvariantChecker:
                          observed=report.unserved_w, expected=demand,
                          message="unserved exceeds demand")
 
-        acc_tol = max(ACC_TOL_FLOOR_WH, ACC_TOL_WH_PER_H
-                      * self._checked_seconds / 3600.0)
-        if abs(self.accumulated_residual_wh) > acc_tol:
-            self._record(tick, t, "energy_conservation", "bus.accumulated",
-                         observed=self.accumulated_residual_wh, expected=0.0,
-                         message="accumulated bus residual drifting")
+        # The bus integrates every tick, sampled or not, this one included.
+        hours = (tick + 1) * dt / 3600.0
+        solar_wh, load_wh, tol_wh = bus_closure(bus_integrals(plant.bus), hours)
+        for side, residual in (("solar", solar_wh), ("load", load_wh)):
+            if abs(residual) > tol_wh:
+                self._record(tick, t, "energy_conservation", "bus.accumulated",
+                             observed=residual, expected=0.0,
+                             message=f"integrated {side}-side bus residual "
+                                     f"drifting")
 
     def _check_batteries(self, tick: int, t: float) -> None:
         for unit in self.bank.units:
@@ -290,8 +328,7 @@ class InvariantChecker:
     def report(self, limit: int = 10) -> str:
         """Human-readable summary of the recorded violations."""
         if not self.violations:
-            return (f"invariants ok ({self.checks_run} checks, accumulated "
-                    f"bus residual {self.accumulated_residual_wh:+.3g} Wh)")
+            return f"invariants ok ({self.checks_run} checks)"
         lines = [f"{len(self.violations)} invariant violation(s) "
                  f"across {self.checks_run} checks:"]
         for invariant, count in sorted(self.counts().items()):

@@ -14,7 +14,6 @@ from repro.experiments.runner import (
     _cell_label,
     run_cells,
 )
-from repro.obs.registry import global_registry, reset_global_registry
 
 
 def _double(x):
@@ -100,13 +99,10 @@ class TestBackendSelection:
             run_cells(_double, [dict(x=1)])
 
     def test_fleet_degrades_to_pool_serial_for_unadapted_fn(self):
-        reset_global_registry()
         cells = [dict(x=i) for i in range(4)]
         with pytest.warns(RuntimeWarning, match="fleet backend unavailable"):
             results = run_cells(_double, cells, backend="fleet", max_workers=1)
         assert results == [0, 2, 4, 6]
-        counter = global_registry().get("runner.fleet_fallbacks_total")
-        assert counter is not None and counter.value == 1
 
     def test_serial_backend_forces_in_process_loop(self):
         assert run_cells(_double, [dict(x=i) for i in range(3)],
@@ -120,15 +116,12 @@ class TestCellFailureNaming:
         assert label == "cell #7 (controller=insure, seed=3)"
 
     def test_pool_failure_names_the_cell(self):
-        reset_global_registry()
         cells = [dict(x=i) for i in range(4)]
         with pytest.raises(CellExecutionError, match=r"cell #2 \(x=2\)") as info:
             run_cells(_explode_on_two, cells, max_workers=2, backend="pool")
         assert info.value.index == 2
         assert info.value.cell == dict(x=2)
         assert isinstance(info.value.__cause__, ValueError)
-        counter = global_registry().get("runner.cell_failures_total")
-        assert counter is not None and counter.value == 1
 
     def test_is_not_a_runtime_error(self):
         # The pool-infrastructure fallback catches RuntimeError; a named

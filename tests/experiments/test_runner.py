@@ -6,7 +6,6 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.experiments.runner import default_workers, derive_seed, run_cells
-from repro.obs.registry import global_registry, reset_global_registry
 
 
 def _affine(x, scale=1, offset=0):
@@ -22,18 +21,6 @@ def _explode(x):
     if x == 2:
         raise ValueError(f"cell {x} blew up")
     return x
-
-
-def _obs_payload(x):
-    """A cell result shaped like compute_ledger_cell's rollup keys."""
-    return {
-        "cell": x,
-        "ledger_edges": {"pv.harvest": 100.0 * (x + 1),
-                         "bus.curtailed": 10.0,
-                         "battery.delta_stored": -40.0,
-                         "battery.residual": 5.0},
-        "alert_counts": {"soc_droop": x},
-    }
 
 
 @pytest.fixture
@@ -138,68 +125,19 @@ class TestPoolFallback:
             out = run_cells(_affine, self.CELLS, max_workers=4)
         assert out == self.EXPECTED
 
-    def test_warning_deduplicated_but_counter_still_counts(self, monkeypatch,
-                                                           rearmed_pool_warning):
-        # The warning fires once per process; the fallback *counter* still
-        # tracks every batch that degraded.
-        reset_global_registry()
+    def test_warning_is_deduplicated(self, monkeypatch, rearmed_pool_warning):
+        # The warning fires once per process; every later batch still
+        # degrades to the serial loop, silently.
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             _BrokenPool)
         with pytest.warns(RuntimeWarning, match="running serially"):
             run_cells(_affine, self.CELLS, max_workers=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_cells(_affine, self.CELLS, max_workers=2)
+            assert run_cells(_affine, self.CELLS, max_workers=2) == self.EXPECTED
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        counter = global_registry().get("runner.pool_fallbacks_total")
-        assert counter is not None and counter.value == 2
 
-    def test_fallback_is_counted_in_the_global_registry(self, monkeypatch,
-                                                        rearmed_pool_warning):
-        reset_global_registry()
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            _BrokenPool)
-        with pytest.warns(RuntimeWarning):
-            run_cells(_affine, self.CELLS, max_workers=2)
-        counter = global_registry().get("runner.pool_fallbacks_total")
-        assert counter is not None and counter.value == 1
-
-    def test_serial_path_rolls_up_cell_metrics(self):
-        reset_global_registry()
-        run_cells(_affine, self.CELLS, max_workers=1)
-        registry = global_registry()
-        assert registry.get("runner.cells_total").value == len(self.CELLS)
-        histogram = registry.get("runner.cell_seconds")
-        assert histogram is not None and histogram.count == len(self.CELLS)
-
-    def test_raising_cell_increments_failure_counter(self):
-        reset_global_registry()
+    def test_raising_cell_propagates_from_the_serial_loop(self):
         cells = [dict(x=i) for i in range(4)]
         with pytest.raises(ValueError, match="blew up"):
             run_cells(_explode, cells, max_workers=1)
-        counter = global_registry().get("runner.cell_failures_total")
-        assert counter is not None and counter.value == 1
-
-
-class TestObsRollup:
-    def test_ledger_and_alert_payloads_folded_into_global_registry(self):
-        reset_global_registry()
-        run_cells(_obs_payload, [dict(x=i) for i in range(3)], max_workers=1)
-        registry = global_registry()
-        harvest = registry.get("runner.ledger_wh_total", edge="pv.harvest")
-        assert harvest is not None and harvest.value == 100.0 + 200.0 + 300.0
-        curtailed = registry.get("runner.ledger_wh_total", edge="bus.curtailed")
-        assert curtailed.value == 30.0
-        # Signed balance edges never roll up, even when positive.
-        assert registry.get("runner.ledger_wh_total",
-                            edge="battery.delta_stored") is None
-        assert registry.get("runner.ledger_wh_total",
-                            edge="battery.residual") is None
-        alerts = registry.get("runner.alerts_total", rule="soc_droop")
-        assert alerts is not None and alerts.value == 1 + 2  # x=0 skipped
-
-    def test_non_mapping_results_ignored(self):
-        reset_global_registry()
-        run_cells(_affine, [dict(x=i) for i in range(3)], max_workers=1)
-        assert global_registry().get("runner.ledger_wh_total",
-                                     edge="pv.harvest") is None

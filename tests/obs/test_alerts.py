@@ -166,40 +166,67 @@ class TestSustainedCurtailmentRule:
         assert rule.evaluate(1600.0, _system(curtailed_w=200.0)) is not None
 
 
+#: The keys of each default rule's data payload, by rule name.
+RULE_DATA_KEYS = {
+    "soc_droop": {"rate_per_hour", "mean_soc"},
+    "wear_imbalance": {"spread_ah", "discharge_ah"},
+    "discharge_cap_near_miss": {"total_amps", "cap_amps"},
+    "lvd_proximity": {"unit", "voltage", "cutoff"},
+    "checkpoint_storm": {"stops_in_window", "window_s"},
+    "sustained_curtailment": {"curtailed_w", "sustained_s"},
+}
+
+
+def _fire_wear_imbalance(t):
+    """Fire one wear_imbalance alert into a fresh counted log; returns
+    the engine and the log's registry."""
+    registry = MetricsRegistry()
+    engine = AlertEngine(DecisionLog(registry=registry),
+                         rules=[WearImbalanceRule(max_imbalance_ah=1.0)],
+                         stride=1)
+    units = [_unit("b1", discharge_ah=9.0), _unit("b2")]
+    engine.attach(_system(units=units), observe=False)
+    engine(SimpleNamespace(step_index=0, t=t))
+    return engine, registry
+
+
 class TestAlertEngine:
     def test_stride_must_be_positive(self):
         with pytest.raises(ValueError, match="stride"):
-            AlertEngine(stride=0)
+            AlertEngine(DecisionLog(), stride=0)
 
     def test_emit_records_decision_and_counter(self):
-        decisions = DecisionLog()
-        registry = MetricsRegistry()
-        engine = AlertEngine(rules=[WearImbalanceRule(max_imbalance_ah=1.0)],
-                             stride=1, decisions=decisions, registry=registry)
-        units = [_unit("b1", discharge_ah=9.0), _unit("b2")]
-        engine.attach(_system(units=units), observe=False)
-        engine(SimpleNamespace(step_index=0, t=120.0))
-        assert len(engine) == 1
-        alert = engine.alerts[0]
-        assert alert.rule == "wear_imbalance" and alert.t == 120.0
-        assert decisions.of_kind("alert")[0].kind == "alert.wear_imbalance"
-        counter = registry.get("alerts_total", rule="wear_imbalance")
+        # One record per alert: the decision, with the rule's data, and
+        # the decision log's own counter.
+        engine, registry = _fire_wear_imbalance(120.0)
+        (decision,) = list(engine.decisions)
+        assert decision.kind == "alert.wear_imbalance"
+        assert decision.t == 120.0 and decision.source == "alerts"
+        assert decision.data["severity"] == "warning"
+        assert "spread" in decision.data["message"]
+        assert decision.data["spread_ah"] == pytest.approx(9.0)
+        assert decision.data["discharge_ah"] == {"b1": 9.0, "b2": 0.0}
+        assert engine.counts() == {"wear_imbalance": 1}
+        counter = registry.get("decisions_total", kind="alert.wear_imbalance")
         assert counter is not None and counter.value == 1
+        assert [m.name for m in registry] == ["decisions_total"]
 
     def test_all_alert_kinds_are_known_decision_kinds(self):
         for rule in default_rules():
             assert f"alert.{rule.name}" in KNOWN_KINDS
+        assert set(RULE_DATA_KEYS) == {rule.name for rule in default_rules()}
 
     def test_jsonl_lines_parse(self):
-        engine = AlertEngine(rules=[WearImbalanceRule(max_imbalance_ah=1.0)],
-                             stride=1)
-        units = [_unit("b1", discharge_ah=9.0), _unit("b2")]
-        engine.attach(_system(units=units), observe=False)
-        engine(SimpleNamespace(step_index=0, t=60.0))
-        lines = engine.to_jsonl().splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["rule"] == "wear_imbalance"
+        # An alerts.jsonl line is its decision's line with ``rule`` for
+        # ``kind`` and ``source``.
+        engine, _ = _fire_wear_imbalance(60.0)
+        (line,) = engine.to_jsonl().splitlines()
+        payload = json.loads(line)
+        assert payload.pop("rule") == "wear_imbalance"
+        (decision,) = engine.decisions.of_kind("alert")
+        decision_line = json.loads(decision.to_json())
+        del decision_line["kind"], decision_line["source"]
+        assert payload == decision_line
         assert payload["severity"] == "warning"
 
 
@@ -212,11 +239,22 @@ class TestIntegration:
                               seed=1, initial_soc=0.55, dt=5.0,
                               observability=obs)
         system.run(3 * 3600.0)
-        assert len(obs.alerts) > 0
+        fired = obs.decisions.of_kind("alert")
+        assert fired
+        for decision in fired:
+            rule = decision.kind.removeprefix("alert.")
+            assert decision.source == "alerts"
+            assert set(decision.data) == {"severity", "message"} \
+                | RULE_DATA_KEYS[rule]
+        # The engine's counts are the log's alert kinds, and the decision
+        # counters count them: there is no second alert counter.
         counts = obs.alerts.counts()
-        assert sum(counts.values()) == len(obs.alerts)
-        joined = obs.decisions.of_kind("alert")
-        assert len(joined) == len(obs.alerts)
-        for decision, alert in zip(joined, obs.alerts.alerts, strict=True):
-            assert decision.kind == f"alert.{alert.rule}"
-            assert decision.t == alert.t
+        assert counts == {kind.removeprefix("alert."): n
+                          for kind, n in obs.decisions.counts().items()
+                          if kind.startswith("alert.")}
+        assert sum(counts.values()) == len(fired)
+        for rule, n in counts.items():
+            series = obs.registry.get("decisions_total", kind=f"alert.{rule}")
+            assert series.value == n
+        assert "alerts_total" not in obs.registry.to_prometheus()
+        assert len(obs.alerts.to_jsonl().splitlines()) == len(fired)

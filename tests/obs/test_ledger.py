@@ -8,7 +8,7 @@ from repro.core.system import build_system
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, SIGNED_EDGES, EnergyLedger
 from repro.solar.traces import make_day_trace
-from repro.validate import golden
+from repro.validate.invariants import bus_closure, bus_integrals
 from repro.workloads import SeismicAnalysis
 
 SHORT_S = 2 * 3600.0
@@ -34,6 +34,16 @@ class TestClosure:
         assert closure.hours == pytest.approx(SHORT_S / 3600.0)
         assert abs(closure.residual_solar_wh) <= closure.tolerance_wh
         assert abs(closure.residual_load_wh) <= closure.tolerance_wh
+
+    def test_closure_is_the_invariant_checkers_account(self):
+        # One energy account: the ledger closes the same bus integrals,
+        # through the same function, as the checker's bus.accumulated.
+        obs = Observability()
+        system = _run(obs)
+        closure = obs.ledger.closure()
+        assert (closure.residual_solar_wh, closure.residual_load_wh,
+                closure.tolerance_wh) == bus_closure(
+            bus_integrals(system.plant.bus), SHORT_S / 3600.0)
 
     def test_closure_str_mentions_verdict(self):
         obs = Observability()
@@ -81,7 +91,6 @@ class TestEdges:
 
     def test_unattached_ledger_raises(self):
         ledger = EnergyLedger()
-        assert not ledger.attached
         with pytest.raises(RuntimeError, match="not attached"):
             ledger.edges()
         with pytest.raises(RuntimeError, match="not attached"):
@@ -106,18 +115,3 @@ class TestInstrumentation:
         assert set(payload) == {"edges", "closure"}
         assert set(payload["edges"]) == set(EDGE_NAMES)
         assert payload["closure"]["ok"] is True
-
-    def test_ledger_can_be_disabled(self, tmp_path):
-        obs = Observability(ledger=False)
-        system = _run(obs)
-        assert obs.ledger is None
-        assert system.obs is obs
-        assert "ledger_json" not in obs.export(tmp_path)
-
-
-class TestReadOnly:
-    def test_traces_identical_with_ledger_on_and_off(self):
-        with_ledger = _run(Observability(ledger=True, alerts=False))
-        without = _run(Observability(ledger=False, alerts=False))
-        assert golden.trace_digests(with_ledger.recorder) == \
-            golden.trace_digests(without.recorder)

@@ -1,18 +1,10 @@
-"""Metrics registry semantics: counters, gauges, histograms, export."""
+"""Metrics registry semantics: counters, gauges, export."""
 
 import json
-import math
 
 import pytest
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    global_registry,
-    reset_global_registry,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -48,50 +40,6 @@ class TestGauge:
         assert g.value == 0.5
 
 
-class TestHistogram:
-    def test_observe_counts_and_moments(self):
-        h = Histogram("lat", buckets=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 1.5, 3.0, 10.0):
-            h.observe(v)
-        assert h.count == 5
-        assert h.sum == pytest.approx(16.5)
-        assert h.mean == pytest.approx(3.3)
-
-    def test_cumulative_counts_end_with_inf_total(self):
-        h = Histogram("lat", buckets=(1.0, 2.0))
-        for v in (0.5, 1.5, 5.0):
-            h.observe(v)
-        pairs = h.cumulative_counts()
-        assert pairs[-1] == (math.inf, 3)
-        assert pairs[0] == (1.0, 1)
-        assert pairs[1] == (2.0, 2)
-
-    def test_quantiles_bracket_the_data(self):
-        h = Histogram("lat", buckets=(0.1, 0.2, 0.4, 0.8))
-        for _ in range(100):
-            h.observe(0.15)
-        assert 0.1 <= h.quantile(0.5) <= 0.2
-        assert h.quantile(0.0) <= h.quantile(0.5) <= h.quantile(1.0)
-
-    def test_quantile_clamps_to_max_beyond_last_bound(self):
-        h = Histogram("lat", buckets=(1.0,))
-        h.observe(50.0)
-        assert h.quantile(0.99) == 50.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(1.0, 1.0))
-        h = Histogram("h", buckets=(1.0,))
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_empty_histogram_quantile_is_zero(self):
-        h = Histogram("h", buckets=(1.0,))
-        assert h.quantile(0.5) == 0.0
-
-
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
@@ -117,33 +65,34 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("ops").inc(3)
         reg.gauge("depth", unit="b1").set(0.5)
-        reg.histogram("lat", buckets=(1.0,)).observe(0.2)
+        reg.gauge("lat").set_function(lambda: 0.2)
         samples = [json.loads(line) for line in reg.to_jsonl().splitlines()]
         by_name = {s["name"]: s for s in samples}
         assert by_name["ops"]["value"] == 3
+        assert by_name["ops"]["kind"] == "counter"
         assert by_name["depth"]["labels"] == {"unit": "b1"}
-        assert by_name["lat"]["count"] == 1
+        assert by_name["lat"] == {"name": "lat", "kind": "gauge",
+                                  "labels": {}, "value": 0.2}
 
     def test_prometheus_exposition(self):
         reg = MetricsRegistry()
-        reg.counter("runner.cells_total", "cells run").inc(2)
+        reg.counter("serve.sessions_created_total", "sessions created").inc(2)
         reg.gauge("bank.soc", unit="b1").set(0.4)
-        reg.histogram("tick_seconds", buckets=(0.1, 1.0)).observe(0.05)
+        reg.gauge("engine.mean_tick_seconds").set(0.05)
         text = reg.to_prometheus()
-        assert "# HELP runner_cells_total cells run" in text
-        assert "# TYPE runner_cells_total counter" in text
-        assert "runner_cells_total 2.0" in text
+        assert "# HELP serve_sessions_created_total sessions created" in text
+        assert "# TYPE serve_sessions_created_total counter" in text
+        assert "serve_sessions_created_total 2.0" in text
         assert 'bank_soc{unit="b1"} 0.4' in text
-        assert 'tick_seconds_bucket{le="0.1"} 1' in text
-        assert 'tick_seconds_bucket{le="+Inf"} 1' in text
-        assert "tick_seconds_count 1" in text
+        assert "# TYPE engine_mean_tick_seconds gauge" in text
+        assert "engine_mean_tick_seconds 0.05" in text
 
     def test_prometheus_escapes_label_values(self):
         reg = MetricsRegistry()
-        reg.counter("alerts_total",
-                    rule='say "hi"\nback\\slash').inc()
+        reg.counter("decisions_total",
+                    kind='say "hi"\nback\\slash').inc()
         text = reg.to_prometheus()
-        assert r'rule="say \"hi\"\nback\\slash"' in text
+        assert r'kind="say \"hi\"\nback\\slash"' in text
         assert "\nback" not in text.replace("\\nback", "")  # no raw newline
 
     def test_prometheus_escapes_help_text(self):
@@ -157,18 +106,19 @@ class TestRegistry:
         # exactly one HELP and one TYPE line, even when the help text
         # arrives on a later-created (or later-sorted) child.
         reg = MetricsRegistry()
-        reg.counter("alerts_total", rule="zz_first_created").inc()
-        reg.counter("alerts_total", "alerts fired per rule",
-                    rule="aa_sorted_first").inc()
+        reg.counter("decisions_total", kind="zz_first_created").inc()
+        reg.counter("decisions_total", "decisions recorded per kind",
+                    kind="aa_sorted_first").inc()
         reg.gauge("bank.soc", unit="b1").set(0.4)
         reg.gauge("bank.soc", unit="b2").set(0.5)
         text = reg.to_prometheus()
         lines = text.splitlines()
-        assert lines.count("# HELP alerts_total alerts fired per rule") == 1
-        assert lines.count("# TYPE alerts_total counter") == 1
+        assert lines.count(
+            "# HELP decisions_total decisions recorded per kind") == 1
+        assert lines.count("# TYPE decisions_total counter") == 1
         assert lines.count("# TYPE bank_soc gauge") == 1
         assert sum(1 for li in lines
-                   if li.startswith("# HELP alerts_total")) == 1
+                   if li.startswith("# HELP decisions_total")) == 1
 
     def test_prometheus_format_conformance(self):
         # Every non-comment line must be `name{labels} value` with a
@@ -176,11 +126,10 @@ class TestRegistry:
         import re
 
         reg = MetricsRegistry()
-        reg.counter("runner.cells_total", "cells run").inc(2)
+        reg.counter("serve.sessions_created_total", "sessions created").inc(2)
         reg.gauge("ledger.edge_wh", "energy per edge",
                   edge="pv.harvest").set(123.4)
-        reg.histogram("tick_seconds", "tick wall time",
-                      buckets=(0.1, 1.0)).observe(0.05)
+        reg.gauge("engine.mean_tick_seconds", "tick wall time").set(0.05)
         sample_re = re.compile(
             r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? \S+$')
         seen_types: list[str] = []
@@ -198,10 +147,3 @@ class TestRegistry:
         reg.counter("aaa")
         names = [s["name"] for s in reg.collect()]
         assert names == sorted(names)
-
-    def test_reset_global_registry(self):
-        first = global_registry()
-        first.counter("probe").inc()
-        fresh = reset_global_registry()
-        assert fresh is global_registry()
-        assert fresh.get("probe") is None

@@ -28,6 +28,48 @@ QUICK = {
 }
 
 
+#: A simulated week (about 120k ticks): a session the lifecycle matrix
+#: starts cannot finish while a case inspects it, and every case deletes it.
+LONG = {**QUICK, "duration_s": 7 * 86400.0}
+LIMIT = {"kind": "limit", "policy": "cap", "limit": 0.6}
+#: Status of each POST verb by session state: 409 for a lifecycle verb
+#: the state does not allow, 400 for an injection into a finished session.
+VERB_STATUS = {
+    "created": {"start": 200, "pause": 409, "resume": 409, "inject": 200},
+    "running": {"start": 409, "pause": 200, "resume": 409, "inject": 200},
+    "paused": {"start": 409, "pause": 409, "resume": 200, "inject": 200},
+    "done": {"start": 409, "pause": 409, "resume": 409, "inject": 400},
+    "failed": {"start": 409, "pause": 409, "resume": 409, "inject": 400},
+}
+
+
+def _status(call, *args) -> int:
+    """The HTTP status of one client call."""
+    try:
+        call(*args)
+    except ServeError as exc:
+        return exc.status
+    return 200
+
+
+def _session_in(client: ServeClient, daemon: ServeDaemon, state: str) -> str:
+    """Create a session and drive it into ``state``; returns its id."""
+    if state == "done":
+        sid = client.create_session(QUICK)["session"]
+        assert client.wait_done(sid, timeout=60.0)["state"] == "done"
+        return sid
+    sid = client.create_session(
+        LONG, autostart=state in ("running", "paused"))["session"]
+    if state == "paused":
+        client.pause(sid)
+    elif state == "failed":
+        # Break the session in the daemon's thread before it first steps.
+        daemon.manager.get(sid).system.engine.advance = None
+        client.start(sid)
+        assert client.wait_done(sid, timeout=60.0)["state"] == "failed"
+    return sid
+
+
 def _raw_status(client: ServeClient, request: bytes) -> int:
     """Send raw request bytes and return the status code of the reply."""
     with socket.create_connection((client.host, client.port),
@@ -216,6 +258,41 @@ class TestDaemonEndToEnd:
         assert "serve_sessions_created_total" in daemon_metrics
         session_metrics = client.session_metrics(info["session"])
         assert "engine_ticks" in session_metrics
+
+    @pytest.mark.parametrize("state", list(VERB_STATUS))
+    def test_lifecycle_matrix(self, client, daemon, state):
+        sessions = client.healthz()["sessions"]
+        sid = _session_in(client, daemon, state)
+        assert client.healthz()["sessions"] == sessions + 1
+        verbs = {"start": client.start, "pause": client.pause,
+                 "resume": client.resume,
+                 "inject": lambda s: client.inject(s, LIMIT)}
+        expected = VERB_STATUS[state]
+        # The verbs that leave the state as it is, then the one that moves it.
+        moving = [verb for verb in ("start", "pause", "resume")
+                  if expected[verb] == 200]
+        for verb in [verb for verb in verbs if verb not in moving]:
+            assert _status(verbs[verb], sid) == expected[verb], verb
+        assert client.get_session(sid)["state"] == state
+        assert _status(client.summary, sid) == (200 if state == "done" else 409)
+        assert _status(client.session_metrics, sid) == 200
+        for verb in moving:
+            assert _status(verbs[verb], sid) == 200, verb
+        assert client.delete_session(sid)["reaped"] is True
+        assert _status(client.get_session, sid) == 404
+        assert client.healthz()["sessions"] == sessions
+
+    def test_non_finite_injection_is_a_bad_request(self, client):
+        # json.loads accepts NaN and Infinity; an injected limit must not.
+        sid = client.create_session(QUICK, autostart=False)["session"]
+        for body in (b'{"kind": "limit", "policy": "cap", "limit": NaN}',
+                     b'{"kind": "control", "control": "charge_current_cap", '
+                     b'"limit": Infinity}'):
+            request = (f"POST /v1/sessions/{sid}/inject HTTP/1.1\r\n"
+                       f"Content-Length: {len(body)}\r\n\r\n").encode()
+            assert _raw_status(client, request + body) == 400, body
+        assert client.get_session(sid)["injections"] == 0
+        client.delete_session(sid)
 
     def test_reap(self, client):
         info = client.create_session(QUICK, autostart=False)

@@ -138,10 +138,11 @@ def _with_number(form: str, key: str, value: float) -> dict:
 
 class TestNumbers:
     """Every number a manifest carries must be finite: JSON's ``Infinity``
-    and ``NaN`` tokens parse to floats that size no run."""
+    and ``NaN`` tokens parse to floats that size no run, and an integer
+    literal can exceed the float range."""
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
-                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400],
+                             ids=["inf", "-inf", "nan", "int-past-float"])
     @pytest.mark.parametrize("form, key", [
         ("cell", "duration_s"),
         ("explicit", "mean_w"),

@@ -188,6 +188,13 @@ class TestInjection:
          "governor"),
         ({"kind": "control", "control": "nope", "limit": 0.5},
          "unknown control"),
+        ({"kind": "limit", "policy": "cap", "limit": float("nan")}, "finite"),
+        ({"kind": "limit", "policy": "cap", "limit": float("inf")}, "finite"),
+        ({"kind": "control", "control": "charge_current_cap",
+          "limit": float("nan")}, "finite"),
+        ({"kind": "control", "control": "duty_cap",
+          "limit": float("-inf")}, "finite"),
+        ({"kind": "limit", "policy": "cap", "limit": 10 ** 400}, "finite"),
     ])
     def test_invalid_injections(self, payload, match):
         _, session = self.make_running()

@@ -8,7 +8,6 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.experiments.runner import run_cells
-from repro.obs.registry import global_registry, reset_global_registry
 from repro.sim.cache import (
     ENV_VAR,
     RunCache,
@@ -188,14 +187,13 @@ class TestCachedCell:
         assert counted_cell.namespace == "tests.counted_cell"
 
     def test_pool_matches_serial(self, cell_cache, monkeypatch):
+        # A re-armed fallback warning is an error: the pool really ran.
         monkeypatch.setattr(runner_mod, "_POOL_WARNING_EMITTED", False)
-        reset_global_registry()
         cells = [dict(x=x) for x in range(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             pooled = run_cells(counted_cell, cells, max_workers=2,
                                backend="pool")
-        assert global_registry().get("runner.pool_fallbacks_total") is None
         # The workers computed and stored every cell.
         assert CALLS == []
         assert cell_cache.entry_count() == 4

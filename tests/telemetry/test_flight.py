@@ -1,6 +1,7 @@
 """Flight report: run_flight, Markdown/HTML rendering, artifacts,
 compare, span profile and cProfile dump."""
 
+import html
 import json
 import pstats
 
@@ -35,6 +36,8 @@ class TestRunFlight:
         assert flight.ticks == int(SHORT_H * 3600.0 / 5.0)
         assert flight.obs.ledger.closure().ok
         assert flight.ledger_edges["pv.harvest"] > 0
+        # The report's alerts are the alert decisions of the run.
+        assert flight.alerts == flight.obs.decisions.of_kind("alert")
 
     def test_collects_span_profile_and_decisions(self, flight):
         assert flight.wall_s > 0
@@ -128,9 +131,11 @@ class TestHtml:
     def test_escapes_content(self, flight):
         # The renderer must escape whatever lands in messages/labels.
         flight_alerts = flight.alerts
+        assert flight_alerts, "the seismic/cloudy day fires alerts"
         page = render_html(flight)
         for alert in flight_alerts:
-            assert f"<td>{alert.rule}</td>" in page
+            assert f"<td>{alert.kind.removeprefix('alert.')}</td>" in page
+            assert f"<td>{html.escape(alert.data['message'])}</td>" in page
 
 
 class TestArtifacts:

@@ -22,9 +22,33 @@ from repro.workloads import VideoSurveillance
 HOUR = 3600.0
 
 
+class FakeBus:
+    """The energy integrals (Wh) of :class:`~repro.power.bus.PowerBus`."""
+
+    def __init__(self):
+        self.e_solar_wh = self.e_solar_to_load_wh = 0.0
+        self.e_battery_to_load_wh = self.e_unserved_wh = 0.0
+        self.e_charge_bus_wh = self.e_charge_terminal_wh = 0.0
+        self.e_curtailed_wh = self.e_demand_bus_wh = 0.0
+        self.e_server_wall_wh = 0.0
+
+    def integrate(self, report, dt, solar_leak_w=0.0):
+        """One tick of ``report``'s flows, as ``PowerBus.resolve`` adds
+        them; ``solar_leak_w`` of harvest reaches no sink."""
+        dt_h = dt / 3600.0
+        self.e_solar_wh += (report.solar_available_w + solar_leak_w) * dt_h
+        self.e_solar_to_load_wh += report.solar_to_load_w * dt_h
+        self.e_battery_to_load_wh += report.battery_to_load_w * dt_h
+        self.e_unserved_wh += report.unserved_w * dt_h
+        self.e_charge_bus_wh += report.charge_power_w * dt_h
+        self.e_curtailed_wh += report.curtailed_w * dt_h
+        self.e_demand_bus_wh += report.demand_w * dt_h
+
+
 class FakePlant:
     def __init__(self, report):
         self.last_report = report
+        self.bus = FakeBus()
 
 
 def healthy_report(**overrides):
@@ -46,7 +70,11 @@ def make_checker(report=None, stride=1, **kwargs):
     return checker, bank, switchnet, plant
 
 
-def tick(checker, index=0, dt=5.0):
+def tick(checker, index=0, dt=5.0, solar_leak_w=0.0):
+    """Step the plant's bus through tick ``index``, then run the checker."""
+    plant = checker.plant
+    if plant.last_report is not None:
+        plant.bus.integrate(plant.last_report, dt, solar_leak_w)
     clock = Clock(dt=dt)
     clock.step_index = index
     clock.t = index * dt
@@ -99,14 +127,29 @@ class TestBusInvariants:
         assert any(v.invariant == "nonnegative_flow" for v in checker.violations)
 
     def test_accumulated_residual_tracks_leak(self):
-        # A 0.6 mW systematic leak stays below the 1 mW per-tick gate but
-        # integrates into the accumulated account and eventually trips it.
+        # A 0.6 mW systematic leak stays below the 1 mW per-tick gate, but
+        # the bus integrates it every tick and the integral trips.
         checker, _, _, _ = make_checker(
             healthy_report(solar_available_w=800.0006))
         for index in range(1500):
             tick(checker, index, dt=300.0)
-        assert any(v.component == "bus.accumulated"
-                   for v in checker.violations)
+        assert not any(v.component == "bus.solar" for v in checker.violations)
+        first = next(v for v in checker.violations
+                     if v.component == "bus.accumulated")
+        assert first.observed > 0.0
+        assert "solar-side" in first.message
+        # Past the 1 mWh floor the leak outgrows the 0.5 mWh/h slack.
+        assert first.t < 3 * HOUR
+
+    def test_leak_between_sampled_ticks_trips_the_integral(self):
+        # Every sampled report balances; the bus loses about 0.6 mW of
+        # harvest on every tick.  Only the integrals can see it.
+        checker, _, _, _ = make_checker(stride=12)
+        for index in range(1500):
+            tick(checker, index, dt=300.0, solar_leak_w=0.0006)
+        assert checker.checks_run == 125
+        assert {v.component for v in checker.violations} == {"bus.accumulated"}
+        assert all(v.observed > 0.0 for v in checker.violations)
 
     def test_missing_report_is_ignored(self):
         checker, _, _, plant = make_checker()

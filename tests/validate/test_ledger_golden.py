@@ -9,14 +9,12 @@ and proves three things per cell:
 * the ledger's flow edges agree with the independently computed
   RunSummary energy fields to within 0.1 %.
 
-The matrix fans out through ``run_cells``, which also exercises the
-runner's ledger/alert rollup into the global registry.
+The matrix fans out through ``run_cells``.
 """
 
 import pytest
 
 from repro.experiments.runner import run_cells
-from repro.obs.registry import global_registry, reset_global_registry
 from repro.validate import golden
 
 #: Cross-check tolerance: 0.1 % relative, with an absolute floor for
@@ -36,7 +34,6 @@ def _assert_close(cell: str, field: str, summary_kwh: float, ledger_wh: float):
 
 @pytest.mark.golden
 def test_ledger_matrix_cross_check():
-    reset_global_registry()
     records = run_cells(golden.compute_ledger_cell, golden.matrix_cells())
     assert len(records) == len(golden.matrix_cells()) == 12
 
@@ -64,16 +61,3 @@ def test_ledger_matrix_cross_check():
         # The ledger's harvest edge is the summary's solar total.
         _assert_close(cell, "solar_energy_kwh", energy["solar_energy_kwh"],
                       edges["pv.harvest"])
-
-    # The fan-out rolled per-cell ledgers and alert counts into the
-    # global registry (fleet totals).
-    registry = global_registry()
-    harvest = registry.get("runner.ledger_wh_total", edge="pv.harvest")
-    assert harvest is not None and harvest.value > 0
-    total_alerts = sum(sum(r["alert_counts"].values()) for r in records)
-    if total_alerts:
-        rolled = sum(
-            metric.value for metric in registry
-            if metric.name == "runner.alerts_total"
-        )
-        assert rolled == total_alerts
