@@ -18,12 +18,16 @@ run then silently diverges.  This rule closes that gap structurally:
    mutation are reported as stale;
 4. every int or float literal in a fleet module outside
    :data:`FREE_LITERALS` is reported: a copied parameter diverges silently
-   when its scalar owner changes.  Values the fleet owns carry an allow.
+   when its scalar owner changes.  Values the fleet owns carry an allow;
+5. every entry of :data:`LAW_MAP` names a fleet function and a scalar
+   function that both exist, so the law-by-law test
+   (``tests/sim/fleet/test_laws.py``) cannot walk a stale table.
 
 The tables below are part of the reviewed contract: adding scalar state
 means either porting it to the fleet kernel and extending
 :data:`FIELD_MAP`, or recording in :data:`NOT_PORTED` why fleet runs can
-ignore it.
+ignore it; porting a scalar law means extending :data:`LAW_MAP` and the
+law test together.
 """
 
 from __future__ import annotations
@@ -199,6 +203,43 @@ NOT_PORTED: dict[str, str] = {
 }
 
 
+#: Each law the fleet kernel restates, ``Class.function`` in a fleet
+#: module -> its scalar twin, ``module:Class.function``.  The law test
+#: compares every pair elementwise over inputs that reach each clamp.
+LAW_MAP: dict[str, str] = {
+    "_FleetBatch._kibam_step": "repro.battery.kibam:KiBaM.apply_current",
+    "_FleetBatch._emf": "repro.battery.voltage:VoltageModel.emf",
+    "_FleetBatch._terminal_voltage": "repro.battery.voltage:VoltageModel.terminal",
+    "_FleetBatch._max_discharge_current":
+        "repro.battery.unit:BatteryUnit.max_discharge_current",
+    "_FleetBatch._acceptance_max_current":
+        "repro.battery.acceptance:ChargeAcceptance.max_current",
+    "_FleetBatch._acceptance_effective":
+        "repro.battery.acceptance:ChargeAcceptance.effective_current",
+    "_FleetBatch._record_discharge_wear": "repro.battery.wear:WearModel.record",
+    "_FleetBatch._converter_input": "repro.power.converters:DCDCConverter.input_for",
+    "_FleetBatch._server_power": "repro.cluster.server:Server.power_w",
+}
+
+
+def _defines(module: ModuleSource, qualname: str) -> bool:
+    """Whether ``module`` defines ``Class.function`` (or a top-level
+    ``function``), a method or a property alike."""
+    body: list[ast.stmt] = module.tree.body
+    *classes, name = qualname.split(".")
+    for class_name in classes:
+        found = [node for node in body
+                 if isinstance(node, ast.ClassDef) and node.name == class_name]
+        if not found:
+            return False
+        body = found[0].body
+    return any(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == name
+        for node in body
+    )
+
+
 def _scalar_mutations(
     module: ModuleSource,
 ) -> dict[str, tuple[ModuleSource, ast.AST]]:
@@ -313,11 +354,13 @@ class KernelParityRule(Rule):
         fleet_modules: tuple[str, ...] = FLEET_MODULES,
         field_map: dict[str, tuple[str, ...]] | None = None,
         not_ported: dict[str, str] | None = None,
+        law_map: dict[str, str] | None = None,
     ) -> None:
         self.scalar_modules = scalar_modules
         self.fleet_modules = fleet_modules
         self.field_map = FIELD_MAP if field_map is None else field_map
         self.not_ported = NOT_PORTED if not_ported is None else not_ported
+        self.law_map = LAW_MAP if law_map is None else law_map
 
     def check_module(self, module: ModuleSource) -> list[Finding]:
         if module.module not in self.fleet_modules:
@@ -387,4 +430,16 @@ class KernelParityRule(Rule):
                     f"stale NOT_PORTED entry {key}: no scalar kernel "
                     f"mutation matches it",
                 ))
+        for fleet_law, scalar_law in sorted(self.law_map.items()):
+            module_name, _, qualname = scalar_law.partition(":")
+            scalar_mod = project.get(module_name)
+            if not any(_defines(mod, fleet_law) for mod in fleet_mods):
+                missing = f"no fleet module defines {fleet_law}"
+            elif scalar_mod is None or not _defines(scalar_mod, qualname):
+                missing = f"{scalar_law} does not exist"
+            else:
+                continue
+            findings.append(anchor.finding(
+                self.id, None, f"stale LAW_MAP entry {fleet_law}: {missing}",
+            ))
         return findings

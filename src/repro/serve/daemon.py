@@ -319,8 +319,7 @@ class ServeDaemon:
             writer.write(_json_response(200, session.summary_payload))
             return
         if action == "metrics" and method == "GET":
-            writer.write(_text_response(
-                200, session.obs.registry.to_prometheus()))
+            writer.write(_text_response(200, session.metrics_text()))
             return
         if action == "events" and method == "GET":
             await self._stream_events(session, headers, query, writer)

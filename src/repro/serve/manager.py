@@ -8,7 +8,12 @@ interleave fairly: wall-clock per scheduling turn is bounded, not ticks.
 
 The manager is loop-agnostic: :meth:`step_once` is a plain synchronous
 method (used directly by tests), and :meth:`run` is the asyncio pump the
-daemon spawns.  Daemon-level counters (sessions created/completed,
+daemon spawns.
+
+Finished sessions (``done`` or ``failed``) stay until a client deletes
+them, up to ``max_sessions`` of them: past that, each one that finishes
+reaps the oldest finished one, so a daemon whose clients never delete
+holds a bounded number.  Daemon-level counters (sessions created/completed,
 slices stepped) live in a private
 :class:`~repro.obs.registry.MetricsRegistry` exported at ``/metrics``.
 """
@@ -16,6 +21,7 @@ slices stepped) live in a private
 from __future__ import annotations
 
 import asyncio
+import gc
 from collections.abc import Iterable
 
 from repro.obs.registry import MetricsRegistry
@@ -37,6 +43,9 @@ class SessionManager:
         self.max_sessions = int(max_sessions)
         self.max_buffered_events = int(max_buffered_events)
         self.sessions: dict[str, Session] = {}
+        #: Ids of finished sessions still held, oldest first.
+        self._finished: dict[str, None] = {}
+        self._reaped = 0
         self.registry = MetricsRegistry()
         self._counter = 0
         self._wakeup: asyncio.Event | None = None
@@ -86,6 +95,7 @@ class SessionManager:
 
     def remove(self, session_id: str) -> Session:
         """Reap a session (any state); its event buffer goes with it."""
+        self._finished.pop(session_id, None)
         return self.sessions.pop(self.get(session_id).id)
 
     def list_info(self) -> list[dict]:
@@ -105,17 +115,33 @@ class SessionManager:
         """
         executed = 0
         for session in list(self.runnable()):
-            before_state = session.state
-            ticks = session.step_slice()
-            executed += ticks
-            if ticks:
-                self._slices.inc()
-            if before_state != session.state:
-                if session.state == SessionState.DONE:
-                    self._completed.inc()
-                elif session.state == SessionState.FAILED:
-                    self._failed.inc()
+            executed += self._step(session)
         return executed
+
+    def _step(self, session: Session) -> int:
+        """Step one slice of ``session``; count it and, if the session
+        finished, reap past ``max_sessions`` finished sessions."""
+        before = session.state
+        ticks = session.step_slice()
+        if ticks:
+            self._slices.inc()
+        if session.state == before or session.state in SessionState.LIVE:
+            return ticks
+        (self._completed if session.state == SessionState.DONE
+         else self._failed).inc()
+        if session.id in self.sessions:  # not deleted mid-turn
+            self._finished[session.id] = None
+        while len(self._finished) > self.max_sessions:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
+            del self.sessions[oldest]
+            self._reaped += 1
+            # A released plant is a graph of reference cycles that only a
+            # full collection frees; one per max_sessions reaps bounds what
+            # a daemon at its cap holds.
+            if self._reaped % self.max_sessions == 0:
+                gc.collect()
+        return ticks
 
     def kick(self) -> None:
         """Wake the asyncio pump (new session, resume, injection)."""
@@ -137,16 +163,8 @@ class SessionManager:
             while True:
                 stepped_any = False
                 for session in list(self.runnable()):
-                    before_state = session.state
-                    ticks = session.step_slice()
-                    if ticks:
-                        self._slices.inc()
+                    if self._step(session):
                         stepped_any = True
-                    if before_state != session.state:
-                        if session.state == SessionState.DONE:
-                            self._completed.inc()
-                        elif session.state == SessionState.FAILED:
-                            self._failed.inc()
                     await asyncio.sleep(0)  # let HTTP handlers run
                 if not stepped_any:
                     self._wakeup.clear()

@@ -13,6 +13,11 @@ Sessions are plain synchronous objects (no asyncio in this module): the
 daemon drives them from its loop, and the unit suite drives them
 directly.
 
+A session that finishes (``done`` or ``failed``) releases its plant: the
+system, the observability bundle and the tap go, and what the session
+still answers with stays — the summary, the event buffer, the final
+simulated time and the final Prometheus text of its metrics.
+
 Decision injection
 ------------------
 :meth:`inject` lets an external client steer a live run through the
@@ -90,6 +95,9 @@ class Session:
         self.injections = 0
         self.summary_payload: dict[str, Any] | None = None
         self.error: str | None = None
+        #: The final simulated time and metrics text, once released.
+        self._final_t = 0.0
+        self._final_metrics = ""
         self._emit("hello", {
             "session": self.id,
             "manifest": render_manifest(manifest),
@@ -101,7 +109,15 @@ class Session:
     # ------------------------------------------------------------------
     @property
     def clock_t(self) -> float:
+        if self.system is None:
+            return self._final_t
         return self.system.engine.clock.t
+
+    def metrics_text(self) -> str:
+        """The per-session Prometheus exposition (final once finished)."""
+        if self.obs is None:
+            return self._final_metrics
+        return self.obs.registry.to_prometheus()
 
     def info(self) -> dict[str, Any]:
         """The session descriptor returned by the HTTP endpoints."""
@@ -156,6 +172,7 @@ class Session:
             self._set_state(SessionState.FAILED)
             self._emit("error", {"error": self.error, "t": self.clock_t})
             self._emit("end", {"session": self.id, "state": self.state})
+            self._release()
             return 0
 
     # ------------------------------------------------------------------
@@ -328,3 +345,13 @@ class Session:
         self._emit("summary", self.summary_payload)
         self._set_state(SessionState.DONE)
         self._emit("end", {"session": self.id, "state": self.state})
+        self._release()
+
+    def _release(self) -> None:
+        """Drop the plant of a finished session, keeping what it answers."""
+        self._final_t = self.clock_t
+        try:
+            self._final_metrics = self.obs.registry.to_prometheus()
+        except Exception as exc:  # a failed plant may not render
+            self._final_metrics = f"# metrics unavailable: {type(exc).__name__}\n"
+        self.system = self.obs = self.tap = None

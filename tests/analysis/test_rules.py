@@ -134,12 +134,13 @@ class TestAsyncHygieneRule:
 
 
 class TestKernelParityRule:
-    def _rule(self, field_map, not_ported=None):
+    def _rule(self, field_map, not_ported=None, law_map=None):
         return KernelParityRule(
             scalar_modules=("fix.scalar",),
             fleet_modules=("fix.fleet",),
             field_map=field_map,
             not_ported=not_ported or {},
+            law_map=law_map or {},
         )
 
     def _modules(self):
@@ -180,6 +181,22 @@ class TestKernelParityRule:
         messages = " ".join(f.message for f in findings)
         assert "stale FIELD_MAP entry Tank.ghost" in messages
         assert "stale NOT_PORTED entry Tank.phantom" in messages
+
+    def test_stale_law_entries_fire(self):
+        rule = self._rule(
+            {"Tank.level_wh": ("level",)},
+            {"Tank.overflow_wh": "obs-only"},
+            {"TankBatch.step": "fix.scalar:Tank.step",
+             "TankBatch.drain": "fix.scalar:Tank.step",
+             "TankBatch.__init__": "fix.scalar:Tank.drain"},
+        )
+        findings = run_rule(rule, *self._modules())
+        assert sorted(f.message for f in findings) == [
+            "stale LAW_MAP entry TankBatch.__init__: "
+            "fix.scalar:Tank.drain does not exist",
+            "stale LAW_MAP entry TankBatch.drain: "
+            "no fleet module defines TankBatch.drain",
+        ]
 
     def test_wiring_methods_exempt(self):
         # bind() writes Tank.sink; it must not need a mapping.

@@ -8,11 +8,13 @@ the way the CI smoke driver does.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import threading
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import daemon as daemon_module
@@ -356,3 +358,86 @@ def test_read_request_parses_or_answers_4xx(data, limit):
         pass  # A truncated body: _handle_connection treats it as a hang-up.
     else:
         assert len(body) == int(headers.get("content-length") or "0")
+
+
+def _raw_reply(client: ServeClient, data: bytes) -> bytes:
+    """Send ``data``, half-close, and return every byte of the reply."""
+    with socket.create_connection((client.host, client.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+def _expected_read(data: bytes):
+    """How the daemon's request reader takes ``data`` followed by EOF:
+    the parsed request, an HttpError, or None for a truncated body."""
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await ServeDaemon()._read_request(reader)
+
+    try:
+        return asyncio.run(read())
+    except HttpError as exc:
+        return exc
+    except asyncio.IncompleteReadError:
+        return None
+
+
+def _stray_tasks(daemon: ServeDaemon) -> list:
+    """Tasks pending on the daemon's loop besides its own: the session
+    pump and the wake-up wait the pump parks on (``wait_for`` runs it as
+    a task)."""
+    async def collect():
+        mine = asyncio.current_task()
+        return [t for t in asyncio.all_tasks()
+                if t is not mine and t is not daemon._pump
+                and t.get_coro().__qualname__ != "Event.wait"]
+
+    return asyncio.run_coroutine_threadsafe(
+        collect(), daemon._pump.get_loop()).result(5)
+
+
+#: Complete requests the API serves: the read-only routes and a session
+#: create from a valid manifest (an empty body is the default manifest).
+_SERVED = {("GET", "/healthz"), ("GET", "/v1/cells"), ("GET", "/v1/sessions"),
+           ("POST", "/v1/sessions")}
+
+
+@pytest.mark.serve
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=256) | near_valid_requests())
+# A body cut short of its Content-Length, and a served request.
+@example(data=b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 9\r\n\r\n{")
+@example(data=b"GET /healthz HTTP/1.1\r\n\r\n")
+def test_live_daemon_answers_fuzzed_requests(client, daemon, data):
+    """Fuzzed bytes over a real socket: a truncated request is hung up on,
+    a request the reader refuses gets that 4xx, any other request its
+    route's answer (a 4xx unless it is a served route), and no session
+    or connection task outlives the request."""
+    sessions = client.healthz()["sessions"]
+    reply = _raw_reply(client, data)
+    expected = _expected_read(data)
+    if expected is None:
+        assert reply == b""
+    elif isinstance(expected, HttpError):
+        assert int(reply.split(b" ", 2)[1]) == expected.status
+    else:
+        method, target, _headers, _body = expected
+        status = int(reply.split(b" ", 2)[1])
+        route = (method, target.split("?")[0].rstrip("/"))
+        assert 400 <= status < 500 or (route in _SERVED and status < 300), (
+            status, route)
+        if status == 201:  # a valid create: take the session back out
+            client.delete_session(json.loads(reply.split(b"\r\n\r\n", 1)[1])["session"])
+    assert client.healthz()["sessions"] == sessions
+    deadline = time.monotonic() + 5.0
+    while stray := _stray_tasks(daemon):
+        assert time.monotonic() < deadline, stray
+        time.sleep(0.01)

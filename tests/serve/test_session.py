@@ -102,6 +102,46 @@ class TestLifecycle:
         with pytest.raises(KeyError):
             manager.get(session.id)
 
+    def test_finished_sessions_release_their_plant_and_are_reaped(self):
+        manager = SessionManager(max_sessions=2)
+        first = manager.create(parse_manifest(SHORT), autostart=True)
+        # What a live SSE client would have received, byte for byte.
+        streamed = [e.encode() for e in first.events.events_after(0)]
+        first.events.subscribe(lambda event: streamed.append(event.encode()))
+        drive(manager, first)
+        info, summary = first.info(), first.summary_payload
+        metrics = first.metrics_text()
+        assert "engine_ticks" in metrics and info["sim_t"] == 1800.0
+        sessions = [first]
+        for seed in (4, 5, 6, 7):
+            session = manager.create(parse_manifest({**SHORT, "seed": seed}),
+                                     autostart=True)
+            drive(manager, session)
+            sessions.append(session)
+            finished = [s for s in manager.sessions.values()
+                        if s.state not in SessionState.LIVE]
+            assert len(finished) <= manager.max_sessions
+        assert [s.id for s in manager.sessions.values()] == [
+            s.id for s in sessions[-2:]]
+        for session in sessions:
+            assert (session.system, session.obs, session.tap) == (None, None, None)
+        # A released session answers exactly as it did when it finished.
+        assert (first.info(), first.summary_payload) == (info, summary)
+        assert first.metrics_text() == metrics
+        assert [e.encode() for e in first.events.events_after(0)] == streamed
+
+    def test_failed_sessions_release_their_plant(self):
+        manager = SessionManager()
+        session = manager.create(parse_manifest(SHORT), autostart=True)
+        manager.step_once()
+        t = session.clock_t
+        session.system.engine.advance = None
+        manager.step_once()
+        assert session.state == SessionState.FAILED
+        assert (session.system, session.obs, session.tap) == (None, None, None)
+        assert session.info()["sim_t"] == t > 0.0
+        assert "engine_ticks" in session.metrics_text()
+
     def test_manager_metrics(self):
         manager = SessionManager()
         session = manager.create(parse_manifest(SHORT), autostart=True)
