@@ -201,7 +201,19 @@ def _view_batches() -> list[tuple]:
 
 
 class TestViews:
-    """The cached rack and bank views never go stale."""
+    """The cached rack and bank views never go stale, and the rows of
+    stacked state stay rows."""
+
+    #: Stacked state -> the names its rows go by.  Each is written only
+    #: in place: a rebound name stops following its stack.
+    STACKED_ROWS = {
+        "_ema": ("ema", "ema_slow"),
+        "_source": ("_tick_tv", "last_i"),
+        "_integrals": ("uptime_s", "stored_int", "load_wh", "eff_wh",
+                       "solar_wh", "used_wh", "curt_wh"),
+        "_rows": ("_up_row", "_stored_row", "_metrics_demand", "_eff_row",
+                  "_solar_row", "_used_row", "_rep_curtailed"),
+    }
 
     @staticmethod
     def _assert_fresh(cached, fresh, tick):
@@ -248,3 +260,9 @@ class TestViews:
         assert batch.steps == 1440
         if sheds:
             assert batch.crash_count[-1] > 0
+        for stack, rows in self.STACKED_ROWS.items():
+            for row, name in zip(getattr(batch, stack), rows):
+                assert np.shares_memory(getattr(batch, name), row), (
+                    f"{name} was rebound and no longer a row of {stack}"
+                )
+
