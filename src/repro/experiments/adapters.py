@@ -39,7 +39,7 @@ def _spec_fullsystem(controller: str, workload_kind: str, profile: str,
         workload=workload_kind,
         seed=seed,
         initial_soc=initial_soc,
-        trace_power_w=tuple(trace.power_w),
+        trace_power_w=trace.power_w,
         trace_dt_s=dt,
         dt_s=dt,
     )
@@ -56,7 +56,7 @@ def _spec_table6(day: str, controller: str, seed: int, initial_soc: float,
         workload="seismic",
         seed=seed,
         initial_soc=initial_soc,
-        trace_power_w=tuple(trace.power_w),
+        trace_power_w=trace.power_w,
         trace_dt_s=dt,
         dt_s=dt,
     )
@@ -73,7 +73,7 @@ def _spec_provisioning(battery_count: int, solar_scale: float, seed: int,
         workload="video",
         seed=seed,
         initial_soc=0.55,
-        trace_power_w=tuple(trace.power_w),
+        trace_power_w=trace.power_w,
         trace_dt_s=trace.dt_seconds,
         battery_count=battery_count,
         dt_s=trace.dt_seconds,
@@ -99,7 +99,7 @@ def _spec_scenario(scenario: str, seed: int | None, initial_soc: float,
         workload=spec.workload,
         seed=seed,
         initial_soc=initial_soc,
-        trace_power_w=tuple(trace.power_w),
+        trace_power_w=trace.power_w,
         trace_dt_s=dt,
         dt_s=dt,
         scenario=scenario,

@@ -2,14 +2,17 @@
 
 One :class:`_FleetBatch` holds the full plant state of N sites as numpy
 arrays — battery wells ``(B, N)``, server states ``(S, N)``, controller
-scalars ``(N,)``, the solar trace ``(steps, N)`` — and replays the scalar
-engine's per-tick component order (source → controller → rack → plant →
-metrics) with one vectorized op per physical expression.
+scalars ``(N,)``, each distinct solar trace once in a ``(steps, U)`` table
+with a column index per site — and replays the scalar engine's per-tick
+component order (source → controller → rack → plant → metrics) with one
+vectorized op per physical expression.  No array it holds is sized steps
+× N: its memory grows with the sites and the distinct traces, plus the
+per-minute voltage samples the summaries' sigma keeps (8 B a site-minute).
 
 The site axis always comes last.  A per-site ``(N,)`` vector then
 broadcasts over a bank or rack as it is, every reduction over the cells
-of a site runs along axis 0 over contiguous rows of N, and a tick reads
-its solar samples as one contiguous row.  numpy reduces a C-contiguous
+of a site runs along axis 0 over contiguous rows of N, and a tick gathers
+its solar samples into one contiguous row.  numpy reduces a C-contiguous
 ``(B, N)`` array over axis 0 row by row, ``((x0 + x1) + x2)``: the order
 its pairwise sum takes for fewer than 8 cells along a last axis, so the
 layout leaves every sum the scalar-matching order it had.
@@ -73,6 +76,7 @@ from repro.power.converters import (
 )
 from repro.power.sensors import NOISE_BLOCK, CurrentTransducer, VoltageTransducer
 from repro.sim.rng import RandomStreams
+from repro.solar.traces import power_samples
 from repro.telemetry.metrics import VOLTAGE_SAMPLE_S
 from repro.workloads import SeismicAnalysis, VideoSurveillance
 from repro.workloads.base import JOB_EPSILON_GB
@@ -112,6 +116,10 @@ class SiteSpec:
 
     ``trace_power_w`` / ``trace_dt_s`` are the solar day trace exactly as
     the scalar :class:`~repro.solar.field.TracePlayer` would replay it.
+    The trace may be any 1-D sequence of watts.  A float64 array (a
+    :class:`~repro.solar.traces.DayTrace`'s ``power_w``, as the experiment
+    adapters pass it) is kept without a Python object per sample, and
+    sites that share one trace object share its storage in the batch.
     :func:`simulate_fleet` steps the sites sharing (controller, workload,
     battery_count, server_count, dt_s, steps, scenario) as one lockstep
     batch; sites that differ in any of these go to separate batches.
@@ -121,7 +129,7 @@ class SiteSpec:
     workload: str
     seed: int
     initial_soc: float
-    trace_power_w: tuple
+    trace_power_w: Sequence[float] | np.ndarray
     trace_dt_s: float
     battery_count: int = 3  # repro: allow[kernel-parity] build_system default
     server_count: int = 4  # repro: allow[kernel-parity] build_system default
@@ -194,6 +202,21 @@ def _check_scenario_supported(spec: SiteSpec) -> None:
             )
 
 
+def _check_traces(specs: Sequence[SiteSpec]) -> None:
+    """DayTrace's sample rule, applied to each distinct trace object once
+    and before any batch runs."""
+    checked: set[int] = set()
+    for index, spec in enumerate(specs):
+        power = spec.trace_power_w
+        if id(power) in checked:
+            continue
+        checked.add(id(power))
+        try:
+            power_samples(power)
+        except ValueError as exc:
+            raise ValueError(f"site {index}: {exc}") from None
+
+
 def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
     """Run every site and return per-site run summaries (dicts).
 
@@ -201,10 +224,12 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
     in input order.  Raises :class:`FleetUnsupported` if any site cannot
     be batched, ValueError for an initial SoC outside [0, 1], a rack too
     small for the workload's VMs or a duty control on a controller without
-    a duty knob (as the scalar build does).
+    a duty knob (as the scalar build does), and for a solar trace that
+    breaks :func:`~repro.solar.traces.power_samples` (naming the site).
     """
     for spec in specs:
         _check_supported(spec)
+    _check_traces(specs)
     groups: dict[tuple, list[int]] = {}
     for index, spec in enumerate(specs):
         key = (
@@ -356,20 +381,24 @@ class _FleetBatch:
         self.bank_rows = np.arange(self.b)[:, None]
 
     def _init_trace(self) -> None:
-        # One row per tick, so a tick reads its samples contiguously.
-        trace = np.zeros((self.steps, self.n), dtype=np.float64)
-        # Sites often share one trace tuple (and a frozen spec's tuple
-        # never changes): convert each distinct one once, only its first
-        # ``steps`` samples, and write it into its site's column in place.
-        columns: dict[int, np.ndarray] = {}
-        for i, spec in enumerate(self.specs):
+        # Sites often share one trace object (and a frozen spec never
+        # rebinds it): each distinct one is converted once, its first
+        # ``steps`` samples stored in one column of a (steps, u) table,
+        # zero past its end, and each site keeps its column's index.
+        columns: dict[int, int] = {}
+        traces = []
+        site_column = []
+        for spec in self.specs:
             power = spec.trace_power_w
-            column = columns.get(id(power))
-            if column is None:
-                column = columns[id(power)] = np.asarray(
-                    power[:self.steps], dtype=np.float64)
-            trace[:column.shape[0], i] = column
-        self.trace = trace
+            if id(power) not in columns:
+                columns[id(power)] = len(traces)
+                traces.append(power)
+            site_column.append(columns[id(power)])
+        self._trace_col = np.array(site_column, dtype=np.intp)
+        self._trace = np.zeros((self.steps, len(traces)), dtype=np.float64)
+        for column, power in zip(self._trace.T, traces, strict=True):
+            samples = np.asarray(power[:self.steps], dtype=np.float64)
+            column[:len(samples)] = samples
 
     def _init_battery(self) -> None:
         n, b = self.n, self.b
@@ -1293,7 +1322,9 @@ class _FleetBatch:
         return self.summaries()
 
     def step_tick(self, k: int) -> None:
-        solar = self.trace[k]
+        # A fresh (n,) row gathered from tick k's row of distinct traces;
+        # nothing writes into it.
+        solar = self._trace[k][self._trace_col]
         # Component order mirrors the engine: source (solar row),
         # controller, rack, plant coupler, metrics.
         self._sense(k)

@@ -123,7 +123,7 @@ def spec_for_cell(
         workload=cell.workload,
         seed=cell.seed,
         initial_soc=INITIAL_SOC,
-        trace_power_w=tuple(trace.power_w),
+        trace_power_w=trace.power_w,
         trace_dt_s=DT_SECONDS,
         duration_s=duration_s,
         scenario=scenario,

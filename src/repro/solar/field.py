@@ -94,10 +94,6 @@ class ConstantSource(Component):
 
 
 def trace_from_array(power_w: np.ndarray, dt_seconds: float, start_hour: float = 7.0) -> DayTrace:
-    """Wrap a raw power array (e.g. from a CSV of measurements) as a trace."""
-    arr = np.asarray(power_w, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("power_w must be one-dimensional")
-    if (arr < 0).any():
-        raise ValueError("power values must be non-negative")
-    return DayTrace(start_hour=start_hour, dt_seconds=dt_seconds, power_w=arr)
+    """Wrap a raw power array (e.g. from a CSV of measurements) as a trace;
+    :class:`DayTrace` checks the samples."""
+    return DayTrace(start_hour=start_hour, dt_seconds=dt_seconds, power_w=power_w)

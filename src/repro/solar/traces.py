@@ -16,6 +16,7 @@ battery charger for comparable experiments.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,26 @@ TRACE_START_HOUR = 7.0
 TRACE_END_HOUR = 20.0
 
 
+def power_samples(power_w: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``power_w`` as a float64 array, checked as a solar trace's samples.
+
+    A trace is a 1-D sequence of finite, non-negative watts: a PV source
+    never draws power, and one NaN or infinite sample would make every
+    energy integral downstream NaN or infinite.  Raises ``ValueError``
+    naming the first sample that breaks the rule.  A float64 array comes
+    back as it is, not copied.
+    """
+    arr = np.asarray(power_w, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"power_w must be one-dimensional, got shape {arr.shape}")
+    ok = np.isfinite(arr) & (arr >= 0.0)
+    if not ok.all():
+        index = int(np.argmin(ok))
+        raise ValueError(f"power sample {index} is {float(arr[index])} W; solar "
+                         "samples must be finite and non-negative")
+    return arr
+
+
 @dataclass(frozen=True)
 class DayTrace:
     """A solar power trace sampled on a fixed grid.
@@ -43,12 +64,17 @@ class DayTrace:
     dt_seconds:
         Sample spacing.
     power_w:
-        Power available at the PV bus for each sample.
+        Power available at the PV bus for each sample, kept as the
+        float64 array :func:`power_samples` returns: construction raises
+        ``ValueError`` for a sample that is negative, NaN or infinite.
     """
 
     start_hour: float
     dt_seconds: float
     power_w: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "power_w", power_samples(self.power_w))
 
     @property
     def duration_s(self) -> float:

@@ -75,7 +75,8 @@ def export_day_trace_csv(trace: DayTrace, path: str | Path) -> Path:
 
 def load_day_trace_csv(path: str | Path) -> DayTrace:
     """Load a trace saved by :func:`export_day_trace_csv` (or hand-made
-    measurements in the same layout)."""
+    measurements in the same layout).  A sample that is negative, NaN or
+    infinite raises ``ValueError``, as :class:`DayTrace` does."""
     path = Path(path)
     powers: list[float] = []
     start_hour = 7.0

@@ -1,5 +1,6 @@
 """Fleet backend routing, cell-id failure naming, Monte Carlo stats."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import adapters
@@ -44,6 +45,43 @@ class TestAdapterRegistry:
 
         with pytest.raises(FleetUnsupported, match="no fleet adapter"):
             adapters.run_cells_fleet(_double, [dict(x=1)])
+
+
+class TestAdapterSpecs:
+    def test_specs_carry_the_trace_as_a_float64_array(self, monkeypatch):
+        # A tuple of np.float64 objects costs about 40 B a sample against
+        # 8 in an array: every adapter hands the kernel DayTrace.power_w.
+        from repro.experiments.fullsystem import run_single
+        from repro.experiments.provisioning import run_provisioning_cell
+        from repro.experiments.scenarios import run_scenario_cell
+        from repro.experiments.table6 import run_table6_cell
+        from repro.sim.fleet.validator import spec_for_cell
+
+        class Captured(Exception):
+            pass
+
+        specs = [spec_for_cell("insure", "video", "sunny")]
+
+        def capture(batch):
+            specs.extend(batch)
+            raise Captured
+
+        monkeypatch.setattr(adapters, "simulate_fleet", capture)
+        cells = (
+            (run_single, dict(controller="insure", workload_kind="video",
+                              profile="sunny", solar_mean_w=800.0, seed=5)),
+            (run_table6_cell, dict(day="cloudy", controller="insure", seed=2)),
+            (run_provisioning_cell, dict(battery_count=3, solar_scale=1.0, seed=4)),
+            (run_scenario_cell, dict(scenario="carbon-chasing")),
+        )
+        for fn, cell in cells:
+            with pytest.raises(Captured):
+                adapters.run_cells_fleet(fn, [dict(cell, use_cache=False)])
+        assert len(specs) == 1 + len(cells)
+        for spec in specs:
+            assert isinstance(spec.trace_power_w, np.ndarray)
+            assert spec.trace_power_w.dtype == np.float64
+            assert spec.trace_power_w.ndim == 1
 
 
 class TestFleetCacheSeparation:

@@ -61,6 +61,23 @@ class TestSiteSpec:
         with pytest.raises(ValueError, match=r"initial soc must be in \[0,1\]"):
             simulate_fleet([_spec(initial_soc=soc)])
 
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+    def test_bad_solar_sample_rejected_before_any_batch_runs(self, bad, monkeypatch):
+        # DayTrace's rule, which the scalar build applies: the site whose
+        # trace holds a negative, NaN or infinite sample is named, and no
+        # batch runs, not even the good sites' own.
+        from repro.sim.fleet import kernel
+
+        def no_batch(specs):
+            pytest.fail("a batch was built before every trace was checked")
+
+        monkeypatch.setattr(kernel, "_FleetBatch", no_batch)
+        trace = [800.0] * 120
+        trace[7] = bad
+        with pytest.raises(ValueError, match=r"site 2: power sample 7 is"):
+            simulate_fleet([_spec(), _spec(controller="baseline"),
+                            _spec(trace_power_w=tuple(trace))])
+
     @pytest.mark.parametrize("scenario", ["carbon-chasing", "grid-hybrid"])
     def test_duty_cap_on_baseline_rejected_by_both_kernels(self, scenario):
         # The baseline controller has no DVFS duty knob: the scalar build
@@ -90,20 +107,59 @@ class TestSiteSpec:
 
 
 class TestTrace:
-    def test_shared_and_short_traces_fill_their_rows(self):
-        # One row per tick, one column per site.  Sites sharing one trace
-        # tuple convert it once; a trace shorter than the horizon leaves
-        # the rest of its column at zero.
+    @staticmethod
+    def _batch(traces, duration_s):
         from repro.sim.fleet.kernel import _FleetBatch
 
+        return _FleetBatch([_spec(trace_power_w=trace, duration_s=duration_s)
+                            for trace in traces])
+
+    def test_shared_and_short_traces_fill_their_rows(self):
+        # Each tick's solar row holds every site's own sample: zero past
+        # the end of a trace shorter than the horizon, the same samples
+        # for sites sharing one trace object.
+        from repro.sim.fleet import controllers
+
         shared = tuple(float(i) for i in range(200))
-        short = tuple(float(-i) for i in range(50))
-        batch = _FleetBatch([_spec(trace_power_w=trace, duration_s=600.0)
-                             for trace in (shared, short, shared)])
-        assert batch.trace.shape == (120, 3)
-        assert batch.trace[:, 0].tolist() == list(shared[:120])
-        assert batch.trace[:, 2].tolist() == list(shared[:120])
-        assert batch.trace[:, 1].tolist() == list(short) + [0.0] * 70
+        short = np.arange(50, 100, dtype=np.float64)
+        batch = self._batch((shared, short, shared), 600.0)
+        controllers.start(batch)
+        for k in range(batch.steps):
+            batch.step_tick(k)
+            want = [shared[k], short[k] if k < len(short) else 0.0, shared[k]]
+            assert batch._solar_row.tolist() == want, k
+
+    def test_sites_sharing_a_trace_share_one_stored_copy(self):
+        shared = tuple(float(i) for i in range(200))
+        twin = tuple(float(i) for i in range(200))  # equal, not the same object
+        batch = self._batch((shared, twin, shared, shared), 600.0)
+        col = batch._trace_col.tolist()
+        assert col[0] == col[2] == col[3] != col[1]
+        assert batch._trace.shape[1] == 2
+
+    def test_batch_memory_grows_with_distinct_traces_not_site_ticks(self):
+        # 48 sites over 3 day-long traces, built for 1 h and for 24 h:
+        # what the batch holds may grow with the horizon by at most the
+        # distinct traces' samples plus the per-tick arrival schedule,
+        # never by sites x ticks.
+        day = 17280
+        traces = [np.full(day, 300.0 * (j + 1)) for j in range(3)]
+
+        def held_and_schedule(duration_s):
+            batch = self._batch([traces[i % 3] for i in range(48)], duration_s)
+            roots = {}
+            for value in vars(batch).values():
+                while isinstance(value, np.ndarray) and value.base is not None:
+                    value = value.base
+                if isinstance(value, np.ndarray):
+                    roots[id(value)] = value.nbytes
+            schedule = sum(a.nbytes for a in (batch.n_by_tick, batch.arr_t, batch.arr_dl))
+            return sum(roots.values()), schedule
+
+        hour, _ = held_and_schedule(3600.0)
+        full_day, schedule = held_and_schedule(86400.0)
+        samples = sum(trace.nbytes for trace in traces)
+        assert full_day - hour <= samples + schedule
 
 
 class TestGrouping:

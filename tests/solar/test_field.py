@@ -64,6 +64,11 @@ class TestTraceFromArray:
         with pytest.raises(ValueError):
             trace_from_array(np.array([1.0, -2.0]), dt_seconds=5.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            trace_from_array(np.array([1.0, bad]), dt_seconds=5.0)
+
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             trace_from_array(np.ones((2, 2)), dt_seconds=5.0)

@@ -100,6 +100,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             scale_to_mean_power(make_day_trace("sunny", seed=3), target)
 
+    @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+    def test_bad_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="power sample 1 is"):
+            DayTrace(start_hour=7.0, dt_seconds=5.0,
+                     power_w=np.array([1.0, bad, 2.0]))
+
+    def test_negative_target_rejected(self):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            make_day_trace("sunny", seed=3, target_mean_w=-100.0)
+
     def test_empty_trace_mean(self):
         empty = DayTrace(start_hour=7.0, dt_seconds=5.0, power_w=np.array([]))
         assert empty.mean_power_w == 0.0

@@ -62,6 +62,11 @@ class TestPersistence:
         assert loaded.start_hour == trace.start_hour
         assert np.allclose(loaded.power_w, trace.power_w)
 
+    def test_nan_sample_in_trace_file_rejected(self, tmp_path):
+        (tmp_path / "nan.csv").write_text("t_seconds,power_w\n0,1.0\n5,nan\n")
+        with pytest.raises(ValueError, match="power sample 1 is nan"):
+            load_day_trace_csv(tmp_path / "nan.csv")
+
     def test_empty_trace_file_rejected(self, tmp_path):
         (tmp_path / "empty.csv").write_text("t_seconds,power_w\n")
         with pytest.raises(ValueError):
