@@ -67,9 +67,3 @@ class ChargeAcceptance:
             frac = (soc - p.gassing_soc) / (1.0 - p.gassing_soc)
             accepted *= 1.0 - p.gassing_fraction * min(frac, 1.0)
         return accepted
-
-    def charging_efficiency(self, applied_amps: float, soc: float) -> float:
-        """Coulombic efficiency of charging at the given operating point."""
-        if applied_amps <= 0.0:
-            return 0.0
-        return self.effective_current(applied_amps, soc) / applied_amps

@@ -1,7 +1,7 @@
 """Battery bank: the collection of switchable cabinets forming the e-Buffer.
 
-The bank offers aggregate observables (stored energy, voltage statistics —
-Table 6's "Battery Volt. sigma" column) and group queries by operating mode.
+The bank offers aggregate observables (stored energy, mean SoC and
+voltage) and group queries by operating mode.
 It does not make control decisions; those belong to the spatial/temporal
 managers in :mod:`repro.core`.
 """
@@ -9,7 +9,6 @@ managers in :mod:`repro.core`.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
@@ -95,20 +94,14 @@ class BatteryBank:
     def where(self, predicate: Callable[[BatteryUnit], bool]) -> list[BatteryUnit]:
         return [u for u in self.units if predicate(u)]
 
-    def set_all_modes(self, mode: BatteryMode) -> int:
-        """Force every unit into ``mode`` (unified-buffer baseline behaviour).
-
-        Returns the number of units whose mode actually changed, i.e. the
-        number of relay actuations this implies.
-        """
-        return sum(1 for u in self.units if u.set_mode(mode))
-
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    # The sums below run over lists, not generators: the same floats in
+    # the same order, without a generator resumption per unit.
     @property
     def stored_energy_wh(self) -> float:
-        return sum(u.stored_energy_wh for u in self.units)
+        return sum([u.stored_energy_wh for u in self.units])
 
     @property
     def capacity_wh(self) -> float:
@@ -116,27 +109,11 @@ class BatteryBank:
 
     @property
     def mean_soc(self) -> float:
-        return sum(u.soc for u in self.units) / len(self.units)
+        return sum([u.soc for u in self.units]) / len(self.units)
 
     @property
     def mean_voltage(self) -> float:
-        return sum(u.terminal_voltage for u in self.units) / len(self.units)
-
-    @property
-    def min_voltage(self) -> float:
-        return min(u.terminal_voltage for u in self.units)
-
-    def voltage_stdev(self) -> float:
-        """Population σ of unit terminal voltages (0 for a single unit)."""
-        if len(self.units) == 1:
-            return 0.0
-        return statistics.pstdev(u.terminal_voltage for u in self.units)
-
-    def max_discharge_power(self, dt_seconds: float) -> float:
-        """Total power (W) the online units can deliver this step."""
-        return sum(
-            u.max_discharge_current(dt_seconds) * u.terminal_voltage for u in self.online()
-        )
+        return sum([u.terminal_voltage for u in self.units]) / len(self.units)
 
     def total_discharge_ah(self) -> float:
         return sum(u.wear.discharge_ah for u in self.units)

@@ -11,7 +11,7 @@ natural behaviour when the budget is scarce.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.battery.unit import BatteryUnit
 
@@ -23,9 +23,9 @@ GRANT_EPSILON_W = 1e-9
 FLOAT_FRACTION = 0.5
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeResult:
-    """Outcome of one charging step across the bank."""
+class ChargeResult(NamedTuple):
+    """Outcome of one charging step across the bank (a named tuple, as
+    cheap to build as the bus's :class:`~repro.power.bus.BusReport`)."""
 
     power_used_w: float
     power_offered_w: float
@@ -71,12 +71,6 @@ class SolarCharger:
         #: 1.0, an IEEE-754 identity, so uncapped runs stay bit-exact.
         #: Withheld surplus is curtailed, keeping the ledger closed.
         self.cap_fraction = 1.0
-
-    def peak_charging_power(self, unit: BatteryUnit) -> float:
-        """P_PC of Figure 10: terminal power drawn by one cabinet charging
-        at its bulk acceptance ceiling."""
-        amps = unit.acceptance.params.bulk_c_rate * unit.params.capacity_ah
-        return amps * unit.params.voltage.v_charge_max / self.efficiency
 
     def step(
         self,

@@ -30,6 +30,10 @@ class BatteryMode(enum.Enum):
     DISCHARGING = "discharging"
 
 
+#: The modes that put a cabinet on the load bus.
+ONLINE_MODES = (BatteryMode.STANDBY, BatteryMode.DISCHARGING)
+
+
 class BatteryUnit:
     """A single relay-switchable battery cabinet.
 
@@ -102,7 +106,7 @@ class BatteryUnit:
 
     def is_online(self) -> bool:
         """Whether the cabinet is connected to the load bus."""
-        return self.mode in (BatteryMode.STANDBY, BatteryMode.DISCHARGING)
+        return self.mode in ONLINE_MODES
 
     # ------------------------------------------------------------------
     # Capability queries (used by the power bus and controllers)

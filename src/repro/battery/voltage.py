@@ -46,10 +46,6 @@ class VoltageModel:
             v = min(v, self.params.v_charge_max)
         return v
 
-    def below_cutoff(self, available_head: float, amps: float) -> bool:
-        """Whether the loaded terminal voltage violates the LVD threshold."""
-        return self.terminal(available_head, amps) < self.params.v_cutoff
-
     def max_discharge_for_cutoff(self, available_head: float) -> float:
         """Largest discharge current keeping the terminal at/above cutoff."""
         headroom = self.emf(available_head) - self.params.v_cutoff

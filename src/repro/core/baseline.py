@@ -94,11 +94,16 @@ class BaselineController(PowerManager):
             self.switchnet.attach(unit.name, bus)
 
     def step(self, clock: Clock) -> None:
+        # Sub-spans open only on the tracer's sampled ticks.
         tracer = self.tracer
-        with tracer.span("controller.sense"):
-            self.telemetry.plc.step(clock)
-            self.telemetry.refresh(clock.dt)
-            self._update_solar_ema(clock.dt)
+        sampling = tracer.sampling
+        if sampling:
+            tracer.push("controller.sense")
+        self.telemetry.plc.step(clock)
+        self.telemetry.refresh(clock.dt)
+        self._update_solar_ema(clock.dt)
+        if sampling:
+            tracer.pop()
         # Policy overlays step every tick on their own intervals; they
         # must not be gated by the baseline's control interval.
         self._step_policies(clock)
@@ -107,11 +112,14 @@ class BaselineController(PowerManager):
             return
         self._elapsed = 0.0
         self._since_upscale += self.params.control_interval_s
-        with tracer.span("controller.decide"):
-            if self.buffer_online:
-                self._online_period(clock)
-            else:
-                self._charging_period(clock)
+        if sampling:
+            tracer.push("controller.decide")
+        if self.buffer_online:
+            self._online_period(clock)
+        else:
+            self._charging_period(clock)
+        if sampling:
+            tracer.pop()
         if not self.allocator.running_matches_target():
             self.allocator.sync()
 

@@ -116,12 +116,15 @@ class PowerManager(Component):
     # Sensing helpers
     # ------------------------------------------------------------------
     def _update_solar_ema(self, dt: float) -> None:
-        alpha = min(1.0, dt / SOLAR_EMA_TAU_S)
-        self.solar_ema_w += alpha * (self.source.available_power_w - self.solar_ema_w)
-        alpha_slow = min(1.0, dt / (SOLAR_EMA_TAU_S * SLOW_EMA_FACTOR))
-        self.solar_ema_slow_w += alpha_slow * (
-            self.source.available_power_w - self.solar_ema_slow_w
-        )
+        solar_w = self.source.available_power_w
+        alpha = dt / SOLAR_EMA_TAU_S
+        if alpha > 1.0:
+            alpha = 1.0
+        self.solar_ema_w += alpha * (solar_w - self.solar_ema_w)
+        alpha_slow = dt / (SOLAR_EMA_TAU_S * SLOW_EMA_FACTOR)
+        if alpha_slow > 1.0:
+            alpha_slow = 1.0
+        self.solar_ema_slow_w += alpha_slow * (solar_w - self.solar_ema_slow_w)
 
     def battery_needed(self) -> bool:
         """Whether the rack draws more than the solar EMA covers."""

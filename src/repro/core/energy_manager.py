@@ -106,23 +106,34 @@ class InsureController(PowerManager):
                 self.switchnet.attach(unit.name, "offline")
 
     def step(self, clock: Clock) -> None:
+        # Sub-spans open only on the tracer's sampled ticks.
         tracer = self.tracer
-        with tracer.span("controller.sense"):
-            self.telemetry.plc.step(clock)
-            self.telemetry.refresh(clock.dt)
-            self._update_solar_ema(clock.dt)
+        sampling = tracer.sampling
+        if sampling:
+            tracer.push("controller.sense")
+        self.telemetry.plc.step(clock)
+        self.telemetry.refresh(clock.dt)
+        self._update_solar_ema(clock.dt)
+        if sampling:
+            tracer.pop()
 
         self._tpm_elapsed += clock.dt
         if self._tpm_elapsed >= self.params.tpm_interval_s:
             self._tpm_elapsed = 0.0
-            with tracer.span("controller.decide.tpm"):
-                self._temporal_period(clock)
+            if sampling:
+                tracer.push("controller.decide.tpm")
+            self._temporal_period(clock)
+            if sampling:
+                tracer.pop()
 
         self._spm_elapsed += clock.dt
         if self._spm_elapsed >= self.params.spm_interval_s:
             self._spm_elapsed = 0.0
-            with tracer.span("controller.decide.spm"):
-                self._spatial_period(clock)
+            if sampling:
+                tracer.push("controller.decide.spm")
+            self._spatial_period(clock)
+            if sampling:
+                tracer.pop()
 
         # Policy overlays (carbon/price/SoC caps) run last so their
         # limits bound whatever the TPM/SPM periods just decided.

@@ -11,13 +11,12 @@ screening (Figure 9).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from repro.battery.bank import BatteryBank
-from repro.battery.unit import BatteryUnit
 from repro.battery.voltage import EMF_EXPONENT
-from repro.power.modbus import decode_fixed
+from repro.power.modbus import ModbusError
 from repro.power.plc import AnalogInputModule, ProgrammableLogicController
 from repro.power.sensors import CurrentTransducer, VoltageTransducer
 from repro.sim.rng import RandomStreams
@@ -73,8 +72,12 @@ class BatteryTelemetry:
             )
             rng_v = streams.stream(f"sense.{unit.name}.v")
             rng_i = streams.stream(f"sense.{unit.name}.i")
-            v_sensor = VoltageTransducer(self._v_source(unit), rng=rng_v)
-            i_sensor = CurrentTransducer(self._i_source(unit), rng=rng_i)
+            # The true values are read through C-level partials, not
+            # lambdas: a scan then adds no Python frame per channel.
+            v_sensor = VoltageTransducer(partial(getattr, unit, "terminal_voltage"),
+                                         rng=rng_v)
+            i_sensor = CurrentTransducer(partial(getattr, unit, "last_current"),
+                                         rng=rng_i)
             v_sensor.gain = 1.0 + gain_error
             i_sensor.gain = 1.0 + gain_error
             module.bind(0, v_sensor, V_SCALE)
@@ -102,63 +105,60 @@ class BatteryTelemetry:
         for sensor in self._sensors:
             sensor.gain = 1.0 + gain_error
 
-    @staticmethod
-    def _v_source(unit: BatteryUnit) -> Callable[[], float]:
-        return lambda: unit.terminal_voltage
-
-    @staticmethod
-    def _i_source(unit: BatteryUnit) -> Callable[[], float]:
-        return lambda: unit.last_current
-
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
     def refresh(self, dt_seconds: float) -> dict[str, BatterySense]:
-        """Read all registers and update estimates for one control period."""
+        """Read all registers and update estimates for one control period.
+
+        Per cabinet: decode the voltage and current registers (the
+        register codec of :func:`repro.power.modbus.decode_fixed`), then
+        coulomb-count the SoC estimate and the discharge statistic AhT[i],
+        and re-anchor the estimate from open-circuit voltage after a
+        sustained rest -- the standard lead-acid practice: OCV is a
+        reliable SoC proxy only at equilibrium, where head ~= SoC, so the
+        EMF curve is inverted there.
+        """
         if dt_seconds <= 0:
             raise ValueError("dt_seconds must be positive")
         registers = self.plc.slave.input
         base = 0
         for unit, sense in self._rows:
-            sense.voltage = decode_fixed(registers[base], V_SCALE)
-            sense.current = decode_fixed(registers[base + 1], I_SCALE)
-            self._update_estimates(unit, sense, dt_seconds)
+            v_reg = registers[base]
+            i_reg = registers[base + 1]
+            if not (0 <= v_reg <= 0xFFFF and 0 <= i_reg <= 0xFFFF):
+                raise ModbusError(f"register value out of range: {v_reg}, {i_reg}")
+            voltage = (v_reg - 0x10000 if v_reg >= 0x8000 else v_reg) / V_SCALE
+            current = (i_reg - 0x10000 if i_reg >= 0x8000 else i_reg) / I_SCALE
+            sense.voltage = voltage
+            sense.current = current
             base += _REGS_PER_BATTERY
+
+            delta_ah = current * dt_seconds / 3600.0
+            estimate = sense.soc_estimate - delta_ah / unit.params.capacity_ah
+            if estimate < 0.0:
+                estimate = 0.0
+            elif estimate > 1.0:
+                estimate = 1.0
+            sense.soc_estimate = estimate
+            if current > REST_AMPS:
+                sense.discharge_ah += delta_ah
+
+            if -REST_AMPS < current < REST_AMPS:
+                sense.rest_seconds += dt_seconds
+                if sense.rest_seconds >= OCV_REST_S:
+                    p = unit.params.voltage
+                    frac = (voltage - p.emf_empty) / (p.emf_full - p.emf_empty)
+                    if frac < 0.0:
+                        frac = 0.0
+                    elif frac > 1.0:
+                        frac = 1.0
+                    ocv_soc = frac ** (1.0 / EMF_EXPONENT)
+                    sense.soc_estimate = ((1.0 - OCV_WEIGHT) * estimate
+                                          + OCV_WEIGHT * ocv_soc)
+            else:
+                sense.rest_seconds = 0.0
         return self.senses
-
-    def _update_estimates(self, unit: BatteryUnit, sense: BatterySense,
-                          dt_seconds: float) -> None:
-        capacity = unit.params.capacity_ah
-        current = sense.current
-        delta_ah = current * dt_seconds / 3600.0
-        estimate = sense.soc_estimate - delta_ah / capacity
-        if estimate < 0.0:
-            estimate = 0.0
-        elif estimate > 1.0:
-            estimate = 1.0
-        sense.soc_estimate = estimate
-        if current > REST_AMPS:
-            sense.discharge_ah += delta_ah
-
-        # Re-anchor from open-circuit voltage after a sustained rest, the
-        # standard lead-acid practice: OCV is a reliable SoC proxy only at
-        # equilibrium.
-        if -REST_AMPS < current < REST_AMPS:
-            sense.rest_seconds += dt_seconds
-            if sense.rest_seconds >= OCV_REST_S:
-                ocv_soc = self._soc_from_ocv(unit, sense.voltage)
-                sense.soc_estimate = ((1.0 - OCV_WEIGHT) * sense.soc_estimate
-                                      + OCV_WEIGHT * ocv_soc)
-        else:
-            sense.rest_seconds = 0.0
-
-    @staticmethod
-    def _soc_from_ocv(unit: BatteryUnit, voltage: float) -> float:
-        """Invert the EMF curve (valid at rest, where head ~= SoC)."""
-        p = unit.params.voltage
-        frac = (voltage - p.emf_empty) / (p.emf_full - p.emf_empty)
-        frac = min(max(frac, 0.0), 1.0)
-        return frac ** (1.0 / EMF_EXPONENT)
 
     # ------------------------------------------------------------------
     # Aggregates the controllers use

@@ -102,8 +102,14 @@ class PlantCoupler(Component):
                                   unserved_w=report.unserved_w,
                                   demand_w=report.demand_w)
             compute = 0.0
-        with self.tracer.span("plant.workload"):
-            self.workload.step(clock.t, clock.dt, compute)
+        # The sub-span opens only on the tracer's sampled ticks.
+        tracer = self.tracer
+        sampling = tracer.sampling
+        if sampling:
+            tracer.push("plant.workload")
+        self.workload.step(clock.t, clock.dt, compute)
+        if sampling:
+            tracer.pop()
 
 
 @dataclass
@@ -345,13 +351,13 @@ def build_system(
     engine.add(rack)
     engine.add(plant)
     engine.add(metrics)
-    engine.observe(recorder, name="recorder")
+    engine.observe(recorder, name="recorder", every=recorder.every)
 
     checker = None
     if invariants:
         checker = InvariantChecker(bank=bank, switchnet=switchnet,
                                    plant=plant, stride=invariant_stride)
-        engine.observe(checker, name="invariants")
+        engine.observe(checker, name="invariants", every=checker.stride)
 
     system = InSituSystem(
         engine=engine, source=source, bank=bank, switchnet=switchnet,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.obs.decisions import DecisionLog
 
@@ -93,11 +93,13 @@ class WearImbalanceRule(AlertRule):
         self._armed = True
 
     def evaluate(self, t, system):
-        worst = {u.name: u.wear.discharge_ah for u in system.bank}
-        spread = max(worst.values()) - min(worst.values())
+        units = system.bank
+        discharge = [u.wear.discharge_ah for u in units]
+        spread = max(discharge) - min(discharge)
         if spread > self.max_imbalance_ah:
             if self._armed:
                 self._armed = False
+                worst = {u.name: ah for u, ah in zip(units, discharge, strict=True)}
                 return (
                     f"per-battery discharge spread {spread:.1f} Ah exceeds "
                     f"{self.max_imbalance_ah:.1f} Ah",
@@ -243,8 +245,19 @@ def default_rules() -> list[AlertRule]:
     ]
 
 
+class _Parts(NamedTuple):
+    """What the rules read of a system.  The alert engine holds these,
+    never the system: the system's engine holds the alert engine."""
+
+    bank: Any
+    controller: Any
+    plant: Any
+
+
 class AlertEngine:
     """Engine observer evaluating alert rules on a tick stride.
+
+    Rules see the system's ``bank``, ``controller`` and ``plant``.
 
     Parameters
     ----------
@@ -264,13 +277,14 @@ class AlertEngine:
         self.decisions = decisions
         self.rules = list(rules) if rules is not None else default_rules()
         self.stride = int(stride)
-        self._system = None
+        self._parts: _Parts | None = None
 
     def attach(self, system, observe: bool = True) -> "AlertEngine":
-        """Bind to ``system`` (and register as an engine observer)."""
-        self._system = system
+        """Bind to ``system`` (and register as an engine observer, fired
+        on the ticks of the stride only)."""
+        self._parts = _Parts(system.bank, system.controller, system.plant)
         if observe:
-            system.engine.observe(self, name="alerts")
+            system.engine.observe(self, name="alerts", every=self.stride)
         return self
 
     # ------------------------------------------------------------------
@@ -279,7 +293,7 @@ class AlertEngine:
     def __call__(self, clock) -> None:
         if clock.step_index % self.stride:
             return
-        system = self._system
+        system = self._parts
         t = clock.t
         for rule in self.rules:
             fired = rule.evaluate(t, system)

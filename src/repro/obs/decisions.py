@@ -22,6 +22,7 @@ the log back into the simulation, so it never changes a trajectory.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterator
@@ -86,13 +87,18 @@ class DecisionLog:
 
     def __init__(self, registry=None) -> None:
         self._decisions: list[Decision] = []
-        self._registry = registry
+        # Held weakly: the registry's gauges read the components that
+        # record here, so a strong reference would close a cycle and keep
+        # a dropped system alive until a full collection.
+        self._registry = weakref.ref(registry) if registry is not None else None
 
     def record(self, t: float, kind: str, source: str, **data: Any) -> Decision:
         decision = Decision(t=float(t), kind=kind, source=source, data=data)
         self._decisions.append(decision)
         if self._registry is not None:
-            self._registry.counter("decisions_total", kind=kind).inc()
+            registry = self._registry()
+            if registry is not None:
+                registry.counter("decisions_total", kind=kind).inc()
         return decision
 
     def __len__(self) -> int:

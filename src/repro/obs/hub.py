@@ -74,12 +74,15 @@ class Observability:
         return self
 
     def _register_system_gauges(self, system) -> None:
+        # Each gauge closes over the part it reads, never the system or
+        # its engine: the system holds this bundle, and the engine the
+        # alert engine, so either would close a reference cycle.
         gauge = self.registry.gauge
-        engine = system.engine
+        clock = system.engine.clock
         gauge("engine.ticks", "ticks stepped so far").set_function(
-            lambda: engine.clock.step_index
+            lambda: clock.step_index
         )
-        gauge("engine.sim_seconds", "simulated seconds").set_function(lambda: engine.clock.t)
+        gauge("engine.sim_seconds", "simulated seconds").set_function(lambda: clock.t)
 
         source = system.source
         gauge("solar.available_w", "PV-bus budget").set_function(
@@ -122,7 +125,8 @@ class Observability:
 
         plc = system.telemetry.plc
         gauge("plc.scan_count").set_function(lambda: plc.scan_count)
-        gauge("plant.shed_events").set_function(lambda: system.plant.shed_events)
+        plant = system.plant
+        gauge("plant.shed_events").set_function(lambda: plant.shed_events)
 
         mppt = getattr(source, "mppt", None)
         if mppt is not None:

@@ -120,8 +120,13 @@ class EnergyLedger:
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._registry = registry
-        self._system: InSituSystem | None = None
+        # The parts the accounts read, bound by attach.  The ledger holds
+        # these and never the system: the system holds the ledger.
         self._bus: PowerBus | None = None
+        self._bank = None
+        self._collector = None
+        self._source = None
+        self._clock = None
         self._base: dict[str, float] = {}
         self._attach_t = 0.0
 
@@ -129,17 +134,25 @@ class EnergyLedger:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, system: InSituSystem) -> "EnergyLedger":
-        """Snapshot the component accumulators of ``system``; returns self."""
-        self._system = system
+        """Snapshot the component accumulators of ``system``; returns self.
+
+        The gauges go into the registry on the first attach, and the
+        ledger then lets go of the registry: the gauges hold the ledger.
+        """
         self._bus = system.plant.bus
-        self._attach_t = system.engine.clock.t
+        self._bank = system.bank
+        self._collector = system.metrics
+        self._source = system.source
+        self._clock = system.engine.clock
+        self._attach_t = self._clock.t
         self._base = self._raw_totals()
-        if self._registry is not None:
-            self._register_gauges()
+        registry, self._registry = self._registry, None
+        if registry is not None:
+            self._register_gauges(registry)
         return self
 
-    def _register_gauges(self) -> None:
-        gauge = self._registry.gauge
+    def _register_gauges(self, registry: MetricsRegistry) -> None:
+        gauge = registry.gauge
         for name in EDGE_NAMES:
             gauge("ledger.edge_wh", "cumulative energy per flow edge", edge=name).set_function(
                 lambda n=name: self.edges()[n]
@@ -159,13 +172,12 @@ class EnergyLedger:
     # ------------------------------------------------------------------
     def _raw_totals(self) -> dict[str, float]:
         """Raw cumulative counters underlying the edges."""
-        system = self._system
-        bank = system.bank
-        collector = system.metrics
+        bank = self._bank
+        collector = self._collector
         nominal_v = [unit.params.nominal_voltage for unit in bank]
         return {
             **bus_integrals(self._bus),
-            "mppt_loss": getattr(system.source, "e_mppt_loss_wh", 0.0),
+            "mppt_loss": getattr(self._source, "e_mppt_loss_wh", 0.0),
             "gassing": sum(u.gassing_ah * v for u, v in zip(bank, nominal_v, strict=True)),
             "self_discharge": sum(u.self_discharge_ah * v for u, v in zip(bank, nominal_v, strict=True)),
             "stored": bank.stored_energy_wh,
@@ -180,7 +192,7 @@ class EnergyLedger:
 
     def edges(self) -> dict[str, float]:
         """Cumulative Wh per flow edge since attach, in catalogue order."""
-        if self._system is None:
+        if self._bus is None:
             raise RuntimeError("ledger is not attached to a system")
         d = self._deltas()
         charger_loss = d["charge_bus"] - d["charge_terminal"]
@@ -217,10 +229,10 @@ class EnergyLedger:
         """Close the integrated bus identities with
         :func:`~repro.validate.invariants.bus_closure`, the account the
         invariant checker shares."""
-        if self._system is None:
+        if self._bus is None:
             raise RuntimeError("ledger is not attached to a system")
         d = self._deltas()
-        hours = max(0.0, (self._system.engine.clock.t - self._attach_t) / 3600.0)
+        hours = max(0.0, (self._clock.t - self._attach_t) / 3600.0)
         residual_solar, residual_load, tolerance = bus_closure(d, hours)
         battery_residual = (
             d["charge_terminal"]

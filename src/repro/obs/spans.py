@@ -8,14 +8,15 @@ grained ``controller.sense`` / ``controller.decide.*`` spans inside the
 power managers — with self-time accounting (a parent's time excludes its
 children's).
 
-Cost model: tracing is **sampled by tick stride**.  The engine asks
-:meth:`SpanTracer.begin_tick` once per tick; on the 1-in-``stride`` ticks
-that sample, spans record real timings, on all other ticks ``span()``
-returns a shared no-op handle.  On the BENCH cell the per-tick hooks
-alone (``begin_tick``, the null spans and the decision calls) cost under
-1 % of a full day, but the default observability stack costs 5–11 %,
-over the 5 % gate in ``benchmarks/test_perf_engine.py`` (see
-``docs/observability.md``).
+Cost model: tracing is **sampled by tick stride**.  The engine calls
+:meth:`SpanTracer.begin_tick` on the 1-in-``stride`` ticks that sample
+and counts the others in bulk (:meth:`SpanTracer.skip_ticks`); on a
+sampled tick spans record real timings.  Components open their sub-spans
+only while the tracer is ``sampling`` (``if tracer.sampling:
+tracer.push(...)``), so an unsampled tick makes no tracer call at all.
+``span()`` is the context-manager face of :meth:`SpanTracer.push` and
+:meth:`SpanTracer.pop` for code outside the tick loop; off a sampled
+tick it returns a shared no-op handle (see ``docs/observability.md``).
 Tracing never mutates simulation state, so same-seed traces are
 bit-identical with tracing on or off.
 """
@@ -88,26 +89,18 @@ class SpanStats:
 class _Span:
     """Live span handle; created only on sampled ticks."""
 
-    __slots__ = ("_tracer", "_name", "_start", "_child_s")
+    __slots__ = ("_tracer", "_name")
 
     def __init__(self, tracer: "SpanTracer", name: str) -> None:
         self._tracer = tracer
         self._name = name
-        self._child_s = 0.0
 
     def __enter__(self) -> "_Span":
-        self._tracer._stack.append(self)
-        self._start = self._tracer._timer()
+        self._tracer.push(self._name)
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        tracer = self._tracer
-        elapsed = tracer._timer() - self._start
-        stack = tracer._stack
-        stack.pop()
-        if stack:
-            stack[-1]._child_s += elapsed
-        tracer._record(self._name, elapsed, elapsed - self._child_s)
+        self._tracer.pop()
         return False
 
 
@@ -144,7 +137,8 @@ class SpanTracer:
         self.tick_seconds = 0.0
         self.max_tick_seconds = 0.0
         self.stats: dict[str, SpanStats] = {}
-        self._stack: list[_Span] = []
+        #: Open spans: [name, start, child seconds], innermost last.
+        self._stack: list[list] = []
         #: Min-heap of (elapsed, tick_index, sim_t, {span: self_s}).
         self._hot: list[tuple[float, int, float, dict[str, float]]] = []
         self._tick_index = 0
@@ -155,6 +149,11 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # Tick protocol (driven by the engine)
     # ------------------------------------------------------------------
+    def skip_ticks(self, count: int) -> None:
+        """Count ``count`` ticks that ran without :meth:`begin_tick` (the
+        engine asks only on the ticks of the sampling stride)."""
+        self.ticks_seen += count
+
     def begin_tick(self, index: int, t: float) -> bool:
         """Start a tick; returns True when this tick is sampled."""
         self.ticks_seen += 1
@@ -191,7 +190,20 @@ class SpanTracer:
             return _NULL_SPAN
         return _Span(self, name)
 
-    def _record(self, name: str, elapsed: float, self_s: float) -> None:
+    def push(self, name: str) -> None:
+        """Open span ``name`` inside the innermost open one; close it with
+        :meth:`pop`.  Call only while :attr:`sampling`."""
+        self._stack.append([name, self._timer(), 0.0])
+
+    def pop(self) -> None:
+        """Close the innermost open span and fold its time into the stats."""
+        end = self._timer()
+        stack = self._stack
+        name, start, child_s = stack.pop()
+        elapsed = end - start
+        if stack:
+            stack[-1][2] += elapsed
+        self_s = elapsed - child_s
         stats = self.stats.get(name)
         if stats is None:
             stats = self.stats[name] = SpanStats(name)

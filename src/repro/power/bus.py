@@ -15,18 +15,21 @@ Order of precedence each tick (matching the prototype's wiring):
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.battery.bank import BatteryBank
 from repro.battery.charger import SolarCharger
-from repro.battery.unit import BatteryMode, BatteryUnit
+from repro.battery.unit import ONLINE_MODES, BatteryMode, BatteryUnit
 from repro.power.converters import DCDCConverter
 from repro.power.relays import SwitchNetwork
 
 
-@dataclass(frozen=True, slots=True)
-class BusReport:
-    """Outcome of one bus resolution tick (all in watts at the PV bus)."""
+class BusReport(NamedTuple):
+    """Outcome of one bus resolution tick (all in watts at the PV bus).
+
+    A named tuple, built once per tick: constructing one costs well under
+    half of a frozen slotted dataclass's per-field ``__setattr__``.
+    """
 
     demand_w: float
     solar_available_w: float
@@ -36,16 +39,10 @@ class BusReport:
     charge_power_w: float
     curtailed_w: float
 
-    @property
-    def served_w(self) -> float:
-        return self.solar_to_load_w + self.battery_to_load_w
 
-    @property
-    def solar_utilisation(self) -> float:
-        """Fraction of the available solar budget put to work."""
-        if self.solar_available_w <= 0:
-            return 0.0
-        return (self.solar_to_load_w + self.charge_power_w) / self.solar_available_w
+#: Controller modes that put a cabinet on each bus, for a bus built
+#: without a switch network.
+_BUS_MODES = {"load": ONLINE_MODES, "charge": (BatteryMode.CHARGING,)}
 
 
 class PowerBus:
@@ -92,17 +89,10 @@ class PowerBus:
         #: Wall-side server demand as requested from the bus.
         self.e_server_wall_wh = 0.0
 
-    def _on_load_bus(self) -> Sequence[BatteryUnit]:
+    def _units_on(self, bus: str) -> Sequence[BatteryUnit]:
+        """The cabinets attached to ``bus`` (``"load"`` or ``"charge"``)."""
         if self.switchnet is None:
-            return self.bank.in_mode(BatteryMode.DISCHARGING, BatteryMode.STANDBY)
-        return self._units_on("load")
-
-    def _on_charge_bus(self) -> Sequence[BatteryUnit]:
-        if self.switchnet is None:
-            return self.bank.in_mode(BatteryMode.CHARGING)
-        return self._units_on("charge")
-
-    def _units_on(self, bus: str) -> tuple[BatteryUnit, ...]:
+            return self.bank.in_mode(*_BUS_MODES[bus])
         names = self.switchnet.on_bus(bus)
         mapped, units = self._bus_units[bus]
         if names is not mapped:
@@ -130,7 +120,7 @@ class PowerBus:
         surplus = solar_w - solar_to_load
 
         # --- Discharge path -------------------------------------------------
-        discharging = self._on_load_bus()
+        discharging = self._units_on("load")
         battery_to_load = 0.0
         touched: set[BatteryUnit] = set()
         if deficit > 0 and discharging:
@@ -139,7 +129,7 @@ class PowerBus:
         unserved = max(0.0, deficit - battery_to_load)
 
         # --- Charge path ----------------------------------------------------
-        charging = self._on_charge_bus()
+        charging = self._units_on("charge")
         charge_power = 0.0
         charge_terminal = 0.0
         if charging:

@@ -6,7 +6,10 @@ itself: a :class:`ModbusSlave` holds bounds-checked 16-bit holding and
 input registers, the PLC scan writes quantised readings into the input
 bank, and the coordination node reads that bank in place.  The
 fixed-point helpers mirror how analog readings are packed into signed
-16-bit registers.
+16-bit registers.  The PLC scan and the telemetry refresh apply the same
+packing inline in their loops, a call per register being a third of the
+sensing chain's calls; ``tests/power/test_modbus.py`` holds both loops to
+these helpers bit for bit.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ class ModbusSlave:
             raise ValueError("size must be positive")
         self.holding = [0] * size
         self.input = [0] * size
-
-    def set_input(self, address: int, value: int) -> None:
-        self._check(address, self.input)
-        self.input[address] = value & 0xFFFF
 
     def set_holding(self, address: int, value: int) -> None:
         self._check(address, self.holding)

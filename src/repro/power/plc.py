@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.power.modbus import ModbusSlave, encode_fixed
+from repro.power.modbus import ModbusError, ModbusSlave
 from repro.power.sensors import Transducer
 from repro.sim.clock import Clock
 from repro.sim.component import Component
@@ -112,8 +112,15 @@ class ProgrammableLogicController(Component):
         plan = self._scan_plan
         if plan is None:
             plan = self._scan_plan = self._build_scan_plan()
+        # Each reading packed as by repro.power.modbus.encode_fixed,
+        # range check included.
         registers = self.slave.input
         for address, read, scale in plan:
-            registers[address] = encode_fixed(read(), scale)
+            value = read()
+            raw = round(value * scale)
+            if not -32768 <= raw <= 32767:
+                raise ModbusError(f"value {value} does not fit a 16-bit register "
+                                  f"at scale {scale}")
+            registers[address] = raw & 0xFFFF
         if self.program is not None:
             self.program(clock, self)

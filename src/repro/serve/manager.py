@@ -21,7 +21,6 @@ slices stepped) live in a private
 from __future__ import annotations
 
 import asyncio
-import gc
 from collections.abc import Iterable
 
 from repro.obs.registry import MetricsRegistry
@@ -45,7 +44,6 @@ class SessionManager:
         self.sessions: dict[str, Session] = {}
         #: Ids of finished sessions still held, oldest first.
         self._finished: dict[str, None] = {}
-        self._reaped = 0
         self.registry = MetricsRegistry()
         self._counter = 0
         self._wakeup: asyncio.Event | None = None
@@ -135,12 +133,6 @@ class SessionManager:
             oldest = next(iter(self._finished))
             del self._finished[oldest]
             del self.sessions[oldest]
-            self._reaped += 1
-            # A released plant is a graph of reference cycles that only a
-            # full collection frees; one per max_sessions reaps bounds what
-            # a daemon at its cap holds.
-            if self._reaped % self.max_sessions == 0:
-                gc.collect()
         return ticks
 
     def kick(self) -> None:

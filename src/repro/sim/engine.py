@@ -10,12 +10,16 @@ pre-bound into a flat list once per call and the clock is advanced inline.
 A day-long full-system run executes ~17k ticks, so the per-tick dispatch
 overhead matters for every experiment.
 
+An observer registered with ``every=N`` is fired on the ticks whose index
+is a multiple of N only, so a decimated observer (the trace recorder, the
+alert engine) costs nothing on the ticks it skips.
+
 When a span tracer is attached (``engine.tracer``, see
-:mod:`repro.obs.spans`) each tick first asks it ``begin_tick``; a sampled
-tick runs every component and observer inside its span, any other tick
-takes the untraced path.  The tracer only *observes* — with it attached or
-not, same-seed runs take the identical sequence of component steps and
-produce bit-identical traces.
+:mod:`repro.obs.spans`), the ticks on its sampling stride run every
+component and every fired observer inside its span; the other ticks take
+the untraced path and ask the tracer nothing.  The tracer only *observes*
+— with it attached or not, same-seed runs take the identical sequence of
+component steps and produce bit-identical traces.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class Engine:
         self.tracer = None
         self._components: list[Component] = []
         self._by_name: dict[str, Component] = {}
-        self._observers: list[tuple[str, Callable[[Clock], None]]] = []
+        self._observers: list[tuple[str, Callable[[Clock], None], int]] = []
         self._started = False
         self._finished = False
 
@@ -73,20 +77,28 @@ class Engine:
             raise SimulationError(f"no component named {name!r}") from None
 
     def observe(self, callback: Callable[[Clock], None],
-                name: str | None = None) -> None:
-        """Register a per-tick observer fired after all components step.
+                name: str | None = None, every: int = 1) -> None:
+        """Register an observer fired after all components step, on the
+        ticks whose index is a multiple of ``every``.
 
         ``name`` labels the observer's span on traced ticks (so the
         profile attributes recorder/checker/alert cost individually);
         unnamed observers are labelled after their class.
         """
+        if every < 1:
+            raise ValueError(f"every must be >= 1, got {every}")
         if name is None:
             name = type(callback).__name__.lower()
-        self._observers.append((f"obs.{name}", callback))
+        self._observers.append((f"obs.{name}", callback, int(every)))
 
     @property
     def components(self) -> tuple[Component, ...]:
         return tuple(self._components)
+
+    @property
+    def observers(self) -> tuple[tuple[str, Callable[[Clock], None], int], ...]:
+        """(span name, callback, every) of each observer, in firing order."""
+        return tuple(self._observers)
 
     @property
     def finished(self) -> bool:
@@ -155,19 +167,34 @@ class Engine:
         clock = self.clock
         dt = clock.dt
         tracer = self.tracer
+        stride = tracer.stride if tracer is not None else 0
         calls = [(component.name, component.step) for component in self._components]
-        calls += self._observers
         fns = [fn for _, fn in calls]
+        observers = self._observers
         index = clock.step_index
+        sampled = 0
         for _ in range(steps):
-            if tracer is not None and tracer.begin_tick(index, clock.t):
+            if stride and not index % stride:
+                sampled += 1
+                tracer.begin_tick(index, clock.t)
                 for name, fn in calls:
-                    with tracer.span(name):
+                    tracer.push(name)
+                    fn(clock)
+                    tracer.pop()
+                for name, fn, every in observers:
+                    if not index % every:
+                        tracer.push(name)
                         fn(clock)
+                        tracer.pop()
                 tracer.end_tick()
             else:
                 for fn in fns:
                     fn(clock)
+                for _, fn, every in observers:
+                    if not index % every:
+                        fn(clock)
             index += 1
             clock.step_index = index
             clock.t = index * dt
+        if tracer is not None:
+            tracer.skip_ticks(steps - sampled)

@@ -16,6 +16,7 @@ battery charger for comparable experiments.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -118,18 +119,24 @@ def _raw_day(
         ) from None
 
     rng = RandomStreams(seed).stream(f"solar.{profile}")
-    clouds = factory(rng)
+    step = factory(rng).step
+    envelope = _clearsky_envelope(dt_seconds)
+    clearness = np.array([step(dt_seconds) for _ in range(len(envelope))])
+    # rated_w * (ghi / 1000.0) * clearness, elementwise in that order.
+    return rated_w * envelope * clearness
+
+
+@functools.lru_cache(maxsize=8)
+def _clearsky_envelope(dt_seconds: float) -> np.ndarray:
+    """``clearsky_ghi / 1000`` at every sample time of the day window.
+
+    No seed, profile or target changes it, so it is computed once per
+    ``dt_seconds`` and shared, as one read-only float64 array.
+    """
     hours = np.arange(TRACE_START_HOUR, TRACE_END_HOUR, dt_seconds / 3600.0)
-    power = np.empty(len(hours))
-    ghi_at = clearsky_ghi
-    step = clouds.step
-    out = power.tolist()
-    for i, hour in enumerate(hours.tolist()):
-        ghi = ghi_at(hour)
-        clearness = step(dt_seconds)
-        out[i] = rated_w * (ghi / 1000.0) * clearness
-    power[:] = out
-    return power
+    envelope = np.array([clearsky_ghi(hour) / 1000.0 for hour in hours.tolist()])
+    envelope.flags.writeable = False
+    return envelope
 
 
 #: Synthesis is deterministic in its arguments, and experiment matrices

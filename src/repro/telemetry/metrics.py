@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.battery.bank import BatteryBank
+from repro.battery.unit import ONLINE_MODES
 from repro.cluster.rack import ServerRack
 from repro.sim.clock import Clock
 from repro.sim.component import Component
@@ -116,7 +117,7 @@ class MetricsCollector(Component):
         # emergency, whatever it stores (paper §6.3).
         online_wh = 0
         for u in self.bank.units:
-            if u.is_online():
+            if u.mode in ONLINE_MODES:
                 online_wh += u.stored_energy_wh
         self._stored_wh_integral += online_wh * dt
 

@@ -63,16 +63,17 @@ class TestEffectiveCurrent:
 
 
 class TestEfficiency:
+    """Coulombic efficiency: the landed share of the applied current."""
+
     def test_efficiency_in_unit_interval(self, acceptance):
         for soc in (0.1, 0.5, 0.9, 1.0):
-            eta = acceptance.charging_efficiency(6.0, soc)
+            eta = acceptance.effective_current(6.0, soc) / 6.0
             assert 0.0 <= eta <= 1.0
 
     def test_efficiency_higher_at_high_current(self, acceptance):
         """Fixed parasitic losses hurt small currents disproportionately."""
-        assert acceptance.charging_efficiency(8.0, 0.3) > acceptance.charging_efficiency(
-            1.5, 0.3
-        )
+        assert (acceptance.effective_current(8.0, 0.3) / 8.0
+                > acceptance.effective_current(1.5, 0.3) / 1.5)
 
 
 class TestValidation:

@@ -43,7 +43,8 @@ class TestGroups:
         assert len(bank.in_mode(BatteryMode.CHARGING, BatteryMode.STANDBY)) == 2
 
     def test_online(self, bank):
-        bank.set_all_modes(BatteryMode.OFFLINE)
+        for unit in bank:
+            unit.set_mode(BatteryMode.OFFLINE)
         assert bank.online() == []
         bank[1].set_mode(BatteryMode.DISCHARGING)
         assert bank.online() == [bank[1]]
@@ -52,12 +53,6 @@ class TestGroups:
         bank[0].kibam.set_soc(0.2)
         low = bank.where(lambda u: u.soc < 0.5)
         assert low == [bank[0]]
-
-    def test_set_all_modes_counts_changes(self, bank):
-        bank.set_all_modes(BatteryMode.STANDBY)
-        changed = bank.set_all_modes(BatteryMode.OFFLINE)
-        assert changed == 3
-        assert bank.set_all_modes(BatteryMode.OFFLINE) == 0
 
 
 class TestAggregates:
@@ -73,22 +68,13 @@ class TestAggregates:
 
     def test_voltage_stats(self, bank):
         bank[0].kibam.set_soc(0.2)
-        assert bank.min_voltage < bank.mean_voltage
-        assert bank.voltage_stdev() > 0.0
-
-    def test_voltage_stdev_single_unit(self):
-        single = BatteryBank.build(count=1)
-        assert single.voltage_stdev() == 0.0
+        voltages = [u.terminal_voltage for u in bank]
+        assert bank.mean_voltage == pytest.approx(sum(voltages) / 3)
+        assert min(voltages) < bank.mean_voltage < max(voltages)
 
     def test_discharge_imbalance(self, bank):
         bank[0].apply_discharge(10.0, 3600.0)
         assert bank.discharge_imbalance() == pytest.approx(10.0, rel=0.02)
-
-    def test_max_discharge_power_counts_online_only(self, bank):
-        bank.set_all_modes(BatteryMode.OFFLINE)
-        assert bank.max_discharge_power(5.0) == 0.0
-        bank[0].set_mode(BatteryMode.DISCHARGING)
-        assert bank.max_discharge_power(5.0) > 0.0
 
 
 class TestManufacturingSpread:

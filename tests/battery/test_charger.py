@@ -83,10 +83,6 @@ class TestFloatAndMisc:
         used = charger.float_step(units(0.9), 5.0)
         assert used > 0.0
 
-    def test_peak_charging_power_positive(self, charger):
-        unit = units(0.5)[0]
-        assert charger.peak_charging_power(unit) > 200.0
-
     def test_invalid_efficiency(self):
         with pytest.raises(ValueError):
             SolarCharger(efficiency=0.0)

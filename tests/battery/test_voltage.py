@@ -46,8 +46,10 @@ class TestTerminal:
 
 class TestCutoff:
     def test_below_cutoff_detection(self, model):
-        assert model.below_cutoff(0.02, 10.0)
-        assert not model.below_cutoff(0.9, 5.0)
+        # Near empty under load the terminal sags past the LVD; a full
+        # cabinet at a moderate current stays above it.
+        assert model.terminal(0.02, 10.0) < model.params.v_cutoff
+        assert model.terminal(0.9, 5.0) >= model.params.v_cutoff
 
     def test_max_discharge_for_cutoff_boundary(self, model):
         head = 0.5

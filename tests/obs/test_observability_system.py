@@ -8,9 +8,12 @@ day with observability ON against the pinned digests (which were produced
 with observability OFF).
 """
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.system import build_system
+from repro.core.system import build_day_system, build_system
 from repro.obs.hub import Observability
 from repro.solar.traces import make_day_trace
 from repro.validate import golden
@@ -135,3 +138,19 @@ def test_golden_digests_hold_with_observability_on(cell):
         golden.cell_name(cell["controller"], cell["workload"],
                          cell["weather"]))
     assert golden.trace_digests(system.recorder) == stored["signals"]
+
+
+def test_dropped_observed_system_is_freed_without_gc():
+    """The bundle reaches the parts it reads, never the system, so an
+    observed system is no reference cycle: reference counting frees it."""
+    system = build_day_system("insure", "video", "sunny", mean_w=1000.0, seed=1,
+                              initial_soc=0.6, observability=True)
+    system.run(3600.0)
+    refs = [weakref.ref(part) for part in
+            (system, system.engine, system.bank, system.controller, system.obs)]
+    gc.disable()
+    try:
+        del system
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -49,7 +49,8 @@ def test_bus_resolution_invariants(socs, mode_idx, solar, demand):
     assert solar_split == pytest.approx(solar, abs=max(1.0, solar * 0.02))
 
     # Demand is met or declared unserved, never silently dropped.
-    assert report.served_w + report.unserved_w == pytest.approx(
+    served = report.solar_to_load_w + report.battery_to_load_w
+    assert served + report.unserved_w == pytest.approx(
         report.demand_w, abs=1.0
     )
 

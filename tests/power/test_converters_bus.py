@@ -52,7 +52,8 @@ class TestPDU:
 
 def bank_in_mode(mode, count=3, soc=0.9):
     bank = BatteryBank.build(count=count, soc=soc)
-    bank.set_all_modes(mode)
+    for unit in bank:
+        unit.set_mode(mode)
     return bank
 
 
@@ -96,12 +97,6 @@ class TestBusResolution:
         report = bus.resolve(solar_w=600.0, server_demand_w=300.0, dt_seconds=5.0)
         total = report.solar_to_load_w + report.charge_power_w + report.curtailed_w
         assert total == pytest.approx(600.0, abs=1.0)
-
-    def test_solar_utilisation_metric(self):
-        bank = bank_in_mode(BatteryMode.OFFLINE, soc=1.0)
-        bus = PowerBus(bank)
-        report = bus.resolve(solar_w=1000.0, server_demand_w=0.0, dt_seconds=5.0)
-        assert report.solar_utilisation == pytest.approx(0.0, abs=0.01)
 
     def test_every_unit_stepped_once(self):
         """Charging units and idle units must both see time pass."""

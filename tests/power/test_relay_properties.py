@@ -40,7 +40,7 @@ def make_plant():
 
 
 def set_voltage(plc, index, voltage):
-    plc.slave.set_input(index * 2, encode_fixed(voltage))
+    plc.slave.input[index * 2] = encode_fixed(voltage)
 
 
 def scan(program, plc, clock):

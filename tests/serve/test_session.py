@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import settings
@@ -129,6 +131,23 @@ class TestLifecycle:
         assert (first.info(), first.summary_payload) == (info, summary)
         assert first.metrics_text() == metrics
         assert [e.encode() for e in first.events.events_after(0)] == streamed
+
+    def test_reaped_sessions_plant_is_freed_without_gc(self):
+        # No policies: a policy and its controller hold each other.
+        plain = {k: v for k, v in SHORT.items() if k != "policies"}
+        manager = SessionManager(max_sessions=2)
+        first = manager.create(parse_manifest(plain), autostart=True)
+        plant = weakref.ref(first.system)
+        gc.disable()
+        try:
+            drive(manager, first)
+            for seed in (4, 5):
+                drive(manager, manager.create(
+                    parse_manifest({**plain, "seed": seed}), autostart=True))
+            assert first.id not in manager.sessions  # reaped
+            assert plant() is None
+        finally:
+            gc.enable()
 
     def test_failed_sessions_release_their_plant(self):
         manager = SessionManager()

@@ -110,6 +110,17 @@ class TestObserversAndStops:
         engine.run(3.0)
         assert ticks == [0.0, 1.0, 2.0]
 
+    def test_observer_every_fires_on_multiples_only(self):
+        ticks = []
+        engine = Engine(dt=1.0)
+        engine.add(Recorder("a", []))
+        engine.observe(lambda clock: ticks.append(clock.step_index), every=3)
+        engine.run(4.0)
+        engine.advance(4)  # sliced ticks keep the phase
+        assert ticks == [0, 3, 6]
+        with pytest.raises(ValueError, match="every"):
+            engine.observe(lambda clock: None, every=0)
+
     def test_observer_runs_after_components(self):
         order = []
 
