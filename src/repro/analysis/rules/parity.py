@@ -109,8 +109,11 @@ FIELD_MAP: dict[str, tuple[str, ...]] = {
     "ServerRack._record": ("_rack",),
     "ServerRack._dt": ("dt",),
     "PowerBus._bus_units": ("_bank",),
-    # The two bus integrals a RunSummary reports.
+    # The bus integrals a RunSummary reports; the fleet sums the two
+    # solar-use edges into one integral.
     "PowerBus.e_solar_wh": ("solar_wh",),
+    "PowerBus.e_solar_to_load_wh": ("used_wh",),
+    "PowerBus.e_charge_bus_wh": ("used_wh",),
     "PowerBus.e_curtailed_wh": ("curt_wh",),
     "NodeAllocator.target_vms": ("alloc_target",),
     "NodeAllocator.vm_ctrl_ops": ("vm_ops",),
@@ -128,7 +131,6 @@ FIELD_MAP: dict[str, tuple[str, ...]] = {
     "MetricsCollector._stored_wh_integral": ("stored_int",),
     "MetricsCollector._load_energy_wh": ("load_wh",),
     "MetricsCollector._effective_energy_wh": ("eff_wh",),
-    "MetricsCollector._solar_used_wh": ("used_wh",),
     "MetricsCollector._min_voltage": ("min_v",),
     "MetricsCollector._since_voltage_sample": ("_since_vsample",),
     "MetricsCollector._elapsed": ("_elapsed",),
@@ -181,10 +183,8 @@ NOT_PORTED: dict[str, str] = {
         "storage overflow (drop-oldest) not modeled in fleet"
     ),
     "MetricsCollector._checkpoint_energy_wh": "ledger-only accumulator",
-    "PowerBus.e_solar_to_load_wh": "ledger edge, obs-only",
     "PowerBus.e_battery_to_load_wh": "ledger edge, obs-only",
     "PowerBus.e_unserved_wh": "ledger edge, obs-only",
-    "PowerBus.e_charge_bus_wh": "ledger edge, obs-only",
     "PowerBus.e_charge_terminal_wh": "ledger edge, obs-only",
     "PowerBus.e_demand_bus_wh": "ledger edge, obs-only",
     "PowerBus.e_server_wall_wh": "ledger edge, obs-only",

@@ -62,11 +62,6 @@ class WearModel:
     # ------------------------------------------------------------------
     # Life projection
     # ------------------------------------------------------------------
-    @property
-    def life_fraction_used(self) -> float:
-        """Fraction of lifetime throughput consumed (stress-weighted)."""
-        return min(1.0, self.weighted_ah / self.params.lifetime_ah)
-
     def projected_life_days(self, elapsed_seconds: float) -> float:
         """Projected service life (days) if the observed usage continued.
 

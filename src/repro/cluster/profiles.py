@@ -62,11 +62,6 @@ class ServerProfile:
         idle = self.idle_w
         return idle + (self.peak_w - idle) * u
 
-    @property
-    def cycle_overhead_s(self) -> float:
-        """Service interruption of one full Off/On cycle."""
-        return self.boot_s + self.save_s
-
 
 #: The prototype's HP ProLiant node (dual Xeon 3.2 GHz, 16 G RAM).
 XEON_DL380 = ServerProfile(name="xeon-dl380", idle_w=280.0, peak_w=450.0)

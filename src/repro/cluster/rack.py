@@ -103,20 +103,12 @@ class ServerRack(Component):
     def running_vm_count(self) -> int:
         return self.record.running_vms
 
-    def placed_vm_count(self) -> int:
-        return sum(len(s.vms) for s in self.servers)
-
     def active_servers(self) -> list[Server]:
         return [s for s in self.servers if s.state is not ServerState.OFF]
 
     def serving(self) -> bool:
         """Whether at least one VM is doing useful work right now."""
         return self.record.running_vms > 0
-
-    def fully_serving(self) -> bool:
-        """Whether every placed VM is running (no boot/save in progress)."""
-        placed = self.placed_vm_count()
-        return placed > 0 and self.running_vm_count() == placed
 
     # ------------------------------------------------------------------
     # Actuation (used by the node allocator and the TPM)

@@ -69,10 +69,6 @@ class Server:
             raise ValueError(f"{vm.vm_id} is not hosted on {self.name}") from None
         self.on_change()
 
-    @property
-    def free_slots(self) -> int:
-        return self.profile.vm_slots - len(self.vms)
-
     def running_vms(self) -> list[VirtualMachine]:
         if self.state is not ServerState.ON:
             return []

@@ -24,10 +24,6 @@ class StorageReport:
     dropped_gb: float
 
     @property
-    def free_gb(self) -> float:
-        return self.capacity_gb - self.used_gb
-
-    @property
     def utilisation(self) -> float:
         return self.used_gb / self.capacity_gb if self.capacity_gb else 0.0
 

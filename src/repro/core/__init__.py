@@ -17,7 +17,7 @@
 
 from repro.core.baseline import BaselineController, BaselineParams
 from repro.core.energy_manager import InsureController, InsureParams
-from repro.core.modes import ModeTransition, legal_transitions
+from repro.core.modes import ModeTransition
 from repro.core.sensing import BatterySense, BatteryTelemetry
 from repro.core.spatial import SpatialPolicy
 from repro.core.system import InSituSystem, build_system
@@ -36,5 +36,4 @@ __all__ = [
     "TemporalAction",
     "TemporalPolicy",
     "build_system",
-    "legal_transitions",
 ]

@@ -10,8 +10,9 @@ The energy buffer's four modes and the seven numbered transitions:
 6. Standby → Discharging   green power output becomes unavailable
 7. Discharging → Standby   green power output exceeds server demand
 
-Controllers use :func:`legal_transitions` to validate every mode change
-they issue; an illegal transition is a controller bug, not a plant event.
+Controllers issue every mode change as a :class:`ModeTransition`, which
+refuses a pair outside these rules: an illegal transition is a controller
+bug, not a plant event.
 """
 
 from __future__ import annotations
@@ -20,18 +21,18 @@ from dataclasses import dataclass
 
 from repro.battery.unit import BatteryMode
 
-#: Mapping of (from, to) -> the paper's transition numbers.
-_TRANSITIONS: dict[tuple[BatteryMode, BatteryMode], tuple[int, ...]] = {
-    (BatteryMode.OFFLINE, BatteryMode.CHARGING): (1,),
-    (BatteryMode.CHARGING, BatteryMode.STANDBY): (2, 5),
-    (BatteryMode.STANDBY, BatteryMode.DISCHARGING): (3, 6),
-    (BatteryMode.DISCHARGING, BatteryMode.OFFLINE): (4,),
-    (BatteryMode.DISCHARGING, BatteryMode.STANDBY): (7,),
+#: The legal (from, to) pairs, with the paper's transition numbers.
+_TRANSITIONS: frozenset[tuple[BatteryMode, BatteryMode]] = frozenset({
+    (BatteryMode.OFFLINE, BatteryMode.CHARGING),  # 1
+    (BatteryMode.CHARGING, BatteryMode.STANDBY),  # 2, 5
+    (BatteryMode.STANDBY, BatteryMode.DISCHARGING),  # 3, 6
+    (BatteryMode.DISCHARGING, BatteryMode.OFFLINE),  # 4
+    (BatteryMode.DISCHARGING, BatteryMode.STANDBY),  # 7
     # Practical extras the prototype needs: suspending a charge when the
     # budget collapses, and protecting a standby unit that self-discharged.
-    (BatteryMode.CHARGING, BatteryMode.OFFLINE): (),
-    (BatteryMode.STANDBY, BatteryMode.OFFLINE): (),
-}
+    (BatteryMode.CHARGING, BatteryMode.OFFLINE),
+    (BatteryMode.STANDBY, BatteryMode.OFFLINE),
+})
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,6 @@ class ModeTransition:
                 f"illegal transition {self.from_mode.value} -> {self.to_mode.value} "
                 f"for {self.battery}"
             )
-
-    @property
-    def paper_numbers(self) -> tuple[int, ...]:
-        """The Figure 8 transition numbers this change corresponds to."""
-        return _TRANSITIONS[(self.from_mode, self.to_mode)]
-
-
-def legal_transitions(from_mode: BatteryMode) -> tuple[BatteryMode, ...]:
-    """Modes reachable from ``from_mode`` in one step."""
-    return tuple(to for (frm, to) in _TRANSITIONS if frm is from_mode)
 
 
 def bus_for_mode(mode: BatteryMode) -> str:

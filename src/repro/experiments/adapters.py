@@ -120,11 +120,6 @@ def _fn_name(fn: Callable[..., Any]) -> str:
     return f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', '?')}"
 
 
-def has_adapter(fn: Callable[..., Any]) -> bool:
-    """Whether run_cells_fleet can route this cell function."""
-    return _fn_name(fn) in _ADAPTERS
-
-
 def run_cells_fleet(
     fn: Callable[..., Any], cells: Sequence[Mapping[str, Any]]
 ) -> list[RunSummary]:

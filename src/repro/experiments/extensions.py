@@ -7,16 +7,13 @@ The paper's discussion sections motivate three follow-ups we implement:
   run of an InSURE pod built from Core i7 nodes versus the Xeon pod.
 * **Secondary power** (Fig. 6 "supports a secondary power if available")
   — a rainy day with and without a diesel backup genset.
-* **Multi-day operation** — several consecutive days with overnight gaps,
-  exercising the SPM's budget carry-over (D_U of Eq. 1) and the wear
-  model's long-horizon projections.
+* **Storage pressure** — a surveillance day with an undersized raw-data
+  buffer, where time spent dark overwrites footage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cluster.profiles import CORE_I7, XEON_DL380
 from repro.core.system import build_day_system, build_system
@@ -24,7 +21,7 @@ from repro.experiments.runner import run_cells
 from repro.power.secondary import DieselGenerator, HybridSource
 from repro.sim.cache import cached_cell
 from repro.solar.field import TracePlayer
-from repro.solar.traces import DayTrace, make_day_trace
+from repro.solar.traces import make_day_trace
 from repro.telemetry.metrics import RunSummary
 from repro.workloads import VideoSurveillance
 
@@ -173,51 +170,3 @@ def run_storage_pressure_day(
     insure, baseline = run_cells(run_storage_cell, cells,
                                  max_workers=max_workers)
     return StoragePressureResult(insure=insure, baseline=baseline)
-
-
-@dataclass
-class MultiDayResult:
-    """Several consecutive days of standalone operation."""
-
-    per_day: list[RunSummary]
-    total_processed_gb: float
-    final_life_days: float
-    discharge_imbalance_ah: float
-
-
-def _multi_day_trace(days: int, seed: int, mean_w: float, dt: float) -> DayTrace:
-    """Concatenate day traces with 11-hour overnight gaps."""
-    profiles = ("sunny", "cloudy", "rainy")
-    night = np.zeros(int(11 * 3600 / dt))
-    pieces = []
-    for day in range(days):
-        trace = make_day_trace(profiles[day % 3], dt_seconds=dt,
-                               seed=seed + day, target_mean_w=mean_w)
-        pieces.append(trace.power_w)
-        if day != days - 1:
-            pieces.append(night)
-    return DayTrace(start_hour=7.0, dt_seconds=dt,
-                    power_w=np.concatenate(pieces))
-
-
-def run_multiday(days: int = 3, seed: int = 9, mean_w: float = 700.0,
-                 dt: float = 10.0) -> MultiDayResult:
-    """Run ``days`` consecutive days under InSURE; summarise per day."""
-    if days < 1:
-        raise ValueError("days must be >= 1")
-    trace = _multi_day_trace(days, seed, mean_w, dt)
-    system = build_system(trace, VideoSurveillance(), controller="insure",
-                          seed=seed, initial_soc=0.55, dt=dt)
-    per_day: list[RunSummary] = []
-    day_length = (13 + 11) * 3600.0
-    for day in range(days):
-        duration = min(day_length, trace.duration_s - day * day_length)
-        system.engine.run(duration)
-        per_day.append(system.metrics.summary())
-    final = per_day[-1]
-    return MultiDayResult(
-        per_day=per_day,
-        total_processed_gb=final.processed_gb,
-        final_life_days=final.projected_life_days,
-        discharge_imbalance_ah=final.discharge_imbalance_ah,
-    )

@@ -26,6 +26,7 @@ is what keeps the 12 golden cells bit-exact).
 from __future__ import annotations
 
 import math
+import weakref
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only; keeps policy importable standalone
@@ -80,9 +81,10 @@ def nudge_vm_target(target: int, direction: int, step: int,
 class ControlMethod:
     """Base class for limit applicators.
 
-    ``bind`` wires plant references (the power manager, and the solar
-    charger for supply-side controls); ``apply`` pushes one capacity
-    fraction and returns True when actuated state changed.
+    ``bind`` wires plant references (the power manager, held weakly
+    because the manager holds its policies, and the solar charger for
+    supply-side controls); ``apply`` pushes one capacity fraction and
+    returns True when actuated state changed.
     """
 
     #: Registry name (``control=`` token in scenario definitions).
@@ -98,7 +100,7 @@ class ControlMethod:
 
     def bind(self, manager: PowerManager,
              charger: SolarCharger | None = None) -> None:
-        self._manager = manager
+        self._manager = weakref.proxy(manager)
         self._charger = charger
 
     def apply(self, fraction: float, t: float) -> bool:

@@ -12,11 +12,15 @@ control method.
 Policies attach to a power manager via
 :meth:`repro.core.controller_base.PowerManager.attach_policy`; an empty
 policy list costs the controller nothing, which is how the refactor
-leaves the 12 golden cells bit-identical.
+leaves the 12 golden cells bit-identical.  The manager holds its
+policies, so a policy and its bound halves hold the manager through a
+``weakref.proxy``: a system with overlays is no reference cycle, and
+reference counting frees it when it is dropped.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.policy.controls import ControlMethod
@@ -55,7 +59,7 @@ class Policy:
     def bind(self, manager: PowerManager,
              charger: SolarCharger | None = None) -> None:
         """Wire plant references into the signal and control halves."""
-        self._manager = manager
+        self._manager = weakref.proxy(manager)
         self.signal.bind(manager, charger)
         self.control.bind(manager, charger)
         self.control.source = self.name

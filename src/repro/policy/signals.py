@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -201,7 +202,7 @@ class BatterySocSignal(SignalProvider):
 
     def bind(self, manager: PowerManager,
              charger: SolarCharger | None = None) -> None:
-        self._manager = manager
+        self._manager = weakref.proxy(manager)
 
     def value(self, t: float) -> float:
         if self._manager is None:
@@ -228,7 +229,7 @@ class SolarForecastSignal(SignalProvider):
 
     def bind(self, manager: PowerManager,
              charger: SolarCharger | None = None) -> None:
-        self._manager = manager
+        self._manager = weakref.proxy(manager)
 
     def value(self, t: float) -> float:
         if self._manager is None:

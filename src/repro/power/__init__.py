@@ -18,7 +18,6 @@ from repro.power.plc import AnalogInputModule, ProgrammableLogicController
 from repro.power.relays import Relay, RelayPair, SwitchNetwork
 from repro.power.secondary import DieselGenerator, HybridSource
 from repro.power.sensors import CurrentTransducer, VoltageTransducer
-from repro.power.topology import ReconfigurableArray, Topology, TopologyError
 
 __all__ = [
     "AnalogInputModule",
@@ -32,11 +31,8 @@ __all__ = [
     "PowerBus",
     "PowerDistributionUnit",
     "ProgrammableLogicController",
-    "ReconfigurableArray",
     "Relay",
     "RelayPair",
     "SwitchNetwork",
-    "Topology",
-    "TopologyError",
     "VoltageTransducer",
 ]

@@ -57,10 +57,6 @@ class Relay:
         """Inject a mechanical fault: the contact freezes in place."""
         self.stuck = True
 
-    @property
-    def life_fraction_used(self) -> float:
-        return min(1.0, self.cycles / self.rated_cycles)
-
 
 class RelayPair:
     """The charge/discharge relay pair guarding one battery cabinet."""

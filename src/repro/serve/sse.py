@@ -89,11 +89,6 @@ class EventBuffer:
         """Id of the most recently appended event (0 = none yet)."""
         return self._next_id - 1
 
-    @property
-    def first_buffered_id(self) -> int | None:
-        """Oldest id still replayable, or None when the buffer is empty."""
-        return self._events[0].id if self._events else None
-
     def append(self, event: str, data: str) -> BufferedEvent:
         """Store an event, assign its id, and notify listeners."""
         buffered = BufferedEvent(id=self._next_id, event=event, data=data)

@@ -9,7 +9,7 @@ control, server cluster) is built as components stepped by a single engine
 so experiments are reproducible end to end.
 """
 
-from repro.sim.clock import Clock, SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.sim.clock import Clock, SECONDS_PER_HOUR
 from repro.sim.component import Component
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.rng import RandomStreams
@@ -20,7 +20,6 @@ __all__ = [
     "Component",
     "Engine",
     "RandomStreams",
-    "SECONDS_PER_DAY",
     "SECONDS_PER_HOUR",
     "SimulationError",
     "TraceRecorder",

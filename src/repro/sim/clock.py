@@ -8,9 +8,7 @@ time-of-day origin so solar geometry and the paper's operating schedule
 
 from __future__ import annotations
 
-SECONDS_PER_MINUTE = 60
 SECONDS_PER_HOUR = 3600
-SECONDS_PER_DAY = 86400
 
 
 class Clock:
@@ -51,15 +49,6 @@ class Clock:
     def hour_of_day(self) -> float:
         """Wall-clock hour of day in [0, 24)."""
         return (self.start_hour + self.hours) % 24.0
-
-    @property
-    def day_index(self) -> int:
-        """Number of whole days elapsed since the run started."""
-        return int((self.start_hour * SECONDS_PER_HOUR + self.t) // SECONDS_PER_DAY)
-
-    def is_daytime(self, sunrise: float = 6.5, sunset: float = 19.5) -> bool:
-        """Whether the current hour of day falls within daylight hours."""
-        return sunrise <= self.hour_of_day < sunset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -698,13 +698,6 @@ class _FleetBatch:
         np.minimum(y2n, self.y2_cap, out=y2n)
         return y1c, y2n, moved
 
-    def _kibam_apply(self, mask: np.ndarray, amps) -> np.ndarray:
-        """KiBaM Euler step on masked cells; returns Ah moved (signed)."""
-        y1n, y2n, moved = self._kibam_step(amps, self._diffusion())
-        np.putmask(self.y1, mask, y1n)
-        np.putmask(self.y2, mask, y2n)
-        return moved
-
     def _max_discharge_current(self, diffusion: np.ndarray) -> np.ndarray:
         """BatteryUnit.max_discharge_current for every cell, given
         :meth:`_diffusion` of the current wells."""

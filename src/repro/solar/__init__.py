@@ -15,20 +15,17 @@ traces of Figure 15, and the 7.9 / 5.9 / 3.0 kWh days of Table 6.
 from repro.solar.clearsky import clearsky_ghi
 from repro.solar.clouds import CloudField, CloudRegime
 from repro.solar.field import ConstantSource, SolarField, TracePlayer
-from repro.solar.forecast import ClearSkyScaledForecast, PersistenceForecast
 from repro.solar.geometry import cos_zenith, declination_rad, hour_angle_rad
 from repro.solar.mppt import PerturbObserveMPPT
 from repro.solar.panel import PVPanel
-from repro.solar.traces import DayTrace, make_day_trace, scale_to_mean_power
+from repro.solar.traces import DayTrace, make_day_trace
 
 __all__ = [
-    "ClearSkyScaledForecast",
     "CloudField",
     "CloudRegime",
     "ConstantSource",
     "DayTrace",
     "PVPanel",
-    "PersistenceForecast",
     "PerturbObserveMPPT",
     "SolarField",
     "TracePlayer",
@@ -37,5 +34,4 @@ __all__ = [
     "declination_rad",
     "hour_angle_rad",
     "make_day_trace",
-    "scale_to_mean_power",
 ]

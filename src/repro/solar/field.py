@@ -15,8 +15,6 @@ Both expose ``available_power_w``, the PV-bus budget the controllers see.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.sim.clock import Clock
 from repro.sim.component import Component
 from repro.solar.clearsky import clearsky_ghi
@@ -75,10 +73,6 @@ class TracePlayer(Component):
         index = int(clock.t // self._dt)
         self.available_power_w = self._power[index] if index < self._count else 0.0
 
-    @property
-    def total_energy_kwh(self) -> float:
-        return self.trace.energy_kwh
-
 
 class ConstantSource(Component):
     """A fixed power budget; handy for unit tests and controlled studies."""
@@ -91,9 +85,3 @@ class ConstantSource(Component):
 
     def step(self, clock: Clock) -> None:  # noqa: ARG002 - uniform interface
         """Constant output; nothing to advance."""
-
-
-def trace_from_array(power_w: np.ndarray, dt_seconds: float, start_hour: float = 7.0) -> DayTrace:
-    """Wrap a raw power array (e.g. from a CSV of measurements) as a trace;
-    :class:`DayTrace` checks the samples."""
-    return DayTrace(start_hour=start_hour, dt_seconds=dt_seconds, power_w=power_w)

@@ -40,18 +40,3 @@ def cos_zenith(
     ha = hour_angle_rad(hour_of_day)
     value = math.sin(lat) * math.sin(dec) + math.cos(lat) * math.cos(dec) * math.cos(ha)
     return max(0.0, value)
-
-
-def daylight_hours(
-    day_of_year: int = 172,
-    latitude_deg: float = GAINESVILLE_LATITUDE_DEG,
-) -> float:
-    """Length of the day (sunrise to sunset) in hours."""
-    lat = math.radians(latitude_deg)
-    dec = declination_rad(day_of_year)
-    cos_sunset = -math.tan(lat) * math.tan(dec)
-    if cos_sunset <= -1.0:
-        return 24.0
-    if cos_sunset >= 1.0:
-        return 0.0
-    return 2.0 * math.degrees(math.acos(cos_sunset)) / 15.0

@@ -60,10 +60,3 @@ class PerturbObserveMPPT:
             if v_oc > 0:
                 self.v_op = min(max(self.v_op, 0.3 * v_oc), 0.98 * v_oc)
         return self.panel.power_at(self.v_op, irradiance_wm2)
-
-    def tracking_efficiency(self, irradiance_wm2: float) -> float:
-        """Efficiency versus the true MPP at the given irradiance."""
-        ideal = self.panel.max_power(irradiance_wm2)
-        if ideal <= 0.0:
-            return 1.0
-        return self.panel.power_at(self.v_op, irradiance_wm2) / ideal

@@ -80,9 +80,3 @@ class PVPanel:
         x_mpp = (1.0 / (n + 1.0)) ** (1.0 / n)
         peak = x_mpp * (1.0 - x_mpp**n)
         return self.max_power(irradiance_wm2) * shape / peak
-
-    def v_mpp(self, irradiance_wm2: float) -> float:
-        """Voltage of the true maximum power point."""
-        n = self.fill_shape
-        x_mpp = (1.0 / (n + 1.0)) ** (1.0 / n)
-        return x_mpp * self.v_oc(irradiance_wm2)

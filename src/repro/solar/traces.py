@@ -180,17 +180,6 @@ def make_day_trace(
     return DayTrace(start_hour=TRACE_START_HOUR, dt_seconds=dt_seconds, power_w=power)
 
 
-def scale_to_mean_power(trace: DayTrace, mean_w: float) -> DayTrace:
-    """Return a copy of ``trace`` rescaled to an exact mean power."""
-    if mean_w < 0:
-        raise ValueError("mean_w must be non-negative")
-    return DayTrace(
-        start_hour=trace.start_hour,
-        dt_seconds=trace.dt_seconds,
-        power_w=_rescaled(trace.power_w, mean_w, trace.mean_power_w),
-    )
-
-
 def _rescaled(power: np.ndarray, target: float, current: float) -> np.ndarray:
     """``power`` scaled from its ``current`` mean power or energy to ``target``.
 

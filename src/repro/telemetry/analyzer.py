@@ -36,24 +36,6 @@ def table6_row(summary: RunSummary) -> dict[str, float | int]:
     }
 
 
-def service_metrics(summary: RunSummary) -> dict[str, float]:
-    """The service-related metric group of Figures 20-21."""
-    return {
-        "system_uptime": summary.uptime_fraction,
-        "load_perf": summary.throughput_gb_per_hour,
-        "avg_latency_min": summary.mean_delay_minutes,
-    }
-
-
-def system_metrics(summary: RunSummary) -> dict[str, float]:
-    """The system-related metric group of Figures 20-21."""
-    return {
-        "ebuffer_avail_wh": summary.energy_availability_wh,
-        "service_life_days": summary.projected_life_days,
-        "perf_per_ah": summary.perf_per_ah_gb,
-    }
-
-
 def join_decisions(
     recorder,
     decisions: Iterable,

@@ -1,9 +1,9 @@
 """Trace and summary persistence.
 
-Round-trippable export of what a run produced: recorder channels to CSV
-(for plotting elsewhere), run summaries to JSON (for archiving paper-vs-
-measured records), and solar day traces to CSV (for replaying a measured
-day through the simulator — the authors' own methodology).
+Export of what a run produced: recorder channels to CSV (for plotting
+elsewhere), run summaries to JSON (for archiving paper-vs-measured
+records), and solar day traces to CSV, which load back (for replaying a
+measured day through the simulator — the authors' own methodology).
 """
 
 from __future__ import annotations
@@ -45,20 +45,6 @@ def save_summary_json(summary: RunSummary, path: str | Path,
         payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
-
-
-def load_summary_json(path: str | Path) -> RunSummary:
-    """Load a summary saved by :func:`save_summary_json`.
-
-    Unknown (extra) keys are ignored so archived files stay loadable as
-    the summary grows new fields.
-    """
-    payload = json.loads(Path(path).read_text())
-    fields = {f.name for f in dataclasses.fields(RunSummary)}
-    missing = fields - set(payload)
-    if missing:
-        raise ValueError(f"summary file missing fields: {sorted(missing)}")
-    return RunSummary(**{k: v for k, v in payload.items() if k in fields})
 
 
 def export_day_trace_csv(trace: DayTrace, path: str | Path) -> Path:

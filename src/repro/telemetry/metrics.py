@@ -96,7 +96,6 @@ class MetricsCollector(Component):
         self._load_energy_wh = 0.0
         self._effective_energy_wh = 0.0
         self._checkpoint_energy_wh = 0.0
-        self._solar_used_wh = 0.0
         self._min_voltage = float("inf")
         self._voltage_samples: list[float] = []
         self._since_voltage_sample = float("inf")
@@ -124,10 +123,6 @@ class MetricsCollector(Component):
         self._load_energy_wh += rack.demand_w * dt_h
         self._effective_energy_wh += rack.effective_w * dt_h
         self._checkpoint_energy_wh += rack.transition_w * dt_h
-
-        report = self.plant.last_report
-        if report is not None:
-            self._solar_used_wh += (report.solar_to_load_w + report.charge_power_w) * dt_h
 
         min_v = self._min_voltage
         for u in self.bank.units:
@@ -176,7 +171,8 @@ class MetricsCollector(Component):
             if len(self._voltage_samples) > 1
             else 0.0
         )
-        # The harvest and curtailment totals are the bus's own integrals.
+        # The harvest, use and curtailment totals are the bus's own
+        # integrals: solar is used on the load bus or on the charge bus.
         bus = self.plant.bus
         return RunSummary(
             elapsed_s=elapsed,
@@ -190,7 +186,7 @@ class MetricsCollector(Component):
             load_energy_kwh=self._load_energy_wh / 1000.0,
             effective_energy_kwh=self._effective_energy_wh / 1000.0,
             solar_energy_kwh=bus.e_solar_wh / 1000.0,
-            solar_used_kwh=self._solar_used_wh / 1000.0,
+            solar_used_kwh=(bus.e_solar_to_load_wh + bus.e_charge_bus_wh) / 1000.0,
             curtailed_kwh=bus.e_curtailed_wh / 1000.0,
             min_battery_voltage=self._min_voltage,
             end_battery_voltage=self.bank.mean_voltage,

@@ -135,7 +135,3 @@ class MicroWorkload(Workload):
                     t,
                 )
             )
-
-    @property
-    def completed_iterations(self) -> int:
-        return len(self.queue.completed)

@@ -60,10 +60,6 @@ class TestLifeProjection:
         heavy.record(20.0, 0.3, 4 * 3600.0)
         assert heavy.projected_life_days(DAY) < gentle.projected_life_days(DAY)
 
-    def test_life_fraction_used_saturates(self, wear):
-        wear.weighted_ah = wear.params.lifetime_ah * 2
-        assert wear.life_fraction_used == 1.0
-
     def test_projection_requires_positive_elapsed(self, wear):
         with pytest.raises(ValueError):
             wear.projected_life_days(0.0)

@@ -208,6 +208,6 @@ class TestAllocator:
     def test_fully_serving(self, rack):
         alloc = NodeAllocator(rack)
         alloc.set_target(4)
-        assert not rack.fully_serving()  # still booting
+        assert not alloc.running_matches_target()  # still booting
         settle(rack)
-        assert rack.fully_serving()
+        assert alloc.running_matches_target()

@@ -27,7 +27,7 @@ class TestProfiles:
         assert XEON_DL380.power_at(2.0) == 450.0
 
     def test_cycle_overhead_about_15_minutes(self):
-        assert XEON_DL380.cycle_overhead_s == pytest.approx(900.0)
+        assert XEON_DL380.boot_s + XEON_DL380.save_s == pytest.approx(900.0)
 
     def test_i7_much_lower_power(self):
         assert CORE_I7.peak_w < XEON_DL380.idle_w / 2
@@ -126,8 +126,3 @@ class TestVMHosting:
     def test_evict_unknown_vm(self, server):
         with pytest.raises(ValueError):
             server.evict_vm(VirtualMachine("ghost"))
-
-    def test_free_slots(self, server):
-        assert server.free_slots == 2
-        server.place_vm(VirtualMachine("a"))
-        assert server.free_slots == 1

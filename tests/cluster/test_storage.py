@@ -37,7 +37,7 @@ class TestStorageArray:
         array = StorageArray(capacity_gb=100.0)
         array.ingest(40.0)
         report = array.report()
-        assert report.free_gb == 60.0
+        assert report.capacity_gb - report.used_gb == 60.0
         assert report.utilisation == pytest.approx(0.4)
 
     def test_validation(self):

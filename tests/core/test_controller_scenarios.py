@@ -70,12 +70,13 @@ class TestDutyCycling:
         (Fig. 11, batch path) before resorting to checkpoints."""
         import numpy as np
 
-        from repro.solar.field import trace_from_array
+        from repro.solar.traces import DayTrace
 
         dt = 5.0
         good = np.full(int(1.0 * HOUR / dt), 1500.0)
         collapse = np.full(int(1.5 * HOUR / dt), 250.0)
-        trace = trace_from_array(np.concatenate([good, collapse]), dt)
+        trace = DayTrace(start_hour=7.0, dt_seconds=dt,
+                         power_w=np.concatenate([good, collapse]))
         system = build_system(trace, SeismicAnalysis(), controller="insure",
                               initial_soc=0.95, seed=0)
         system.run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.battery.unit import BatteryMode
-from repro.core.modes import legal_transitions
+from repro.core.modes import ModeTransition
 from repro.core.system import build_system
 from repro.solar.field import ConstantSource
 from repro.workloads import SeismicAnalysis, VideoSurveillance
@@ -50,12 +50,13 @@ class TestInsure:
     def test_mode_changes_validated(self):
         system = constant_system("insure", 900.0, initial_soc=0.5)
         system.run(2 * HOUR)
-        # Every recorded mode change is a legal Figure 8 transition.
+        # Every recorded mode change is a legal Figure 8 transition: it
+        # constructs as a ModeTransition, which refuses an illegal pair.
         changes = system.decisions.of_kind("buffer.mode")
         assert changes
         for change in changes:
-            from_mode = BatteryMode(change.data["from_mode"])
-            assert BatteryMode(change.data["to_mode"]) in legal_transitions(from_mode)
+            ModeTransition(change.source, BatteryMode(change.data["from_mode"]),
+                           BatteryMode(change.data["to_mode"]), change.data["reason"])
 
     def test_duty_workload_uses_dvfs(self):
         system = constant_system(

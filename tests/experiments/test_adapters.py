@@ -29,16 +29,39 @@ def _explode_on_two(x):
 
 
 class TestAdapterRegistry:
-    def test_experiment_cell_functions_are_adapted(self):
+    def test_experiment_cell_functions_are_adapted(self, monkeypatch):
         from repro.experiments.fullsystem import run_single
         from repro.experiments.provisioning import run_provisioning_cell
         from repro.experiments.table6 import run_table6_cell
 
-        for fn in (run_single, run_table6_cell, run_provisioning_cell):
-            assert adapters.has_adapter(fn), fn.__name__
+        class Routed(Exception):
+            pass
+
+        routed = []
+
+        def fake_simulate_fleet(specs):
+            routed.append(len(specs))
+            raise Routed
+
+        monkeypatch.setattr(adapters, "simulate_fleet", fake_simulate_fleet)
+        cells = (
+            (run_single, dict(controller="insure", workload_kind="video",
+                              profile="sunny", solar_mean_w=800.0, seed=5)),
+            (run_table6_cell, dict(day="cloudy", controller="insure", seed=2)),
+            (run_provisioning_cell, dict(battery_count=3, solar_scale=1.0, seed=4)),
+        )
+        for fn, cell in cells:
+            with pytest.raises(Routed):
+                adapters.run_cells_fleet(fn, [dict(cell, use_cache=False)])
+        assert routed == [1, 1, 1]
 
     def test_arbitrary_functions_are_not(self):
-        assert not adapters.has_adapter(_double)
+        from repro.experiments.extensions import run_storage_cell
+        from repro.sim.fleet import FleetUnsupported
+
+        # A cached experiment cell without an adapter falls back too.
+        with pytest.raises(FleetUnsupported, match="no fleet adapter"):
+            adapters.run_cells_fleet(run_storage_cell, [dict(controller="insure")])
 
     def test_unadapted_function_raises_fleet_unsupported(self):
         from repro.sim.fleet import FleetUnsupported

@@ -1,12 +1,8 @@
-"""Extension experiments: heterogeneity, backup power, multi-day."""
+"""Extension experiments: heterogeneity, backup power, storage pressure."""
 
 import pytest
 
-from repro.experiments.extensions import (
-    run_backup_day,
-    run_heterogeneous_day,
-    run_multiday,
-)
+from repro.experiments.extensions import run_backup_day, run_heterogeneous_day
 
 
 class TestHeterogeneousPod:
@@ -42,25 +38,6 @@ class TestBackupPower:
     def test_fuel_cost_modest(self, result):
         """A day of backup costs dollars, not hundreds."""
         assert result.fuel_cost_usd < 100.0
-
-
-class TestMultiDay:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_multiday(days=2, dt=10.0)
-
-    def test_progress_accumulates_across_days(self, result):
-        assert result.per_day[1].processed_gb > result.per_day[0].processed_gb
-
-    def test_life_projection_stays_finite(self, result):
-        assert 100.0 < result.final_life_days < 3000.0
-
-    def test_wear_stays_balanced(self, result):
-        assert result.discharge_imbalance_ah < 10.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_multiday(days=0)
 
 
 class TestStoragePressure:

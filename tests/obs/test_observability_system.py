@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.system import build_day_system, build_system
 from repro.obs.hub import Observability
+from repro.policy.registry import PolicyDef, build_policy
 from repro.solar.traces import make_day_trace
 from repro.validate import golden
 from repro.workloads import SeismicAnalysis, VideoSurveillance
@@ -141,16 +142,27 @@ def test_golden_digests_hold_with_observability_on(cell):
 
 
 def test_dropped_observed_system_is_freed_without_gc():
-    """The bundle reaches the parts it reads, never the system, so an
-    observed system is no reference cycle: reference counting frees it."""
-    system = build_day_system("insure", "video", "sunny", mean_w=1000.0, seed=1,
-                              initial_soc=0.6, observability=True)
-    system.run(3600.0)
-    refs = [weakref.ref(part) for part in
-            (system, system.engine, system.bank, system.controller, system.obs)]
-    gc.disable()
-    try:
-        del system
-        assert [ref() for ref in refs] == [None] * len(refs)
-    finally:
-        gc.enable()
+    """The bundle reaches the parts it reads, never the system, and a
+    policy overlay holds its manager weakly, so an observed system is no
+    reference cycle, with overlays or without: reference counting frees
+    it."""
+    # One overlay per kind of bound part: the policy itself, a control,
+    # and the two signals that read the manager.
+    overlays = (PolicyDef("duty", "carbon", "const:0.9", "duty_cap"),
+                PolicyDef("vms", "soc", "const:1.0", "vm_retarget"),
+                PolicyDef("charge", "solar", "const:1.0", "charge_current_cap"))
+    for defs in ((), overlays):
+        system = build_day_system("insure", "video", "sunny", mean_w=1000.0, seed=1,
+                                  initial_soc=0.6, observability=True,
+                                  policies=[build_policy(d, 1) for d in defs])
+        system.run(3600.0)
+        assert len(system.controller.policies) == len(defs)
+        refs = [weakref.ref(part) for part in
+                (system, system.engine, system.bank, system.controller, system.obs,
+                 *system.controller.policies)]
+        gc.disable()
+        try:
+            del system
+            assert [ref() for ref in refs] == [None] * len(refs), defs
+        finally:
+            gc.enable()

@@ -121,7 +121,11 @@ def test_spm_threshold_is_budget_ramp_composition():
 
 
 def test_charge_cap_requires_charger():
+    class StandIn:
+        """A bare manager; a class instance, so it can be held weakly."""
+
+    manager = StandIn()
     control = make_control("charge_current_cap")
-    control.bind(object(), charger=None)
+    control.bind(manager, charger=None)
     with pytest.raises(RuntimeError, match="charger"):
         control.apply(0.5, 0.0)

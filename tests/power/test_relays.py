@@ -13,12 +13,6 @@ class TestRelay:
         assert relay.set(False) is True
         assert relay.cycles == 2
 
-    def test_life_fraction(self):
-        relay = Relay("r", rated_cycles=10)
-        for i in range(20):
-            relay.set(i % 2 == 0)
-        assert relay.life_fraction_used == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Relay("r", switching_time_s=-1.0)

@@ -133,19 +133,19 @@ class TestLifecycle:
         assert [e.encode() for e in first.events.events_after(0)] == streamed
 
     def test_reaped_sessions_plant_is_freed_without_gc(self):
-        # No policies: a policy and its controller hold each other.
-        plain = {k: v for k, v in SHORT.items() if k != "policies"}
         manager = SessionManager(max_sessions=2)
-        first = manager.create(parse_manifest(plain), autostart=True)
-        plant = weakref.ref(first.system)
+        first = manager.create(parse_manifest(SHORT), autostart=True)
+        assert first.system.controller.policies  # SHORT's overlay is attached
+        parts = [weakref.ref(part) for part in
+                 (first.system, first.system.plant, first.system.controller)]
         gc.disable()
         try:
             drive(manager, first)
             for seed in (4, 5):
                 drive(manager, manager.create(
-                    parse_manifest({**plain, "seed": seed}), autostart=True))
+                    parse_manifest({**SHORT, "seed": seed}), autostart=True))
             assert first.id not in manager.sessions  # reaped
-            assert plant() is None
+            assert [part() for part in parts] == [None, None, None]
         finally:
             gc.enable()
 

@@ -5,7 +5,9 @@ expressions reproducing the scalar ones operation-for-operation.  For the
 KiBaM Euler step that claim is checkable exactly: the expression tree
 contains only +, -, *, / and comparisons (no transcendentals), and IEEE
 arithmetic is deterministic elementwise, so the batch result must equal
-the scalar result to the last bit — not approximately.
+the scalar result to the last bit — not approximately.  ``test_laws.py``
+holds one cell to its scalar twin; these tests hold a batch of sites to
+theirs, and its wells to their physical range.
 """
 
 import numpy as np
@@ -49,24 +51,6 @@ def _scalar(y1: float, y2: float) -> KiBaM:
     return kibam
 
 
-@given(y1=wells_y1, y2=wells_y2, amps=currents)
-@settings(max_examples=200, deadline=None)
-def test_single_cell_matches_scalar_bitwise(y1, y2, amps):
-    batch = _batch(1)
-    batch.y1[:] = y1
-    batch.y2[:] = y2
-    moved = batch._kibam_apply(np.ones((batch.b, 1), dtype=bool),
-                               np.full((batch.b, 1), amps))
-
-    scalar = _scalar(y1, y2)
-    expected_moved = scalar.apply_current(amps, DT_S)
-
-    for cell in range(batch.b):
-        assert float(moved[cell, 0]) == expected_moved
-        assert float(batch.y1[cell, 0]) == scalar.y1
-        assert float(batch.y2[cell, 0]) == scalar.y2
-
-
 @given(
     states=st.lists(st.tuples(wells_y1, wells_y2, currents),
                     min_size=2, max_size=8),
@@ -81,14 +65,14 @@ def test_batched_sites_are_elementwise_independent(states):
         batch.y1[:, i] = y1
         batch.y2[:, i] = y2
         amps[:, i] = a
-    moved = batch._kibam_apply(np.ones_like(amps, dtype=bool), amps)
+    y1n, y2n, moved = batch._kibam_step(amps, batch._diffusion())
 
     for i, (y1, y2, a) in enumerate(states):
         scalar = _scalar(y1, y2)
         expected = scalar.apply_current(a, DT_S)
         assert float(moved[0, i]) == expected
-        assert float(batch.y1[0, i]) == scalar.y1
-        assert float(batch.y2[0, i]) == scalar.y2
+        assert float(y1n[0, i]) == scalar.y1
+        assert float(y2n[0, i]) == scalar.y2
 
 
 @given(y1=wells_y1, y2=wells_y2)
@@ -97,7 +81,7 @@ def test_wells_stay_physical(y1, y2):
     batch = _batch(1)
     batch.y1[:] = y1
     batch.y2[:] = y2
-    batch._kibam_apply(np.ones((batch.b, 1), dtype=bool),
-                       np.full((batch.b, 1), 200.0))
-    assert (batch.y1 >= 0.0).all() and (batch.y1 <= batch.y1_cap).all()
-    assert (batch.y2 >= 0.0).all() and (batch.y2 <= batch.y2_cap).all()
+    y1n, y2n, _ = batch._kibam_step(np.full((batch.b, 1), 200.0),
+                                    batch._diffusion())
+    assert (y1n >= 0.0).all() and (y1n <= batch.y1_cap).all()
+    assert (y2n >= 0.0).all() and (y2n <= batch.y2_cap).all()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR, Clock
+from repro.sim.clock import SECONDS_PER_HOUR, Clock
 
 
 class TestConstruction:
@@ -54,20 +54,3 @@ class TestTimeOfDay:
         clock.advance()
         clock.advance()
         assert clock.hour_of_day == pytest.approx(1.0)
-
-    def test_day_index_increments(self):
-        clock = Clock(dt=SECONDS_PER_DAY, start_hour=7.0)
-        assert clock.day_index == 0
-        clock.advance()
-        assert clock.day_index == 1
-
-    def test_is_daytime(self):
-        clock = Clock(start_hour=12.0)
-        assert clock.is_daytime()
-        night = Clock(start_hour=2.0)
-        assert not night.is_daytime()
-
-    def test_is_daytime_custom_bounds(self):
-        clock = Clock(start_hour=6.0)
-        assert not clock.is_daytime(sunrise=6.5, sunset=19.5)
-        assert clock.is_daytime(sunrise=5.0, sunset=19.5)

@@ -1,12 +1,11 @@
 """Solar field components."""
 
-import numpy as np
 import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.solar.clouds import CloudField
-from repro.solar.field import ConstantSource, SolarField, TracePlayer, trace_from_array
+from repro.solar.field import ConstantSource, SolarField, TracePlayer
 from repro.solar.traces import make_day_trace
 
 
@@ -20,8 +19,18 @@ class TestTracePlayer:
         assert player.available_power_w == trace.at(45.0)
 
     def test_energy_passthrough(self):
+        # Stepped over the whole trace, the player hands over all of its
+        # energy: one sample per tick, none skipped or repeated.
         trace = make_day_trace("sunny", target_energy_kwh=5.0)
-        assert TracePlayer("solar", trace).total_energy_kwh == pytest.approx(5.0)
+        player = TracePlayer("solar", trace)
+        engine = Engine(dt=trace.dt_seconds, start_hour=trace.start_hour)
+        engine.add(player)
+        wh = 0.0
+        for _ in range(len(trace.power_w)):
+            engine.run(trace.dt_seconds)
+            wh += player.available_power_w * trace.dt_seconds / 3600.0
+        assert wh / 1000.0 == pytest.approx(trace.energy_kwh, rel=1e-12)
+        assert trace.energy_kwh == pytest.approx(5.0)
 
 
 class TestSolarField:
@@ -53,22 +62,3 @@ class TestConstantSource:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ConstantSource("s", -1.0)
-
-
-class TestTraceFromArray:
-    def test_wraps_array(self):
-        trace = trace_from_array(np.array([1.0, 2.0, 3.0]), dt_seconds=5.0)
-        assert trace.at(6.0) == 2.0
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            trace_from_array(np.array([1.0, -2.0]), dt_seconds=5.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_values(self, bad):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            trace_from_array(np.array([1.0, bad]), dt_seconds=5.0)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            trace_from_array(np.ones((2, 2)), dt_seconds=5.0)

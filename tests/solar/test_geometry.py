@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.solar.geometry import (
-    cos_zenith,
-    daylight_hours,
-    declination_rad,
-    hour_angle_rad,
-)
+from repro.solar.geometry import cos_zenith, declination_rad, hour_angle_rad
 
 
 class TestDeclination:
@@ -54,16 +49,3 @@ class TestZenith:
 
     def test_winter_lower_than_summer(self):
         assert cos_zenith(12.0, day_of_year=355) < cos_zenith(12.0, day_of_year=172)
-
-
-class TestDaylight:
-    def test_summer_longer_than_winter(self):
-        assert daylight_hours(172) > daylight_hours(355)
-
-    def test_polar_extremes(self):
-        assert daylight_hours(172, latitude_deg=80.0) == 24.0
-        assert daylight_hours(355, latitude_deg=80.0) == 0.0
-
-    def test_gainesville_summer_reasonable(self):
-        hours = daylight_hours(172)
-        assert 13.0 < hours < 15.0

@@ -14,7 +14,6 @@ from repro.solar.traces import (
     make_day_trace,
     paper_high_trace,
     paper_low_trace,
-    scale_to_mean_power,
     table6_trace,
 )
 
@@ -79,16 +78,11 @@ class TestValidation:
 
     def test_scale_to_mean_power(self):
         trace = make_day_trace("sunny", seed=2)
-        scaled = scale_to_mean_power(trace, 500.0)
+        scaled = make_day_trace("sunny", seed=2, target_mean_w=500.0)
         assert scaled.mean_power_w == pytest.approx(500.0)
         # Shape preserved: correlation is exactly 1.
         corr = np.corrcoef(trace.power_w, scaled.power_w)[0, 1]
         assert corr == pytest.approx(1.0)
-
-    def test_scale_rejects_negative(self):
-        trace = make_day_trace("sunny")
-        with pytest.raises(ValueError):
-            scale_to_mean_power(trace, -10.0)
 
     # Any trace whose peak exceeds its mean overflows at the largest float.
     @pytest.mark.parametrize("target", [sys.float_info.max, math.inf, math.nan])
@@ -97,14 +91,16 @@ class TestValidation:
             make_day_trace("sunny", seed=3, target_mean_w=target)
         with pytest.raises(ValueError, match="non-finite"):
             make_day_trace("sunny", seed=3, target_energy_kwh=target)
-        with pytest.raises(ValueError, match="non-finite"):
-            scale_to_mean_power(make_day_trace("sunny", seed=3), target)
 
     @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
     def test_bad_sample_rejected(self, bad):
         with pytest.raises(ValueError, match="power sample 1 is"):
             DayTrace(start_hour=7.0, dt_seconds=5.0,
                      power_w=np.array([1.0, bad, 2.0]))
+
+    def test_rejects_matrix(self):
+        with pytest.raises(ValueError):
+            DayTrace(start_hour=7.0, dt_seconds=5.0, power_w=np.ones((2, 2)))
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError, match="finite and non-negative"):

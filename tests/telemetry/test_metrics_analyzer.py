@@ -4,13 +4,7 @@ import pytest
 
 from repro.core.system import build_system
 from repro.solar.field import ConstantSource
-from repro.telemetry.analyzer import (
-    all_improvements,
-    improvement,
-    service_metrics,
-    system_metrics,
-    table6_row,
-)
+from repro.telemetry.analyzer import all_improvements, improvement, table6_row
 from repro.workloads import VideoSurveillance
 
 HOUR = 3600.0
@@ -72,12 +66,6 @@ class TestProjections:
             "battery_volt_sigma",
         }
         assert set(row) == expected
-
-    def test_metric_groups(self, summary):
-        service = service_metrics(summary)
-        system = system_metrics(summary)
-        assert set(service) == {"system_uptime", "load_perf", "avg_latency_min"}
-        assert set(system) == {"ebuffer_avail_wh", "service_life_days", "perf_per_ah"}
 
     def test_all_improvements_keys(self, summary):
         improvements = all_improvements(summary, summary)

@@ -1,5 +1,8 @@
 """Trace and summary persistence (``repro.telemetry.io``)."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from repro.telemetry.io import (
     export_day_trace_csv,
     export_recorder_csv,
     load_day_trace_csv,
-    load_summary_json,
     save_summary_json,
 )
 from repro.workloads import VideoSurveillance
@@ -40,19 +42,14 @@ class TestPersistence:
         _, summary = run
         path = save_summary_json(summary, tmp_path / "summary.json",
                                  extra={"seed": 4})
-        loaded = load_summary_json(path)
-        assert loaded == summary
+        loaded = json.loads(path.read_text())
+        assert loaded == {**dataclasses.asdict(summary), "seed": 4}
 
     def test_extra_keys_cannot_shadow(self, run, tmp_path):
         _, summary = run
         with pytest.raises(ValueError):
             save_summary_json(summary, tmp_path / "x.json",
                               extra={"processed_gb": 0.0})
-
-    def test_summary_missing_fields_rejected(self, tmp_path):
-        (tmp_path / "bad.json").write_text('{"elapsed_s": 1.0}')
-        with pytest.raises(ValueError):
-            load_summary_json(tmp_path / "bad.json")
 
     def test_day_trace_csv_roundtrip(self, tmp_path):
         trace = make_day_trace("cloudy", seed=6, dt_seconds=30.0)

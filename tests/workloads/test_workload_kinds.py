@@ -83,7 +83,7 @@ class TestMicro:
         compute = (size * 1.25) / workload.gb_per_compute_second
         workload.step(0.0, 60.0, compute)
         workload.step(60.0, 60.0, compute)
-        assert workload.completed_iterations == 2
+        assert len(workload.queue.completed) == 2
         # A fresh iteration is re-queued at the next step.
         workload.step(120.0, 60.0, 0.0)
         assert workload.queue.head is not None
