@@ -194,7 +194,6 @@ NOT_PORTED: dict[str, str] = {
     "PlantCoupler.last_report": "scratch mirrored by the _rep_* arrays",
     "InSituSystem._steps_done": "sliced-run host bookkeeping",
     "InSituSystem._total_steps": "sliced-run host bookkeeping",
-    "DutyCapControl._last_cap": "idempotence memo",
     "CheckpointShedControl._armed": "checkpoint_shed raises FleetUnsupported",
     "CheckpointShedControl.checkpoint_stops": (
         "checkpoint_shed raises FleetUnsupported"

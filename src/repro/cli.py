@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.system import build_day_system
+from repro.core.system import day_site
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
 from repro.workloads import SeismicAnalysis, VideoSurveillance
@@ -46,9 +46,9 @@ def _print_summary(summary: RunSummary) -> None:
 
 
 def _cmd_day(args: argparse.Namespace) -> int:
-    system = build_day_system(args.controller, args.workload, args.solar,
-                              mean_w=args.mean_w, seed=args.seed,
-                              initial_soc=args.initial_soc)
+    system = day_site(args.controller, args.workload, args.solar,
+                      mean_w=args.mean_w, seed=args.seed,
+                      initial_soc=args.initial_soc).build()
     summary = system.run()
     print(f"{args.controller} / {args.workload} / {args.solar} "
           f"({args.mean_w:.0f} W avg, seed {args.seed})")
@@ -75,9 +75,9 @@ def _cmd_day(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     summaries = {}
     for controller in ("insure", "baseline"):
-        system = build_day_system(controller, args.workload, args.solar,
-                                  mean_w=args.mean_w, seed=args.seed,
-                                  initial_soc=args.initial_soc)
+        system = day_site(controller, args.workload, args.solar,
+                          mean_w=args.mean_w, seed=args.seed,
+                          initial_soc=args.initial_soc).build()
         summaries[controller] = system.run()
     for controller, summary in summaries.items():
         print(f"\n[{controller}]")
@@ -459,6 +459,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.runner import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="InSURE (ISCA 2015) reproduction toolkit"
     )
@@ -577,15 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sites per seed batch (default 256)")
     fleet_run.add_argument("--seeds", type=int, default=1,
                            help="independent seed batches (default 1)")
-    fleet_run.add_argument("--backend", default="fleet",
-                           choices=("fleet", "pool", "serial"),
+    fleet_run.add_argument("--backend", default="fleet", choices=BACKENDS,
                            help="execution backend (default fleet; falls "
-                                "back to pool/serial for sites it cannot "
+                                "back to the pool for sites it cannot "
                                 "batch)")
     fleet_run.add_argument("--controller", default="insure",
                            choices=("insure", "baseline"))
     fleet_run.add_argument("--jobs", type=int, default=None,
-                           help="worker processes for pool/serial fallback")
+                           help="worker processes for the pool fallback")
     add_run_options(fleet_run)
     fleet_run.set_defaults(func=_cmd_fleet)
     fleet_mc = fleet_sub.add_parser(
@@ -598,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed samples per configuration (default 64)")
     fleet_mc.add_argument("--solar-scale", type=float, default=1.0)
     fleet_mc.add_argument("--seed", type=int, default=7)
-    fleet_mc.add_argument("--backend", default="fleet",
-                          choices=("fleet", "pool", "serial"))
+    fleet_mc.add_argument("--backend", default="fleet", choices=BACKENDS)
     fleet_mc.add_argument("--jobs", type=int, default=None)
     fleet_mc.add_argument("--no-cache", action="store_true",
                           help="bypass the on-disk run cache")

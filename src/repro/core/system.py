@@ -8,8 +8,12 @@ causal order:
 
     source → controller → rack → plant coupler (bus physics) → metrics
 
-:func:`build_day_system` is the one-line form every case-study day uses:
-a named weather's solar day scaled to a mean power, plus a named workload.
+A :class:`SiteSpec` is the one description of a simulated site that both
+kernels run: :meth:`SiteSpec.build` assembles it through
+:func:`build_system` as the scalar reference, and
+:func:`repro.sim.fleet.simulate_fleet` batches many.  :func:`day_site`
+describes a case-study day: a named weather's solar day scaled to a mean
+power, plus a named workload.
 
 The :class:`PlantCoupler` is the physical glue: each tick it resolves the
 power bus and, when the online cabinets cannot cover the demand, emulates
@@ -26,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any, Literal
+
+import numpy as np
 
 from repro.battery.bank import BatteryBank
 from repro.battery.charger import SolarCharger
@@ -49,11 +55,14 @@ from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
 from repro.solar import traces as solar_traces
 from repro.solar.field import TracePlayer
-from repro.solar.traces import DayTrace
+from repro.solar.traces import TRACE_START_HOUR, DayTrace
 from repro.telemetry.metrics import MetricsCollector, RunSummary
 from repro.validate.invariants import InvariantChecker
 from repro.workloads import make_workload
 from repro.workloads.base import Workload
+
+#: Trace recorder decimation (ticks between samples).
+_TRACE_EVERY = 12
 
 #: Shortfall below which the rack rides through (PSU hold-up, DC bus
 #: capacitance and the few-percent slack of nameplate power draws); a
@@ -200,7 +209,6 @@ def build_system(
     insure_params: InsureParams | None = None,
     dt: float = 5.0,
     seed: int = 0,
-    trace_every: int = 12,
     source: Component | None = None,
     storage_gb: float | None = None,
     plc_interlocks: bool = False,
@@ -224,8 +232,6 @@ def build_system(
     initial_soc:
         Starting state of charge of every cabinet (``initial_socs`` gives
         per-cabinet values instead).
-    trace_every:
-        Trace recorder decimation (ticks between samples).
     source:
         Override power source component (e.g. a live
         :class:`~repro.solar.field.SolarField` or a
@@ -335,7 +341,7 @@ def build_system(
     plant = PlantCoupler("plant", source, bus, rack, workload, decisions)
     metrics = MetricsCollector("metrics", bank, rack, workload, manager, plant)
 
-    recorder = TraceRecorder(every=trace_every)
+    recorder = TraceRecorder(every=_TRACE_EVERY)
     recorder.channel("solar_w", lambda: source.available_power_w)
     recorder.channel("demand_w", lambda: rack.demand_w)
     recorder.channel("stored_wh", lambda: bank.stored_energy_wh)
@@ -372,7 +378,73 @@ def build_system(
     return system
 
 
-def build_day_system(
+@dataclass(frozen=True)
+class SiteSpec:
+    """One simulated site: the description both kernels run.
+
+    :meth:`build` assembles it as the scalar reference system, and
+    :func:`repro.sim.fleet.simulate_fleet` steps many in lockstep.
+    ``trace_power_w`` / ``trace_dt_s`` are the solar day trace, and the
+    trace's step is the simulation step.  Every trace a site receives
+    starts at :data:`~repro.solar.traces.TRACE_START_HOUR`, as
+    :func:`~repro.solar.traces.make_day_trace` makes them: the fleet
+    kernel keeps no hour of day, so a site has none either.  The trace
+    may be any 1-D sequence of watts.  A float64 array (a
+    :class:`~repro.solar.traces.DayTrace`'s ``power_w``, as
+    :func:`day_site` passes it) is kept without a Python object per
+    sample, and sites that share one trace object share its storage in a
+    fleet batch.
+    """
+
+    controller: Literal["insure", "baseline"]
+    workload: str
+    seed: int
+    initial_soc: float
+    trace_power_w: Sequence[float] | np.ndarray
+    trace_dt_s: float
+    battery_count: int = 3
+    server_count: int = 4
+    duration_s: float | None = None
+    #: Policy scenario overlay (a name from
+    #: :mod:`repro.experiments.scenarios`); None runs the bare controller.
+    scenario: str | None = None
+
+    def resolved_duration_s(self) -> float:
+        if self.duration_s is not None:
+            return self.duration_s
+        return len(self.trace_power_w) * self.trace_dt_s
+
+    def steps(self) -> int:
+        # Engine.run: steps = max(1, round(duration / dt))
+        return max(1, round(self.resolved_duration_s() / self.trace_dt_s))
+
+    def build(self, **options: Any) -> InSituSystem:
+        """The site as a scalar :class:`InSituSystem`.
+
+        ``options`` are :func:`build_system` options the site does not
+        describe (``observability``, ``invariants``, ``faults``,
+        ``storage_gb``, ``server_profile``, ...); repeating a site field
+        there raises ``TypeError``.  A site with a scenario attaches its
+        policies, so ``policies`` may only be given for a site without
+        one.  :func:`build_system` is looked up through this module at
+        call time, so a wrapper patched onto the attribute sees the build.
+        """
+        site_options: dict[str, Any] = {}
+        if self.scenario is not None:
+            from repro.experiments.scenarios import build_policies
+
+            site_options["policies"] = build_policies(self.scenario, self.seed)
+        trace = DayTrace(TRACE_START_HOUR, self.trace_dt_s,
+                         np.asarray(self.trace_power_w, dtype=np.float64))
+        return build_system(
+            trace, make_workload(self.workload), controller=self.controller,
+            battery_count=self.battery_count, server_count=self.server_count,
+            initial_soc=self.initial_soc, seed=self.seed, dt=self.trace_dt_s,
+            **site_options, **options,
+        )
+
+
+def day_site(
     controller: Literal["insure", "baseline"],
     workload: str,
     weather: str,
@@ -381,18 +453,17 @@ def build_day_system(
     seed: int,
     initial_soc: float,
     dt: float = 5.0,
-    **options: Any,
-) -> InSituSystem:
-    """Assemble one case-study day: the ``weather`` solar day scaled to
-    ``mean_w`` W on average, feeding the named ``workload``.
+    duration_s: float | None = None,
+    scenario: str | None = None,
+) -> SiteSpec:
+    """One case-study day: the ``weather`` solar day scaled to ``mean_w``
+    W on average, feeding the named ``workload``.
 
-    ``seed`` seeds both the trace and the system; ``options`` pass
-    through to :func:`build_system` (``observability``, ``policies``,
-    ``invariants``, ...).  The trace synthesiser and :func:`build_system`
-    are looked up through their modules at call time, so a wrapper
-    patched onto either module attribute also sees these builds.
+    ``seed`` seeds both the trace and the system.  The trace synthesiser
+    is looked up through its module at call time, so a wrapper patched
+    onto the module attribute also sees these days.
     """
     trace = solar_traces.make_day_trace(weather, dt_seconds=dt, seed=seed,
                                         target_mean_w=mean_w)
-    return build_system(trace, make_workload(workload), controller=controller,
-                        seed=seed, initial_soc=initial_soc, dt=dt, **options)
+    return SiteSpec(controller, workload, seed, initial_soc, trace.power_w, dt,
+                    duration_s=duration_s, scenario=scenario)

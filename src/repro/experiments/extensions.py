@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.profiles import CORE_I7, XEON_DL380
-from repro.core.system import build_day_system, build_system
+from repro.core.system import build_system, day_site
 from repro.experiments.runner import run_cells
 from repro.power.secondary import DieselGenerator, HybridSource
 from repro.sim.cache import cached_cell
@@ -55,10 +55,9 @@ def run_hetero_cell(
     mean_w: float = 500.0,
 ) -> RunSummary:
     """One cloudy-day run on a given server generation (picklable)."""
-    system = build_day_system(
-        "insure", "video", "cloudy", mean_w=mean_w, seed=seed,
-        initial_soc=0.55, server_profile=_SERVER_PROFILES[server_kind],
-    )
+    system = day_site(
+        "insure", "video", "cloudy", mean_w=mean_w, seed=seed, initial_soc=0.55,
+    ).build(server_profile=_SERVER_PROFILES[server_kind])
     return system.run()
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.system import build_day_system
-from repro.experiments.runner import run_cells
-from repro.sim.cache import cached_cell
+from repro.core.system import SiteSpec, day_site
+from repro.experiments.runner import run_cells, site_cell
 from repro.telemetry.analyzer import all_improvements
 from repro.telemetry.metrics import RunSummary
 
@@ -41,7 +40,7 @@ class ComparisonResult:
         return all_improvements(self.insure, self.baseline)
 
 
-@cached_cell("fullsystem.run_single")
+@site_cell("fullsystem.run_single")
 def run_single(
     controller: str,
     workload_kind: str,
@@ -50,17 +49,15 @@ def run_single(
     seed: int = 1,
     initial_soc: float = 0.55,
     dt: float = 5.0,
-) -> RunSummary:
-    """One deterministic full-system run, memoised in the run cache.
+) -> SiteSpec:
+    """One deterministic full-system day, memoised in the run cache.
 
     This is the unit of work the parallel runner distributes: module-level
-    (picklable), fully parameterised, and returning only the summary.
+    (picklable) and fully parameterised; called, it returns only the day's
+    summary.
     """
-    system = build_day_system(
-        controller, workload_kind, profile, mean_w=solar_mean_w, seed=seed,
-        initial_soc=initial_soc, dt=dt,
-    )
-    return system.run()
+    return day_site(controller, workload_kind, profile, mean_w=solar_mean_w,
+                    seed=seed, initial_soc=initial_soc, dt=dt)
 
 
 def _profile_for(solar_mean_w: float) -> str:

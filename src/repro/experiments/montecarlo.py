@@ -5,7 +5,7 @@ three cloud seeds per e-Buffer size — enough for the diminishing-returns
 trend, far too few for tail statistics ("what buffer size keeps p5 uptime
 above 90 %?").  This mode fans hundreds of seed-varied day-and-night runs
 per configuration through :func:`repro.experiments.runner.run_cells` with
-the ``fleet`` backend (falling back to pool/serial for cells it cannot
+the ``fleet`` backend (falling back to the pool for cells it cannot
 batch), and reports per-configuration percentile envelopes instead of means.
 """
 

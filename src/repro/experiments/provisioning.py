@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.system import build_system
-from repro.experiments.runner import run_cells
-from repro.sim.cache import cached_cell
+from repro.core.system import SiteSpec
+from repro.experiments.runner import run_cells, site_cell
 from repro.solar.traces import DayTrace, make_day_trace
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import VideoSurveillance
 
 #: Annualised cost increments (USD/yr) from the Figure 22 breakdown.
 BATTERY_CABINET_USD_PER_YEAR = 105.0   # one 24 V / 35 Ah cabinet
@@ -53,20 +51,17 @@ def _day_and_night_trace(seed: int, mean_w: float, dt: float = 5.0) -> DayTrace:
                     power_w=np.concatenate([day.power_w, night]))
 
 
-@cached_cell("provisioning.cell")
+@site_cell("provisioning.cell")
 def run_provisioning_cell(
     battery_count: int,
     solar_scale: float,
     seed: int,
     mean_w: float = 900.0,
-) -> RunSummary:
+) -> SiteSpec:
     """One (buffer size, seed) day-and-night run, memoised (picklable)."""
     trace = _day_and_night_trace(seed, mean_w * solar_scale)
-    system = build_system(
-        trace, VideoSurveillance(), controller="insure",
-        battery_count=battery_count, seed=seed, initial_soc=0.55,
-    )
-    return system.run()
+    return SiteSpec("insure", "video", seed, 0.55, trace.power_w, trace.dt_seconds,
+                    battery_count=battery_count)
 
 
 def run_provisioning_sweep(

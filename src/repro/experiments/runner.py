@@ -13,10 +13,16 @@ Determinism: each cell carries its own explicit seed (see
 :func:`derive_seed` for deriving stable per-cell seeds from a base seed
 and the cell's labels), and results are returned in submission order, so
 the output never depends on scheduling.
+
+A *site cell* (:func:`site_cell`) describes one site as a
+:class:`~repro.core.system.SiteSpec`: the pool runs its scalar build,
+and the ``fleet`` backend batches the same specs through the vectorized
+kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -24,14 +30,22 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
+from repro.sim.cache import (
+    cache_key,
+    cached_cell,
+    default_cache,
+    summary_from_payload,
+    summary_to_payload,
+)
+
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_BACKEND = "REPRO_BACKEND"
 
 #: run_cells execution backends.  ``pool`` is the default (process pool,
-#: degrading to serial); ``fleet`` routes the whole cell batch through
-#: the vectorized SoA kernel when an adapter exists for the cell
-#: function, falling back to pool/serial otherwise.
-BACKENDS = ("fleet", "pool", "serial")
+#: degrading to the in-process loop); ``fleet`` routes the whole cell
+#: batch through the vectorized SoA kernel when the cell function is a
+#: site cell, falling back to the pool otherwise.
+BACKENDS = ("fleet", "pool")
 
 
 def _cell_label(index: int, cell: Mapping[str, Any]) -> str:
@@ -116,19 +130,78 @@ def _fall_back_to_serial(fn, cells, exc: BaseException) -> list[Any]:
     return _run_serial(fn, cells)
 
 
+def site_cell(namespace: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Turn a function returning a :class:`~repro.core.system.SiteSpec`
+    into a cached cell (:func:`~repro.sim.cache.cached_cell`) that runs it.
+
+    Called, the cell runs ``spec.build().run(spec.duration_s)``; the
+    ``fleet`` backend calls the describing function, kept as
+    ``cell.site``, on each cell's bound arguments and batches the specs.
+    """
+
+    def decorate(site: Callable[..., Any]) -> Callable[..., Any]:
+        @functools.wraps(site)
+        def run(*args: Any, **kwargs: Any) -> Any:
+            spec = site(*args, **kwargs)
+            return spec.build().run(spec.duration_s)
+
+        cell = cached_cell(namespace)(run)
+        cell.site = site  # type: ignore[attr-defined]
+        return cell
+
+    return decorate
+
+
+def _run_fleet(fn: Callable[..., Any], cells: Sequence[Mapping[str, Any]]) -> list[Any]:
+    """Batch the sites of a site cell's cells through the fleet kernel;
+    results in input order.
+
+    Raises :class:`~repro.sim.fleet.FleetUnsupported` when ``fn`` is no
+    site cell or the kernel refuses a site: the signal to run the batch
+    on the pool.  Results are cached like the cell's own, keyed on its
+    bound arguments, but under ``fleet.<namespace>``: the kernel is only
+    tolerance-equal to the scalar reference (see
+    :mod:`repro.sim.fleet.validator`), so neither replays as the other.
+    """
+    from repro.sim.fleet import FleetUnsupported, simulate_fleet
+
+    site = getattr(fn, "site", None)
+    if site is None:
+        raise FleetUnsupported(f"{getattr(fn, '__qualname__', fn)} describes no site")
+    namespace = "fleet." + fn.namespace
+    cache = default_cache()
+    results: list[Any] = [None] * len(cells)
+    specs, keys, pending = [], [], []
+    for index, cell in enumerate(cells):
+        params, use_cache = fn.bind(**cell)
+        key = cache_key(namespace, **params) if use_cache and cache.enabled else None
+        cached = cache.get(key) if key is not None else None
+        if cached is not None:
+            results[index] = summary_from_payload(cached)
+            continue
+        specs.append(site(**params))
+        keys.append(key)
+        pending.append(index)
+    summaries = simulate_fleet(specs) if specs else []
+    for index, key, summary in zip(pending, keys, summaries, strict=True):
+        results[index] = run = summary_from_payload(summary)
+        if key is not None:
+            cache.put(key, summary_to_payload(run))
+    return results
+
+
 def _try_fleet_backend(
     fn: Callable[..., Any], cells: Sequence[Mapping[str, Any]]
 ) -> list[Any] | None:
     """Route the batch through the vectorized kernel; None on fallback."""
-    from repro.experiments.adapters import run_cells_fleet
     from repro.sim.fleet import FleetUnsupported
 
     try:
-        return run_cells_fleet(fn, cells)
+        return _run_fleet(fn, cells)
     except FleetUnsupported as exc:
         warnings.warn(
             f"fleet backend unavailable for {len(cells)} cell(s) "
-            f"({type(exc).__name__}: {exc}); using pool/serial",
+            f"({type(exc).__name__}: {exc}); using the pool",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -156,10 +229,9 @@ def run_cells(
     backend:
         One of :data:`BACKENDS`; ``None`` reads ``REPRO_BACKEND`` and
         defaults to ``pool`` (pool with serial fallback).  ``fleet``
-        batches every cell through the vectorized SoA kernel when the
-        cell function has a registered adapter, and degrades to the
-        pool/serial path when any cell is unsupported.  ``serial``
-        forces the in-process loop.
+        batches every cell through the vectorized SoA kernel when ``fn``
+        is a :func:`site_cell`, and degrades to the pool when any cell is
+        unsupported.
     """
     cells = list(cells)
     if not cells:
@@ -174,8 +246,6 @@ def run_cells(
         results = _try_fleet_backend(fn, cells)
         if results is not None:
             return results
-    if backend == "serial":
-        return _run_serial(fn, cells)
     workers = default_workers(len(cells)) if max_workers is None else max_workers
     workers = min(max(1, int(workers)), len(cells))
     if workers <= 1:

@@ -19,20 +19,18 @@ Scenarios are deterministic cells exactly like the golden matrix: the
 seed derives from the scenario name, the synthetic signals are pure
 functions of (seed, t), and ``repro validate`` pins their trace digests
 alongside the 12 matrix cells.  :func:`run_scenario_cell` is the
-picklable experiment entry point (memoised in the run cache, fleet
-adapter in :mod:`repro.experiments.adapters`).
+picklable experiment entry point, a site cell that the fleet backend
+batches as well (see :func:`repro.experiments.runner.site_cell`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.system import build_day_system
-from repro.experiments.runner import derive_seed
+from repro.core.system import SiteSpec, day_site
+from repro.experiments.runner import derive_seed, site_cell
 from repro.policy.policy import Policy
 from repro.policy.registry import PolicyDef, build_policy
-from repro.sim.cache import cached_cell
-from repro.telemetry.metrics import RunSummary
 
 # Scenario cells share the golden matrix's run configuration.
 from repro.validate.golden import (
@@ -149,27 +147,24 @@ def build_policies(name: str, seed: int) -> list[Policy]:
     return [build_policy(pdef, seed) for pdef in get_scenario(name).policies]
 
 
-@cached_cell("scenarios.run_scenario_cell")
+@site_cell("scenarios.run_scenario_cell")
 def run_scenario_cell(
     scenario: str,
     seed: int | None = None,
     initial_soc: float = INITIAL_SOC,
     dt: float = DT_SECONDS,
     target_mean_w: float = TARGET_MEAN_W,
-) -> RunSummary:
+) -> SiteSpec:
     """One deterministic scenario run, memoised in the run cache.
 
     Module-level and picklable, so the runner can fan scenario sweeps out
-    across processes; the fleet backend routes it through its own adapter
-    (``fleet.scenarios.run_scenario_cell`` cache namespace).  ``seed``
-    defaults to the scenario's pinned seed.
+    across processes; the fleet backend caches its own results under
+    ``fleet.scenarios.run_scenario_cell``.  ``seed`` defaults to the
+    scenario's pinned seed.
     """
     spec = get_scenario(scenario)
     if seed is None:
         seed = scenario_seed(scenario)
-    system = build_day_system(
-        spec.controller, spec.workload, spec.weather, mean_w=target_mean_w,
-        seed=seed, initial_soc=initial_soc, dt=dt,
-        policies=build_policies(scenario, seed),
-    )
-    return system.run()
+    return day_site(spec.controller, spec.workload, spec.weather,
+                    mean_w=target_mean_w, seed=seed, initial_soc=initial_soc,
+                    dt=dt, scenario=scenario)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.system import build_system
-from repro.experiments.runner import run_cells
-from repro.sim.cache import cached_cell
+from repro.core.system import SiteSpec
+from repro.experiments.runner import run_cells, site_cell
 from repro.solar.traces import DAY_ENERGY_KWH, table6_trace
 from repro.telemetry.analyzer import table6_row
 from repro.telemetry.metrics import RunSummary
-from repro.workloads import SeismicAnalysis
 
 _SCHEMES = (("Opt", "insure"), ("Non-Opt", "baseline"))
 
@@ -34,25 +32,17 @@ class Table6Cell:
         return table6_row(self.summary)
 
 
-@cached_cell("table6.cell")
+@site_cell("table6.cell")
 def run_table6_cell(
     day: str,
     controller: str,
     seed: int = 1,
     initial_soc: float = 0.55,
     dt: float = 5.0,
-) -> RunSummary:
+) -> SiteSpec:
     """One day-long Table 6 run, memoised in the run cache (picklable)."""
     trace = table6_trace(day, dt_seconds=dt, seed=seed)
-    system = build_system(
-        trace,
-        SeismicAnalysis(),
-        controller=controller,
-        seed=seed,
-        initial_soc=initial_soc,
-        dt=dt,
-    )
-    return system.run()
+    return SiteSpec(controller, "seismic", seed, initial_soc, trace.power_w, dt)
 
 
 def run_table6(

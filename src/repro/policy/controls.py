@@ -126,7 +126,6 @@ class DutyCapControl(ControlMethod):
         #: quantum — servers reject duty 0 (shedding load entirely is
         #: CheckpointShedControl's job, not a DVFS setting).
         self.duty_min = max(float(duty_min), DUTY_QUANTUM)
-        self._last_cap: float | None = None
 
     def bind(self, manager: PowerManager, charger: SolarCharger | None = None) -> None:
         if not hasattr(manager, "duty"):
@@ -137,7 +136,6 @@ class DutyCapControl(ControlMethod):
     def apply(self, fraction: float, t: float) -> bool:
         cap = max(self.duty_min, quantize_duty(fraction))
         manager = self._manager
-        self._last_cap = cap
         if manager.duty <= cap:
             return False
         manager.decisions.record(t, "dvfs.duty", self.source,

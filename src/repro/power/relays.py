@@ -2,9 +2,12 @@
 
 Each battery cabinet is managed by a pair of relays — a charging switch and
 a discharging switch — mirroring the prototype's six IDEC RR2P 24 V DC
-relays.  The relays have finite switching time (25 ms) and a rated
-mechanical life (10 M cycles); the switch network enforces that a cabinet
-is never simultaneously on the charge and discharge bus.
+relays.  The model keeps each contact's state, the exclusivity the switch
+network enforces (a cabinet is never simultaneously on the charge and
+discharge bus), the count of switching operations and stuck-contact
+faults.  A contact moves within the tick that drives it: the relays'
+25 ms travel is far below the 0.5 s PLC scan and the 5 s tick, and
+nothing wears by switching cycles.
 """
 
 from __future__ import annotations
@@ -15,33 +18,11 @@ class RelayError(RuntimeError):
 
 
 class Relay:
-    """A single relay contact.
+    """A single relay contact, named e.g. ``"battery-1.charge"``."""
 
-    Parameters
-    ----------
-    name:
-        Identifier, e.g. ``"battery-1.charge"``.
-    switching_time_s:
-        Contact travel time; state changes are counted as actuations.
-    rated_cycles:
-        Mechanical life in actuation cycles.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        switching_time_s: float = 0.025,
-        rated_cycles: int = 10_000_000,
-    ) -> None:
-        if switching_time_s < 0:
-            raise ValueError("switching_time_s must be non-negative")
-        if rated_cycles <= 0:
-            raise ValueError("rated_cycles must be positive")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.switching_time_s = switching_time_s
-        self.rated_cycles = rated_cycles
         self.closed = False
-        self.cycles = 0
         #: Fault injection: a stuck contact ignores coil commands.
         self.stuck = False
 
@@ -50,7 +31,6 @@ class Relay:
         if self.stuck or closed == self.closed:
             return False
         self.closed = closed
-        self.cycles += 1
         return True
 
     def force_stick(self) -> None:
@@ -112,7 +92,6 @@ class SwitchNetwork:
         if not battery_names:
             raise ValueError("need at least one battery")
         self.pairs = {name: RelayPair(name) for name in battery_names}
-        self.total_actuations = 0
         #: Number of controller-visible switching operations (a mode change
         #: for one cabinet counts once, however many contacts moved).
         self.switch_operations = 0
@@ -138,7 +117,6 @@ class SwitchNetwork:
             self._buses = None
         pair.validate()
         if actuations:
-            self.total_actuations += actuations
             self.switch_operations += 1
         return actuations
 

@@ -55,7 +55,6 @@ class DieselGenerator(Component):
         self._starting_left = 0.0
         self.output_w = 0.0
         self.fuel_litres = 0.0
-        self.runtime_s = 0.0
         self.starts = 0
 
     def request(self, on: bool) -> None:
@@ -82,7 +81,6 @@ class DieselGenerator(Component):
 
         self.output_w = self.rated_w if self.running else 0.0
         if self.running:
-            self.runtime_s += dt
             self.fuel_litres += (
                 self.rated_w / 1000.0 * dt / 3600.0
             ) * self.litres_per_kwh

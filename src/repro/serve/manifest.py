@@ -286,14 +286,15 @@ def build_session_system(manifest: SessionManifest):
     streaming payload sources — which is proven read-only, so cell-backed
     sessions still reproduce their pinned summaries.
     """
-    from repro.core.system import build_day_system
+    from repro.core.system import day_site
     from repro.obs.hub import Observability
 
     obs = Observability(trace_stride=manifest.trace_stride)
-    system = build_day_system(
+    system = day_site(
         manifest.controller, manifest.workload, manifest.weather,
         mean_w=manifest.mean_w, seed=manifest.seed,
         initial_soc=manifest.initial_soc, dt=manifest.dt,
+    ).build(
         observability=obs,
         policies=[build_policy(p, manifest.seed) for p in manifest.policies],
     )

@@ -218,8 +218,8 @@ def cached_cell(namespace: str) -> Callable[[Callable[..., Any]], Callable[..., 
     The returned function accepts ``use_cache`` on top of the wrapped
     signature and exposes ``namespace`` and ``bind(*args, **kwargs)``,
     which returns ``(bound arguments, use_cache)``; the fleet backend
-    keys its own results from the same two (see
-    :mod:`repro.experiments.adapters`).
+    keys the results of a site cell from the same two (see
+    :func:`repro.experiments.runner.site_cell`).
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:

@@ -164,8 +164,7 @@ def count_calls(system: InSituSystem, ticks: int) -> CallCount:
 
 def main(argv: list[str] | None = None) -> int:
     """Print a golden cell's calls per tick by stage (default: its day)."""
-    from repro.sim.fleet.debug import build_scalar_system
-    from repro.validate.golden import DT_SECONDS, DURATION_S
+    from repro.validate.golden import DT_SECONDS, DURATION_S, cell_site
 
     args = list(sys.argv[1:] if argv is None else argv)
     if len(args) < 3:
@@ -173,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
               "<controller> <workload> <weather> [ticks]")
         return 2
     ticks = int(args[3]) if len(args) > 3 else round(DURATION_S / DT_SECONDS)
-    count = count_calls(build_scalar_system(*args[:3]), ticks)
+    count = count_calls(cell_site(*args[:3]).build(), ticks)
     per_tick, builtin = count.per_tick(), count.builtins_per_tick()
     print(f"{count.ticks} ticks, {per_tick['total']:.1f} repro calls and "
           f"{builtin['total']:.1f} builtin calls per tick")

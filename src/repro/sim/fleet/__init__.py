@@ -8,11 +8,14 @@ balance, server power and SoC/wear/LVD state — with per-site RNG streams
 seeded identically to the scalar path and divergent control branches
 handled via boolean masks.
 
-The scalar engine stays the bit-exact reference: the
+A site is a :class:`~repro.core.system.SiteSpec`, the one description
+both kernels run: ``spec.build()`` is its scalar reference system.  The
+scalar engine stays the bit-exact reference: the
 :class:`FleetValidator` gates the vectorized path against golden-matrix
 run summaries within the invariant tolerance, and the ``fleet`` backend
-in :func:`repro.experiments.runner.run_cells` falls back to pool/serial
-execution when a cell uses unsupported features
+in :func:`repro.experiments.runner.run_cells` batches the sites of a
+site cell (:func:`repro.experiments.runner.site_cell`), falling back to
+the pool when a site uses unsupported features
 (:class:`FleetUnsupported`).
 """
 

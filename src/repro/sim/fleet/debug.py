@@ -3,8 +3,8 @@
 The lockstep comparator steps one site through the scalar engine and a
 1-site :class:`~repro.sim.fleet.kernel._FleetBatch` tick by tick,
 diffing the visible state after every tick: a golden cell
-(:func:`run_lockstep`) or any pair built from the same inputs
-(:func:`step_lockstep`).  When the kernels diverge this pinpoints the
+(:func:`run_lockstep`) or any pair built from one
+:class:`~repro.core.system.SiteSpec` (:func:`step_lockstep`).  When the kernels diverge this pinpoints the
 first tick and the first variable that moved, which is far cheaper than
 bisecting a 17 280-tick day run from its summary.
 
@@ -28,27 +28,9 @@ import numpy as np
 
 from repro.policy.controls import DUTY_STEPS
 from repro.sim.fleet.kernel import _FleetBatch
-from repro.sim.fleet.validator import spec_for_cell
 
 _MODE_NAMES = ("OFFLINE", "CHARGING", "STANDBY", "DISCHARGING")
 _SSTATE_NAMES = ("OFF", "BOOTING", "ON", "SAVING")
-
-
-def build_scalar_system(controller: str, workload: str, weather: str):
-    """Build the scalar reference system exactly as the golden cell does."""
-    from repro.core.system import build_day_system
-    from repro.validate.golden import (
-        DT_SECONDS,
-        INITIAL_SOC,
-        TARGET_MEAN_W,
-        resolve_cell,
-    )
-
-    cell = resolve_cell(controller, workload, weather)
-    return build_day_system(
-        cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
-        seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-    )
 
 
 def snapshot_scalar(system) -> dict[str, Any]:
@@ -130,11 +112,13 @@ def run_lockstep(
     atol: float = 0.0,
     verbose: bool = True,
 ) -> tuple[int, dict[str, tuple[Any, Any]]] | None:
-    """Step both kernels; return (tick, diffs) at first divergence or None."""
-    system = build_scalar_system(controller, workload, weather)
-    batch = _FleetBatch([spec_for_cell(controller, workload, weather)])
-    return step_lockstep(system, batch, max_ticks=max_ticks, atol=atol,
-                         verbose=verbose)
+    """Step both kernels on one golden cell's site; return (tick, diffs)
+    at first divergence or None."""
+    from repro.validate.golden import cell_site
+
+    site = cell_site(controller, workload, weather)
+    return step_lockstep(site.build(), _FleetBatch([site]), max_ticks=max_ticks,
+                         atol=atol, verbose=verbose)
 
 
 def step_lockstep(

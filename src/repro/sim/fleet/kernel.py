@@ -49,7 +49,6 @@ drops the cached record; none is written in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -68,7 +67,7 @@ from repro.core.energy_manager import InsureParams
 from repro.core.sensing import (
     I_SCALE, OCV_REST_S, OCV_WEIGHT, PLC_SCAN_PERIOD_S, REST_AMPS, V_SCALE,
 )
-from repro.core.system import _UNSERVED_TOLERANCE_FRACTION, _UNSERVED_TOLERANCE_W
+from repro.core.system import _UNSERVED_TOLERANCE_FRACTION, _UNSERVED_TOLERANCE_W, SiteSpec
 from repro.policy.controls import DUTY_STEPS, DVFS_CONTROLS, GRID_EPSILON
 from repro.policy.governors import BudgetRampGovernor
 from repro.power.converters import (
@@ -88,7 +87,7 @@ class FleetUnsupported(RuntimeError):
     """A cell uses features the vectorized kernel cannot batch.
 
     Callers (the ``fleet`` runner backend, the CLI) treat this as a
-    routing signal: fall back to the scalar pool/serial paths.
+    routing signal: fall back to the scalar pool.
     """
 
 
@@ -110,53 +109,12 @@ _SUPPORTED_CONTROLLERS = ("insure", "baseline")
 _WORKLOADS = {"video": VideoSurveillance, "seismic": SeismicAnalysis}
 
 
-@dataclass(frozen=True)
-class SiteSpec:
-    """One site of a fleet batch.
-
-    ``trace_power_w`` / ``trace_dt_s`` are the solar day trace exactly as
-    the scalar :class:`~repro.solar.field.TracePlayer` would replay it.
-    The trace may be any 1-D sequence of watts.  A float64 array (a
-    :class:`~repro.solar.traces.DayTrace`'s ``power_w``, as the experiment
-    adapters pass it) is kept without a Python object per sample, and
-    sites that share one trace object share its storage in the batch.
-    :func:`simulate_fleet` steps the sites sharing (controller, workload,
-    battery_count, server_count, dt_s, steps, scenario) as one lockstep
-    batch; sites that differ in any of these go to separate batches.
-    """
-
-    controller: str
-    workload: str
-    seed: int
-    initial_soc: float
-    trace_power_w: Sequence[float] | np.ndarray
-    trace_dt_s: float
-    battery_count: int = 3  # repro: allow[kernel-parity] build_system default
-    server_count: int = 4  # repro: allow[kernel-parity] build_system default
-    dt_s: float = 5.0  # repro: allow[kernel-parity] build_system default
-    duration_s: float | None = None
-    #: Policy scenario overlay (a name from
-    #: :mod:`repro.experiments.scenarios`); None runs the bare controller.
-    scenario: str | None = None
-
-    def resolved_duration_s(self) -> float:
-        if self.duration_s is not None:
-            return self.duration_s
-        return len(self.trace_power_w) * self.trace_dt_s
-
-    def steps(self) -> int:
-        # Engine.run: steps = max(1, round(duration / dt))
-        return max(1, round(self.resolved_duration_s() / self.dt_s))
-
-
 def _check_supported(spec: SiteSpec) -> None:
     if spec.controller not in _SUPPORTED_CONTROLLERS:
         raise FleetUnsupported(f"controller {spec.controller!r} not batchable")
     if spec.workload not in _WORKLOADS:
         raise FleetUnsupported(f"workload {spec.workload!r} not batchable")
-    if spec.trace_dt_s != spec.dt_s:
-        raise FleetUnsupported("trace_dt_s must equal dt_s for the fleet kernel")
-    if spec.dt_s < PLC_SCAN_PERIOD_S:
+    if spec.trace_dt_s < PLC_SCAN_PERIOD_S:
         raise FleetUnsupported("dt below the PLC scan period is not batchable")
     if spec.battery_count < 1 or spec.server_count < 1:
         raise FleetUnsupported("degenerate bank or rack")
@@ -220,8 +178,9 @@ def _check_traces(specs: Sequence[SiteSpec]) -> None:
 def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
     """Run every site and return per-site run summaries (dicts).
 
-    Sites are grouped into homogeneous lockstep batches; results come back
-    in input order.  Raises :class:`FleetUnsupported` if any site cannot
+    The sites sharing (controller, workload, battery_count, server_count,
+    trace_dt_s, steps, scenario) step as one lockstep batch; results come
+    back in input order.  Raises :class:`FleetUnsupported` if any site cannot
     be batched, ValueError for an initial SoC outside [0, 1], a rack too
     small for the workload's VMs or a duty control on a controller without
     a duty knob (as the scalar build does), and for a solar trace that
@@ -237,7 +196,7 @@ def simulate_fleet(specs: Sequence[SiteSpec]) -> list[dict]:
             spec.workload,
             spec.battery_count,
             spec.server_count,
-            spec.dt_s,
+            spec.trace_dt_s,
             spec.steps(),
             spec.scenario,
         )
@@ -321,7 +280,7 @@ class _FleetBatch:
         self.n = len(specs)
         self.b = first.battery_count
         self.s = first.server_count
-        self.dt = first.dt_s
+        self.dt = first.trace_dt_s
         self.steps = first.steps()
         self._init_constants()
         self._init_trace()

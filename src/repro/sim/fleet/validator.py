@@ -3,8 +3,9 @@
 The scalar engine is the bit-exact reference for the physics; the
 fleet kernel re-derives every expression in SoA form and is allowed only
 ulp-level drift.  :class:`FleetValidator` replays the 12 golden-matrix
-cells plus the policy scenario cells through
-:func:`repro.sim.fleet.kernel.simulate_fleet` and compares
+cells plus the policy scenario cells — the same
+:func:`~repro.validate.golden.cell_site` sites the scalar goldens run —
+through :func:`repro.sim.fleet.kernel.simulate_fleet` and compares
 each run summary against the stored golden record using the same
 tolerance model as the physics-invariant checker (relative ``REL_TOL``
 with an absolute floor ``ABS_TOL``), applied to the 6-significant-digit
@@ -18,15 +19,12 @@ from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.sim.fleet.kernel import SiteSpec, simulate_fleet
+from repro.sim.fleet.kernel import simulate_fleet
 from repro.validate.golden import (
     DEFAULT_GOLDEN_DIR,
-    DT_SECONDS,
-    DURATION_S,
-    INITIAL_SOC,
-    TARGET_MEAN_W,
+    all_cells,
+    cell_site,
     load_record,
-    matrix_cells,
     resolve_cell,
     summary_fingerprint,
 )
@@ -97,95 +95,34 @@ def compare_summaries(
     return CellVerdict(cell=cell, ok=not mismatches, mismatches=mismatches)
 
 
-def spec_for_cell(
-    controller: str,
-    workload: str,
-    weather: str,
-    *,
-    duration_s: float = DURATION_S,
-    scenario: str | None = None,
-) -> SiteSpec:
-    """Build the SiteSpec matching one golden cell's configuration.
-
-    With ``scenario`` set, the plant axes and seed come from the scenario
-    (as :func:`repro.validate.golden.resolve_cell` resolves them) and the
-    kernel applies its policies.
-    """
-    from repro.solar.traces import make_day_trace
-
-    cell = resolve_cell(controller, workload, weather, scenario)
-    trace = make_day_trace(
-        cell.weather, dt_seconds=DT_SECONDS, seed=cell.seed,
-        target_mean_w=TARGET_MEAN_W,
-    )
-    return SiteSpec(
-        controller=cell.controller,
-        workload=cell.workload,
-        seed=cell.seed,
-        initial_soc=INITIAL_SOC,
-        trace_power_w=trace.power_w,
-        trace_dt_s=DT_SECONDS,
-        duration_s=duration_s,
-        scenario=scenario,
-    )
-
-
-def scenario_cell_tuple(scenario: str) -> tuple[str, str, str, str]:
-    """The 4-tuple cell for a policy scenario (plant axes + scenario name)."""
-    cell = resolve_cell(scenario=scenario)
-    return (cell.controller, cell.workload, cell.weather, scenario)
-
-
 class FleetValidator:
     """Validate the fleet kernel against the stored golden matrix.
 
-    The validator is the acceptance gate for the vectorized path: all 12
-    cells must match their golden summaries within the invariant
+    The validator is the acceptance gate for the vectorized path: every
+    pinned cell must match its golden summary within the invariant
     tolerance before the ``fleet`` backend is trusted for sweeps.
     """
 
     def __init__(self, golden_dir: Path | None = None) -> None:
         self.golden_dir = Path(golden_dir) if golden_dir else DEFAULT_GOLDEN_DIR
 
-    def cells(self) -> list[tuple[str, str, str]]:
-        """The 12 golden-matrix cells (scenario cells are separate — see
-        :meth:`scenario_cells` / :meth:`all_cells`)."""
-        return [
-            (cell["controller"], cell["workload"], cell["weather"])
-            for cell in matrix_cells()
-        ]
-
-    def scenario_cells(self) -> list[tuple[str, str, str, str]]:
-        """The policy scenario cells as 4-tuples (axes + scenario name)."""
-        from repro.experiments.scenarios import scenario_names
-
-        return [scenario_cell_tuple(name) for name in scenario_names()]
-
-    def all_cells(self) -> list[tuple]:
-        return list(self.cells()) + list(self.scenario_cells())
-
     def validate_cells(
-        self, cells: Sequence[tuple] | None = None
+        self, cells: Sequence[Mapping[str, str]] | None = None
     ) -> list[CellVerdict]:
         """Run the fleet kernel over *cells* and compare against goldens.
 
-        Cells are ``(controller, workload, weather)`` triples or
-        ``(controller, workload, weather, scenario)`` 4-tuples; the
-        default covers the matrix plus every scenario.  All requested
-        cells run in a single ``simulate_fleet`` batch so the validator
-        also exercises the mixed-group scatter path.
+        Cells are the golden harness's keyword cells
+        (:func:`~repro.validate.golden.matrix_cells`,
+        :func:`~repro.validate.golden.scenario_cells`); the default is
+        :func:`~repro.validate.golden.all_cells`.  All requested cells run
+        in a single ``simulate_fleet`` batch so the validator also
+        exercises the mixed-group scatter path.
         """
-        todo = [
-            (cell if len(cell) == 4 else (*cell, None)) for cell in
-            (list(cells) if cells is not None else self.all_cells())
-        ]
-        specs = [
-            spec_for_cell(c, w, x, scenario=sc) for (c, w, x, sc) in todo
-        ]
-        summaries = simulate_fleet(specs)
+        todo = list(cells) if cells is not None else all_cells()
+        summaries = simulate_fleet([cell_site(**cell) for cell in todo])
         verdicts: list[CellVerdict] = []
-        for (c, w, x, sc), summary in zip(todo, summaries, strict=True):
-            name = resolve_cell(c, w, x, sc).name
+        for cell, summary in zip(todo, summaries, strict=True):
+            name = resolve_cell(**cell).name
             record = load_record(name, self.golden_dir)
             verdicts.append(
                 compare_summaries(name, summary, record["summary"])

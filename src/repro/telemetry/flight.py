@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.system import build_day_system
+from repro.core.system import day_site
 from repro.obs.alerts import ALERT_KIND
 from repro.obs.hub import Observability
 from repro.obs.ledger import EDGE_NAMES, SIGNED_EDGES
@@ -83,17 +83,17 @@ class FlightReport:
 
 def _fly(controller: str, workload: str, weather: str, mean_w: float,
          seed: int, initial_soc: float, dt: float,
-         duration_s: float | None, stride: int, policies=None,
+         duration_s: float | None, stride: int, scenario: str | None = None,
          cprofile_path=None):
-    """Build, run and time one instrumented cell.
+    """Build, run and time one instrumented day.
 
     With ``cprofile_path`` the run (not the build) is also profiled by
     ``cProfile`` and the stats are dumped there.
     """
     obs = Observability(trace_stride=stride)
-    system = build_day_system(controller, workload, weather, mean_w=mean_w,
-                              seed=seed, initial_soc=initial_soc, dt=dt,
-                              observability=obs, policies=policies)
+    system = day_site(controller, workload, weather, mean_w=mean_w, seed=seed,
+                      initial_soc=initial_soc, dt=dt,
+                      scenario=scenario).build(observability=obs)
     profiler = (cProfile.Profile() if cprofile_path is not None
                 else contextlib.nullcontext())
     t0 = time.perf_counter()
@@ -103,7 +103,7 @@ def _fly(controller: str, workload: str, weather: str, mean_w: float,
     if cprofile_path is not None:
         Path(cprofile_path).parent.mkdir(parents=True, exist_ok=True)
         profiler.dump_stats(cprofile_path)
-    return summary, obs, system.engine.clock.step_index, wall_s
+    return system, summary, wall_s
 
 
 def run_flight(
@@ -132,34 +132,32 @@ def run_flight(
     (if any) flies *without* overlays — it shows what the plain controller
     would have done on the identical trace.
     """
-    policies = None
     if scenario is not None:
         from repro.validate.golden import resolve_cell
 
         cell = resolve_cell(scenario=scenario)
         controller, workload, weather = cell.controller, cell.workload, cell.weather
         seed = cell.seed
-        policies = cell.policies()
-    summary, obs, ticks, wall_s = _fly(controller, workload, weather, mean_w,
-                                       seed, initial_soc, dt, duration_s,
-                                       stride, policies=policies,
-                                       cprofile_path=cprofile_path)
+    system, summary, wall_s = _fly(controller, workload, weather, mean_w,
+                                   seed, initial_soc, dt, duration_s, stride,
+                                   scenario=scenario, cprofile_path=cprofile_path)
     report = FlightReport(
         controller=controller, workload=workload, weather=weather,
-        mean_w=mean_w, seed=seed, summary=summary, obs=obs,
-        ticks=ticks, wall_s=wall_s, scenario=scenario, policies=policies,
+        mean_w=mean_w, seed=seed, summary=summary, obs=system.obs,
+        ticks=system.engine.clock.step_index, wall_s=wall_s,
+        scenario=scenario, policies=system.controller.policies,
     )
     if compare is not None:
         if compare == controller and scenario is None:
             raise ValueError(
                 f"--compare controller must differ from {controller!r}"
             )
-        cmp_summary, cmp_obs, _, _ = _fly(compare, workload, weather, mean_w,
+        cmp_system, cmp_summary, _ = _fly(compare, workload, weather, mean_w,
                                           seed, initial_soc, dt, duration_s,
                                           stride)
         report.compare_controller = compare
         report.compare_summary = cmp_summary
-        report.compare_obs = cmp_obs
+        report.compare_obs = cmp_system.obs
     return report
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.core.system import build_day_system
+from repro.core.system import SiteSpec, day_site
 from repro.experiments.runner import derive_seed, run_cells
 from repro.telemetry.metrics import RunSummary
 from repro.workloads import make_workload
@@ -160,15 +160,6 @@ class PinnedCell:
     seed: int
     scenario: str | None = None
 
-    def policies(self) -> list | None:
-        """The scenario's policy overlays for this seed (None for matrix
-        cells); fresh objects on every call."""
-        if self.scenario is None:
-            return None
-        from repro.experiments.scenarios import build_policies
-
-        return build_policies(self.scenario, self.seed)
-
 
 def resolve_cell(
     controller: str | None = None,
@@ -195,6 +186,23 @@ def resolve_cell(
                       scenario)
 
 
+def cell_site(
+    controller: str | None = None,
+    workload: str | None = None,
+    weather: str | None = None,
+    scenario: str | None = None,
+    duration_s: float = DURATION_S,
+) -> SiteSpec:
+    """The site of one pinned cell (:func:`resolve_cell`'s arguments):
+    what :func:`compute_cell`, the fleet validator and the lockstep
+    comparators run on both kernels."""
+    cell = resolve_cell(controller, workload, weather, scenario)
+    return day_site(cell.controller, cell.workload, cell.weather,
+                    mean_w=TARGET_MEAN_W, seed=cell.seed,
+                    initial_soc=INITIAL_SOC, dt=DT_SECONDS,
+                    duration_s=duration_s, scenario=cell.scenario)
+
+
 def compute_cell(
     controller: str | None = None,
     workload: str | None = None,
@@ -217,11 +225,8 @@ def compute_cell(
     ``scenario-<name>.json``.
     """
     cell = resolve_cell(controller, workload, weather, scenario)
-    system = build_day_system(
-        cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
-        seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-        policies=cell.policies(), invariants=True, invariant_stride=stride,
-    )
+    system = cell_site(controller, workload, weather, scenario).build(
+        invariants=True, invariant_stride=stride)
     summary = system.run(duration_s)
     config: dict[str, Any] = {
         "controller": cell.controller,
@@ -271,11 +276,8 @@ def compute_ledger_cell(
 
     cell = resolve_cell(controller, workload, weather, scenario)
     obs = Observability()
-    system = build_day_system(
-        cell.controller, cell.workload, cell.weather, mean_w=TARGET_MEAN_W,
-        seed=cell.seed, initial_soc=INITIAL_SOC, dt=DT_SECONDS,
-        policies=cell.policies(), observability=obs,
-    )
+    system = cell_site(controller, workload, weather, scenario).build(
+        observability=obs)
     summary = system.run(duration_s)
     return {
         "cell": cell.name,

@@ -13,22 +13,22 @@ from __future__ import annotations
 import pytest
 
 from repro.core.faults import StuckRelayFault
-from repro.core.system import build_day_system
+from repro.core.system import day_site
 from repro.validate.golden import INITIAL_SOC, TARGET_MEAN_W, parse_cell_id, resolve_cell
 
 HORIZON_S = 7200.0
 
 
 def _day(controller, workload, weather="sunny", *, mean_w=TARGET_MEAN_W, seed=3,
-         initial_soc=INITIAL_SOC, **options):
-    return build_day_system(controller, workload, weather, mean_w=mean_w, seed=seed,
-                            initial_soc=initial_soc, **options)
+         initial_soc=INITIAL_SOC, scenario=None, **options):
+    return day_site(controller, workload, weather, mean_w=mean_w, seed=seed,
+                    initial_soc=initial_soc, scenario=scenario).build(**options)
 
 
 def _scenario_day(name):
     cell = resolve_cell(**parse_cell_id(f"scenario-{name}"))
     return _day(cell.controller, cell.workload, cell.weather, seed=cell.seed,
-                policies=cell.policies())
+                scenario=name)
 
 
 def _on_off_cycles(system) -> int:

@@ -48,19 +48,6 @@ class TestAssembly:
         assert system.workload.storage.capacity_gb == 50.0
         assert sys_with().workload.storage is None
 
-    def test_trace_every_decimation(self):
-        fine = build_system(
-            make_day_trace("sunny", seed=0), VideoSurveillance(),
-            seed=0, trace_every=1,
-        )
-        coarse = build_system(
-            make_day_trace("sunny", seed=0), VideoSurveillance(),
-            seed=0, trace_every=24,
-        )
-        fine.run(1800.0)
-        coarse.run(1800.0)
-        assert len(fine.recorder) > len(coarse.recorder) * 10
-
     def test_start_hour_from_trace(self):
         trace = make_day_trace("sunny", seed=0)
         system = build_system(trace, VideoSurveillance(), seed=0)

@@ -1,25 +1,37 @@
-"""Fleet backend routing, cell-id failure naming, Monte Carlo stats."""
+"""Fleet backend routing of site cells, cell-id failure naming, Monte
+Carlo stats."""
+
+import os
 
 import numpy as np
 import pytest
 
-from repro.experiments import adapters
+from repro.experiments import runner
+from repro.experiments.fullsystem import run_single
 from repro.experiments.montecarlo import (
     PERCENTILES,
     format_monte_carlo,
     monte_carlo_cells,
 )
+from repro.experiments.provisioning import run_provisioning_cell
 from repro.experiments.runner import (
     BACKENDS,
     CellExecutionError,
     _cell_label,
     run_cells,
 )
+from repro.experiments.scenarios import run_scenario_cell
+from repro.experiments.table6 import run_table6_cell
+from repro.sim.fleet import FleetUnsupported
 
 
 def _double(x):
-    """Module-level (picklable) cell function with no fleet adapter."""
+    """Module-level (picklable) cell function that describes no site."""
     return x * 2
+
+
+def _pid(x):
+    return os.getpid()
 
 
 def _explode_on_two(x):
@@ -28,83 +40,74 @@ def _explode_on_two(x):
     return x
 
 
-class TestAdapterRegistry:
-    def test_experiment_cell_functions_are_adapted(self, monkeypatch):
-        from repro.experiments.fullsystem import run_single
-        from repro.experiments.provisioning import run_provisioning_cell
-        from repro.experiments.table6 import run_table6_cell
-
-        class Routed(Exception):
-            pass
-
-        routed = []
-
-        def fake_simulate_fleet(specs):
-            routed.append(len(specs))
-            raise Routed
-
-        monkeypatch.setattr(adapters, "simulate_fleet", fake_simulate_fleet)
-        cells = (
-            (run_single, dict(controller="insure", workload_kind="video",
-                              profile="sunny", solar_mean_w=800.0, seed=5)),
-            (run_table6_cell, dict(day="cloudy", controller="insure", seed=2)),
-            (run_provisioning_cell, dict(battery_count=3, solar_scale=1.0, seed=4)),
-        )
-        for fn, cell in cells:
-            with pytest.raises(Routed):
-                adapters.run_cells_fleet(fn, [dict(cell, use_cache=False)])
-        assert routed == [1, 1, 1]
-
-    def test_arbitrary_functions_are_not(self):
-        from repro.experiments.extensions import run_storage_cell
-        from repro.sim.fleet import FleetUnsupported
-
-        # A cached experiment cell without an adapter falls back too.
-        with pytest.raises(FleetUnsupported, match="no fleet adapter"):
-            adapters.run_cells_fleet(run_storage_cell, [dict(controller="insure")])
-
-    def test_unadapted_function_raises_fleet_unsupported(self):
-        from repro.sim.fleet import FleetUnsupported
-
-        with pytest.raises(FleetUnsupported, match="no fleet adapter"):
-            adapters.run_cells_fleet(_double, [dict(x=1)])
+#: One cell of each site cell.
+SITE_CELLS = [
+    (run_single, dict(controller="insure", workload_kind="video",
+                      profile="sunny", solar_mean_w=800.0, seed=5)),
+    (run_table6_cell, dict(day="cloudy", controller="insure", seed=2)),
+    (run_provisioning_cell, dict(battery_count=3, solar_scale=1.0, seed=4)),
+    (run_scenario_cell, dict(scenario="carbon-chasing")),
+]
 
 
-class TestAdapterSpecs:
-    def test_specs_carry_the_trace_as_a_float64_array(self, monkeypatch):
-        # A tuple of np.float64 objects costs about 40 B a sample against
-        # 8 in an array: every adapter hands the kernel DayTrace.power_w.
-        from repro.experiments.fullsystem import run_single
-        from repro.experiments.provisioning import run_provisioning_cell
-        from repro.experiments.scenarios import run_scenario_cell
-        from repro.experiments.table6 import run_table6_cell
-        from repro.sim.fleet.validator import spec_for_cell
+class TestSiteCells:
+    """A site cell is written once: the pool builds the site it
+    describes, and the fleet backend batches the same site."""
 
+    @pytest.mark.parametrize(("fn", "cell"), SITE_CELLS,
+                             ids=[fn.__name__ for fn, _ in SITE_CELLS])
+    def test_fleet_batches_the_site_the_cell_describes(self, fn, cell, monkeypatch):
         class Captured(Exception):
             pass
 
-        specs = [spec_for_cell("insure", "video", "sunny")]
+        batches = []
 
-        def capture(batch):
-            specs.extend(batch)
+        def capture(specs):
+            batches.append(specs)
             raise Captured
 
-        monkeypatch.setattr(adapters, "simulate_fleet", capture)
-        cells = (
-            (run_single, dict(controller="insure", workload_kind="video",
-                              profile="sunny", solar_mean_w=800.0, seed=5)),
-            (run_table6_cell, dict(day="cloudy", controller="insure", seed=2)),
-            (run_provisioning_cell, dict(battery_count=3, solar_scale=1.0, seed=4)),
-            (run_scenario_cell, dict(scenario="carbon-chasing")),
-        )
-        for fn, cell in cells:
-            with pytest.raises(Captured):
-                adapters.run_cells_fleet(fn, [dict(cell, use_cache=False)])
-        assert len(specs) == 1 + len(cells)
-        for spec in specs:
-            assert isinstance(spec.trace_power_w, np.ndarray)
-            assert spec.trace_power_w.dtype == np.float64
-            assert spec.trace_power_w.ndim == 1
+        monkeypatch.setattr("repro.sim.fleet.simulate_fleet", capture)
+        with pytest.raises(Captured):
+            runner._run_fleet(fn, [dict(cell, use_cache=False)])
+        [[spec]] = batches
+        want = fn.site(**fn.bind(**cell)[0])
+        for field, value in vars(want).items():
+            if field != "trace_power_w":
+                assert getattr(spec, field) == value, field
+        # A tuple of np.float64 objects costs about 40 B a sample against
+        # 8 in an array: every site cell hands the kernel DayTrace.power_w.
+        trace = spec.trace_power_w
+        assert isinstance(trace, np.ndarray)
+        assert trace.dtype == np.float64 and trace.ndim == 1
+        assert np.array_equal(trace, want.trace_power_w)
+
+    @pytest.mark.parametrize(("fn", "cell"), [
+        (run_single, dict(controller="baseline", workload_kind="seismic",
+                          profile="cloudy", solar_mean_w=500.0, seed=3, dt=60.0)),
+        (run_table6_cell, dict(day="rainy", controller="insure", dt=60.0)),
+        (run_scenario_cell, dict(scenario="grid-hybrid", dt=60.0)),
+    ], ids=["run_single", "run_table6_cell", "run_scenario_cell"])
+    def test_scalar_run_is_the_site_built_and_run(self, fn, cell):
+        # The coarse step keeps the scalar days cheap.
+        params, _ = fn.bind(**cell)
+        assert vars(fn(**cell, use_cache=False)) == vars(
+            fn.site(**params).build().run())
+
+    def test_functions_describing_no_site_fall_back(self):
+        from repro.experiments.extensions import run_storage_cell
+
+        # A cached experiment cell that is no site cell falls back too.
+        for fn, cell in ((run_storage_cell, dict(controller="insure")),
+                         (_double, dict(x=1))):
+            with pytest.raises(FleetUnsupported, match="describes no site"):
+                runner._run_fleet(fn, [cell])
+
+    def test_unbound_arguments_and_unknown_scenarios_raise_their_own_error(self):
+        with pytest.raises(TypeError):
+            run_cells(run_single, [dict(controller="insure")], backend="fleet")
+        with pytest.raises(ValueError, match="unknown scenario"):
+            run_cells(run_scenario_cell, [dict(scenario="nope", use_cache=False)],
+                      backend="fleet")
 
 
 class TestFleetCacheSeparation:
@@ -118,7 +121,6 @@ class TestFleetCacheSeparation:
     def test_neither_backend_replays_the_other(self, monkeypatch, tmp_path):
         import dataclasses
 
-        from repro.experiments.fullsystem import run_single
         from repro.sim.cache import RunCache, summary_to_payload
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -132,7 +134,7 @@ class TestFleetCacheSeparation:
             batches.append(len(specs))
             return [summary_to_payload(fleet_summary) for _ in specs]
 
-        monkeypatch.setattr(adapters, "simulate_fleet", fake_simulate_fleet)
+        monkeypatch.setattr("repro.sim.fleet.simulate_fleet", fake_simulate_fleet)
 
         assert run_cells(run_single, [self.CELL], backend="fleet") == [
             fleet_summary]
@@ -148,7 +150,7 @@ class TestFleetCacheSeparation:
 
 class TestBackendSelection:
     def test_backend_names_are_pinned(self):
-        assert BACKENDS == ("fleet", "pool", "serial")
+        assert BACKENDS == ("fleet", "pool")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -166,8 +168,9 @@ class TestBackendSelection:
         assert results == [0, 2, 4, 6]
 
     def test_serial_backend_forces_in_process_loop(self):
-        assert run_cells(_double, [dict(x=i) for i in range(3)],
-                         backend="serial") == [0, 2, 4]
+        # One worker runs the cells in this process, pool or no pool.
+        assert run_cells(_pid, [dict(x=i) for i in range(3)],
+                         max_workers=1) == [os.getpid()] * 3
 
 
 class TestCellFailureNaming:

@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from repro.core.system import build_day_system, build_system
+from repro.core.system import build_system, day_site
 from repro.obs.hub import Observability
 from repro.policy.registry import PolicyDef, build_policy
 from repro.solar.traces import make_day_trace
@@ -152,9 +152,9 @@ def test_dropped_observed_system_is_freed_without_gc():
                 PolicyDef("vms", "soc", "const:1.0", "vm_retarget"),
                 PolicyDef("charge", "solar", "const:1.0", "charge_current_cap"))
     for defs in ((), overlays):
-        system = build_day_system("insure", "video", "sunny", mean_w=1000.0, seed=1,
-                                  initial_soc=0.6, observability=True,
-                                  policies=[build_policy(d, 1) for d in defs])
+        system = day_site("insure", "video", "sunny", mean_w=1000.0, seed=1,
+                          initial_soc=0.6).build(
+            observability=True, policies=[build_policy(d, 1) for d in defs])
         system.run(3600.0)
         assert len(system.controller.policies) == len(defs)
         refs = [weakref.ref(part) for part in

@@ -26,7 +26,7 @@ their decision kind to :data:`CONTROL_EVENT_KINDS`.
 
 from __future__ import annotations
 
-from repro.core.system import build_day_system
+from repro.core.system import day_site
 from repro.policy.registry import make_control
 
 #: Decision kind each built-in control emits when it actuates state.
@@ -57,8 +57,8 @@ def build_plant(controller: str = "insure"):
     up (duty 1.0, VM target at the workload's preferred count) to give
     every control headroom to act.
     """
-    system = build_day_system(controller, "seismic", "sunny", mean_w=800.0,
-                              seed=7, initial_soc=0.6, dt=5.0)
+    system = day_site(controller, "seismic", "sunny", mean_w=800.0,
+                      seed=7, initial_soc=0.6, dt=5.0).build()
     manager = system.controller
     if hasattr(manager, "duty"):
         manager.duty = 1.0

@@ -81,8 +81,7 @@ def test_scenario_ledger_closes_and_preserves_digests(scenario):
 def test_fleet_kernel_matches_scenario_goldens():
     from repro.sim.fleet.validator import FleetValidator
 
-    validator = FleetValidator()
-    verdicts = validator.validate_cells(validator.scenario_cells())
+    verdicts = FleetValidator().validate_cells(golden.scenario_cells())
     assert [v.cell for v in verdicts] == SCENARIO_CELL_NAMES
     failures = [v.describe() for v in verdicts if not v.ok]
     assert not failures, "; ".join(failures)

@@ -10,11 +10,9 @@ charge and float ticks.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.sim.fleet.debug import count_calls
 from repro.sim.fleet.kernel import _FleetBatch
-from repro.sim.fleet.validator import spec_for_cell
+from repro.validate.golden import cell_site
 
 #: Numpy calls of the 240 ticks below, counted by ``count_calls``.
 PINNED_CALLS = 47925
@@ -22,8 +20,7 @@ PINNED_CALLS = 47925
 
 def _batch() -> _FleetBatch:
     return _FleetBatch([
-        dataclasses.replace(spec_for_cell("insure", "video", weather),
-                            duration_s=1200.0)
+        cell_site("insure", "video", weather, duration_s=1200.0)
         for weather in ("sunny", "cloudy", "rainy")
     ])
 

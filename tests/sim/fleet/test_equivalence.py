@@ -15,6 +15,7 @@ from repro.sim.fleet.validator import (
     FleetValidator,
     compare_summaries,
 )
+from repro.validate.golden import matrix_cells
 
 pytestmark = pytest.mark.golden
 
@@ -23,10 +24,9 @@ pytestmark = pytest.mark.golden
 def verdicts():
     # One simulate_fleet batch over all 12 cells; shared across tests so
     # the full-day matrix simulates once per session.
-    validator = FleetValidator()
-    cells = validator.cells()
+    cells = matrix_cells()
     assert len(cells) == 12
-    return validator.validate_cells(cells)
+    return FleetValidator().validate_cells(cells)
 
 
 def test_all_twelve_cells_match_goldens(verdicts):

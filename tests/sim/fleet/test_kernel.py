@@ -11,7 +11,7 @@ from repro.sim.fleet import (
     SiteSpec,
     simulate_fleet,
 )
-from repro.sim.fleet.validator import spec_for_cell
+from repro.validate.golden import cell_site
 
 
 def _spec(**overrides) -> SiteSpec:
@@ -47,10 +47,6 @@ class TestSiteSpec:
         with pytest.raises(FleetUnsupported, match="workload"):
             simulate_fleet([_spec(workload="batch")])
 
-    def test_trace_dt_mismatch_rejected(self):
-        with pytest.raises(FleetUnsupported, match="trace_dt_s"):
-            simulate_fleet([_spec(trace_dt_s=1.0)])
-
     def test_degenerate_bank_rejected(self):
         with pytest.raises(FleetUnsupported, match="degenerate"):
             simulate_fleet([_spec(battery_count=0)])
@@ -82,28 +78,29 @@ class TestSiteSpec:
     def test_duty_cap_on_baseline_rejected_by_both_kernels(self, scenario):
         # The baseline controller has no DVFS duty knob: the scalar build
         # refuses the duty_cap policy, and the kernel raises the same error.
-        from repro.core.system import build_day_system
-        from repro.experiments.scenarios import build_policies
+        from repro.core.system import day_site
 
+        site = day_site("baseline", "seismic", "sunny", mean_w=800.0, seed=3,
+                        initial_soc=0.9, scenario=scenario)
         with pytest.raises(ValueError, match="duty knob"):
-            build_day_system("baseline", "seismic", "sunny", mean_w=800.0,
-                             seed=3, initial_soc=0.9,
-                             policies=build_policies(scenario, 3))
+            site.build()
         with pytest.raises(ValueError, match="duty knob"):
-            simulate_fleet([_spec(controller="baseline", workload="seismic",
-                                  scenario=scenario)])
+            simulate_fleet([site])
 
     def test_rack_too_small_for_the_workload_rejected_by_both_kernels(self):
         # Three 2-slot servers cannot host video's 8 VMs: the scalar
         # allocator would raise at the first scale-up mid-run, so the
         # scalar build refuses the rack, and the kernel the same site.
-        from repro.core.system import build_day_system
+        from repro.core.system import day_site
 
+        site = dataclasses.replace(
+            day_site("insure", "video", "sunny", mean_w=1400.0, seed=5,
+                     initial_soc=0.55),
+            server_count=3)
         with pytest.raises(ValueError, match="3 servers of 2 VM slots"):
-            build_day_system("insure", "video", "sunny", mean_w=1400.0, seed=5,
-                             initial_soc=0.55, server_count=3)
+            site.build()
         with pytest.raises(ValueError, match="3 servers of 2 VM slots"):
-            simulate_fleet([_spec(server_count=3)])
+            simulate_fleet([site])
 
 
 class TestTrace:
@@ -185,7 +182,7 @@ class TestGrouping:
         # sensor-noise stream is seeded from its own spec seed.
         from repro.sim.fleet.kernel import _FleetBatch
 
-        spec = spec_for_cell("insure", "video", "sunny")
+        spec = cell_site("insure", "video", "sunny")
         other = dataclasses.replace(spec, seed=spec.seed + 1)
         batch = _FleetBatch([spec, other])
         batch._refill_noise()  # blocks are lazily filled on tick 0
@@ -201,9 +198,9 @@ class TestGrouping:
         # summary field must match exactly.  The voltage sigma averages
         # 120 samples, which numpy would sum pairwise for one site but row
         # by row for two.
-        spec = dataclasses.replace(spec_for_cell("insure", "video", "sunny"),
-                                   duration_s=2 * 3600.0,
-                                   battery_count=battery_count)
+        spec = dataclasses.replace(
+            cell_site("insure", "video", "sunny", duration_s=2 * 3600.0),
+            battery_count=battery_count)
         mate = dataclasses.replace(spec, seed=spec.seed + 1)
         assert simulate_fleet([spec]) == simulate_fleet([spec, mate])[:1]
 

@@ -53,7 +53,7 @@ _STATES = {_OFF: ServerState.OFF, _BOOTING: ServerState.BOOTING,
 @lru_cache(maxsize=None)
 def _batch(dt_s: float) -> _FleetBatch:
     spec = SiteSpec("insure", "video", seed=1, initial_soc=0.5,
-                    trace_power_w=(0.0,) * 4, trace_dt_s=dt_s, dt_s=dt_s)
+                    trace_power_w=(0.0,) * 4, trace_dt_s=dt_s)
     return _FleetBatch([spec])
 
 

@@ -2,22 +2,20 @@
 
 The pinned cells cover one seed, one SoC and the default plant each.
 Here hypothesis draws the site — controller, workload, weather, seed,
-initial SoC, solar mean, bank and rack size, policy scenario — builds
-both kernels from one day trace and steps them an hour in lockstep.  The
-trace starts at 07:00, so that hour reaches the discharge, charge and
-float branches.  Policies write the rack off the controller cadence, so
+initial SoC, solar mean, bank and rack size, policy scenario — as one
+:class:`~repro.core.system.SiteSpec`, builds both kernels from it and
+steps them an hour in lockstep.  The trace starts at 07:00, so that hour
+reaches the discharge, charge and float branches.  Policies write the rack off the controller cadence, so
 at least one drawn site must have a policy lower its duty or VM target.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.system import build_system
-from repro.experiments.scenarios import build_policies
+from repro.core.system import SiteSpec
 from repro.sim.fleet.debug import step_lockstep
-from repro.sim.fleet.kernel import SiteSpec, _FleetBatch
+from repro.sim.fleet.kernel import _FleetBatch
 from repro.solar.traces import make_day_trace
-from repro.workloads import make_workload
 
 DT_S = 5.0
 TICKS = 720
@@ -63,21 +61,15 @@ def test_random_site_tracks_scalar():
         assume(controller == "insure" or scenario in BASELINE_SCENARIOS)
         trace = make_day_trace(weather, dt_seconds=DT_S, seed=seed,
                                target_mean_w=mean_w)
-        policies = build_policies(scenario, seed) if scenario else None
-        system = build_system(trace, make_workload(workload),
-                              controller=controller,
-                              battery_count=battery_count,
-                              server_count=server_count,
-                              initial_soc=initial_soc, seed=seed, dt=DT_S,
-                              policies=policies)
-        batch = _FleetBatch([SiteSpec(
+        site = SiteSpec(
             controller, workload, seed, initial_soc, tuple(trace.power_w),
             DT_S, battery_count=battery_count, server_count=server_count,
             duration_s=TICKS * DT_S, scenario=scenario,
-        )])
+        )
+        batch = _FleetBatch([site])
         cuts = _spy_policy_cuts(batch)
-        divergence = step_lockstep(system, batch, max_ticks=TICKS, atol=1e-9,
-                                   verbose=False)
+        divergence = step_lockstep(site.build(), batch, max_ticks=TICKS,
+                                   atol=1e-9, verbose=False)
         assert divergence is None, f"diverged: {divergence}"
         policy_cut.append(any(cuts))
 

@@ -199,6 +199,6 @@ class TestCachedCell:
         assert cell_cache.entry_count() == 4
         serial = run_cells(counted_cell,
                            [dict(cell, use_cache=False) for cell in cells],
-                           backend="serial")
+                           max_workers=1)
         assert pooled == serial
         assert len(CALLS) == 4

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.system import build_day_system
+from repro.core.system import day_site
 from repro.sim.debug import count_calls
-from repro.sim.fleet.debug import build_scalar_system
+from repro.validate.golden import cell_site
 
 TICKS = 1440
 
@@ -54,14 +54,14 @@ PINNED = {
 
 
 def _bench(observability):
-    return build_day_system("insure", "seismic", "sunny", mean_w=1000.0, seed=1,
-                            initial_soc=0.55, observability=observability)
+    return day_site("insure", "seismic", "sunny", mean_w=1000.0, seed=1,
+                    initial_soc=0.55).build(observability=observability)
 
 
 BUILDS = {
-    "insure-video-sunny": lambda: build_scalar_system("insure", "video", "sunny"),
-    "baseline-seismic-cloudy": lambda: build_scalar_system("baseline", "seismic",
-                                                           "cloudy"),
+    "insure-video-sunny": lambda: cell_site("insure", "video", "sunny").build(),
+    "baseline-seismic-cloudy": lambda: cell_site("baseline", "seismic",
+                                                 "cloudy").build(),
     "bench-observed": lambda: _bench(True),
 }
 

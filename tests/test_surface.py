@@ -1,23 +1,29 @@
-"""No test-only surface: every definition in ``src/repro`` is reached.
+"""No test-only surface: every definition in ``src/repro`` is reached,
+and every attribute it stores on ``self`` is read.
 
 A function or class that only its own body, ``tests/``, the docs or a
 package ``__init__.py`` facade names is surface that nothing runs: no
-figure, table, CLI command, served session, benchmark or CI step.  This
-test parses ``src/repro`` and fails on each such definition unless
-``KEEP`` gives the reason it stays.
+figure, table, CLI command, served session, benchmark or CI step.  An
+attribute that ``src/repro`` assigns on ``self`` and nothing reads is
+state that is written and never used.  This test parses ``src/repro``
+and fails on each such definition or attribute unless ``KEEP`` gives the
+reason it stays.
 
-A use is matched by name, not resolved.  In ``src/repro`` a use is an
-AST ``Name``, an ``Attribute``, an import alias or a string constant
-that is an identifier (``getattr`` targets, ``__all__``, forward
-references); docstrings do not count, and neither do a facade's imports
-and ``__all__``.  In ``benchmarks/``, ``examples/``, ``.github/`` and
-``.claude/`` any identifier token counts.  Dunders and ``main`` are
-exempt.
+A use is matched by name, not resolved.  In ``src/repro`` a use of a
+definition is an AST ``Name``, an ``Attribute``, an import alias or a
+string constant that is an identifier (``getattr`` targets, ``__all__``,
+forward references); a read of an attribute is an ``Attribute`` load or
+such a string constant.  Docstrings do not count, and neither do a
+facade's imports and ``__all__``.  In ``benchmarks/``, ``examples/``,
+``.github/`` and ``.claude/`` any identifier token counts.  Dunders and
+``main`` are exempt.  An attribute is named after the first class that
+declares it in its body or assigns it on ``self``.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -58,6 +64,11 @@ KEEP = {
         "golden harness: the ledger goldens are recomputed through it",
     "repro.sim.fleet.validator.FleetValidator.validate_cells":
         "golden harness: the fleet goldens are checked through it",
+    "repro.policy.governors.Governor.limit_range":
+        "the output range each governor declares, which the policy "
+        "conformance kit probes",
+    "repro.core.plc_program.BatterySwitchProgram.lockout_refusals":
+        "the PLC program's only record of a refused load-bus switch",
 }
 
 
@@ -114,22 +125,36 @@ def _uses(tree: ast.Module, skipped: set[int]):
             yield node.value, node.lineno
 
 
-def unreached() -> set[str]:
-    """Qualified names of the definitions nothing outside tests reaches."""
-    sites = defaultdict(list)   # name -> [(file, line)] of its uses
-    definitions = []
+@functools.cache
+def _parsed() -> list[tuple[Path, ast.Module, set[int]]]:
+    """Every ``src/repro`` module with the nodes that are no uses."""
+    parsed = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        skipped = _docstrings(tree) | _facade_nodes(path, tree)
-        for name, line in _uses(tree, skipped):
-            sites[name].append((path, line))
-        definitions += [(qual, node, path)
-                        for qual, node in _definitions(_modname(path), tree.body)]
+        parsed.append((path, tree, _docstrings(tree) | _facade_nodes(path, tree)))
+    return parsed
+
+
+@functools.cache
+def _tokens() -> frozenset[str]:
     tokens = set()
     for top in TOKEN_DIRS:
         for path in (ROOT / top).rglob("*"):
             if path.is_file() and "__pycache__" not in path.parts:
                 tokens.update(IDENTIFIER.findall(path.read_text(errors="ignore")))
+    return frozenset(tokens)
+
+
+def unreached() -> set[str]:
+    """Qualified names of the definitions nothing outside tests reaches."""
+    sites = defaultdict(list)   # name -> [(file, line)] of its uses
+    definitions = []
+    for path, tree, skipped in _parsed():
+        for name, line in _uses(tree, skipped):
+            sites[name].append((path, line))
+        definitions += [(qual, node, path)
+                        for qual, node in _definitions(_modname(path), tree.body)]
+    tokens = _tokens()
     flagged = set()
     for qual, node, path in definitions:
         name = node.name
@@ -143,11 +168,66 @@ def unreached() -> set[str]:
     return flagged
 
 
+def _declared(cls: ast.ClassDef) -> set[str]:
+    """Names a class body assigns or annotates."""
+    names = set()
+    for stmt in cls.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _stored_on_self(cls: ast.ClassDef) -> set[str]:
+    """Attributes the methods of a class assign on ``self``."""
+    return {
+        node.attr
+        for method in cls.body if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def write_only() -> set[str]:
+    """Qualified names of the attributes stored on ``self`` that nothing
+    outside tests reads."""
+    reads = set()
+    stored = set()
+    owner = {}   # attribute -> the first class naming it
+    for path, tree, skipped in _parsed():
+        module = _modname(path)
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                reads.add(node.value)
+            elif isinstance(node, ast.ClassDef):
+                on_self = _stored_on_self(node)
+                stored |= on_self
+                for name in sorted(on_self | _declared(node)):
+                    owner.setdefault(name, f"{module}.{node.name}.{name}")
+    tokens = _tokens()
+    return {owner[name] for name in stored
+            if name not in reads and name not in tokens
+            and not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_every_definition_is_reached_or_kept():
     flagged = unreached()
     unexplained = sorted(flagged - KEEP.keys())
     assert not unexplained, (
         "reached only by tests, docs or a facade; delete it, or add it to KEEP "
         f"with the reason it stays: {unexplained}")
-    stale = sorted(KEEP.keys() - flagged)
+    stale = sorted(KEEP.keys() - flagged - write_only())
     assert not stale, f"KEEP names what a run now reaches, or what is gone: {stale}"
+
+
+def test_every_stored_attribute_is_read_or_kept():
+    unexplained = sorted(write_only() - KEEP.keys())
+    assert not unexplained, (
+        "stored on self and never read outside tests; delete it, or add it to "
+        f"KEEP with the reason it stays: {unexplained}")

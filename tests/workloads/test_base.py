@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.storage import StorageArray
 from repro.core.energy_manager import InsureController
-from repro.core.system import build_day_system
+from repro.core.system import day_site
 from repro.workloads import MicroWorkload, SeismicAnalysis, VideoSurveillance
 from repro.workloads.base import Job, JobQueue, Workload
 
@@ -285,8 +285,8 @@ class TestNoBacklogScan:
             spatial_period(self, clock)
 
         monkeypatch.setattr(InsureController, "_spatial_period", counted)
-        system = build_day_system("insure", "video", "sunny", mean_w=1000.0,
-                                  seed=1, initial_soc=0.55)
+        system = day_site("insure", "video", "sunny", mean_w=1000.0,
+                          seed=1, initial_soc=0.55).build()
         system.run(2 * 3600.0)
         assert len(spm_calls) >= 20
         assert len(system.workload.queue) > 0
